@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .exactlin import (
     RatMatrix,
+    coordinate_section,
     hstack,
     image_basis,
     inverse,
@@ -313,17 +314,8 @@ def bottom_cokernel_map(f: ChainMap) -> RatMatrix:
         f.source.dim(-1), image_basis(f.source.diff[0])
     )
     qt, _ = quotient_with_section(f.target.dim(-1), image_basis(f.target.diff[0]))
-    section = _section_from(kept_s, f.source.dim(-1))
+    section = coordinate_section(f.source.dim(-1), kept_s)
     return qt @ f.components[-1] @ section
-
-
-def _section_from(kept: list[int], ambient: int) -> RatMatrix:
-    cols = []
-    for k in kept:
-        v = [Fraction(0)] * ambient
-        v[k] = Fraction(1)
-        cols.append(v)
-    return RatMatrix.from_columns(cols, rows=ambient)
 
 
 def reindex_shift(c: ChainComplex, by: int) -> ChainComplex:
@@ -353,7 +345,7 @@ def disk_sphere_complex(pieces: list[tuple[str, int]], truncation: int,
     differentials T_{n-1} d_n T_n^{-1}, which leaves homology unchanged.
     """
     dims = {n: 0 for n in range(lower, truncation + 1)}
-    blocks: dict[int, list[tuple[int, int, Fraction]]] = {}
+    blocks: dict[int, list[tuple[int, int, int]]] = {}
     for name, n in pieces:
         if name == "sphere":
             if not lower <= n <= truncation:
@@ -365,12 +357,12 @@ def disk_sphere_complex(pieces: list[tuple[str, int]], truncation: int,
             row, col = dims[n - 1], dims[n]
             dims[n] += 1
             dims[n - 1] += 1
-            blocks.setdefault(n, []).append((row, col, Fraction(1)))
+            blocks.setdefault(n, []).append((row, col, 1))
         else:
             raise ValueError(f"unknown piece {name!r}")
     diff = {}
     for n in range(lower + 1, truncation + 1):
-        m = [[Fraction(0)] * dims[n] for _ in range(dims[n - 1])]
+        m = [[0] * dims[n] for _ in range(dims[n - 1])]
         for row, col, val in blocks.get(n, []):
             m[row][col] = val
         diff[n] = RatMatrix.from_rows(m, cols=dims[n])

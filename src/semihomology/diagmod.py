@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .exactlin import RatMatrix, block_diag, rational_from_str, rational_to_str
 from .simplexcat import (
@@ -203,8 +202,8 @@ def representable(kind: str, c: int, truncation: int) -> DiagramModule:
         gm = g.as_morphism()
         cols = []
         for phi in source_basis:
-            col = [Fraction(0)] * dims[n - 1]
-            col[target_index[compose(phi, gm)]] = Fraction(1)
+            col = [0] * dims[n - 1]
+            col[target_index[compose(phi, gm)]] = 1
             cols.append(col)
         actions[g] = RatMatrix.from_columns(cols, rows=dims[n - 1])
     mod = make_module(kind, truncation, dims, actions)
@@ -327,10 +326,10 @@ def sum_inclusion(x: DiagramModule, y: DiagramModule, which: int) -> ModuleMap:
     part = (x, y)[which]
     comps = {}
     for n in x.degrees():
-        m = [[Fraction(0)] * part.dim(n) for _ in range(total.dim(n))]
+        m = [[0] * part.dim(n) for _ in range(total.dim(n))]
         off = 0 if which == 0 else x.dim(n)
         for j in range(part.dim(n)):
-            m[off + j][j] = Fraction(1)
+            m[off + j][j] = 1
         comps[n] = RatMatrix.from_rows(m, cols=part.dim(n))
     return ModuleMap(part, total, comps)
 
@@ -340,10 +339,10 @@ def sum_projection(x: DiagramModule, y: DiagramModule, which: int) -> ModuleMap:
     part = (x, y)[which]
     comps = {}
     for n in x.degrees():
-        m = [[Fraction(0)] * total.dim(n) for _ in range(part.dim(n))]
+        m = [[0] * total.dim(n) for _ in range(part.dim(n))]
         off = 0 if which == 0 else x.dim(n)
         for j in range(part.dim(n)):
-            m[j][off + j] = Fraction(1)
+            m[j][off + j] = 1
         comps[n] = RatMatrix.from_rows(m, cols=total.dim(n))
     return ModuleMap(total, part, comps)
 
@@ -362,8 +361,8 @@ def yoneda_map(kind: str, g: Morphism, truncation: int) -> ModuleMap:
         tgt_index = hom_index(hk, n, g.target)
         cols = []
         for phi in basis:
-            col = [Fraction(0)] * tgt.dim(n)
-            col[tgt_index[compose(g, phi)]] = Fraction(1)
+            col = [0] * tgt.dim(n)
+            col[tgt_index[compose(g, phi)]] = 1
             cols.append(col)
         comps[n] = RatMatrix.from_columns(cols, rows=tgt.dim(n))
     return ModuleMap(src, tgt, comps)
@@ -377,14 +376,6 @@ def truncate_module(x: DiagramModule, new_truncation: int) -> DiagramModule:
     mod = make_module(x.kind, new_truncation, dims, actions)
     mod._validated = x._validated
     return mod
-
-
-def truncate_map(f: ModuleMap, new_truncation: int) -> ModuleMap:
-    return ModuleMap(
-        truncate_module(f.source, new_truncation),
-        truncate_module(f.target, new_truncation),
-        {n: f.components[n] for n in range(f.source.lower, new_truncation + 1)},
-    )
 
 
 # -- serialization ---------------------------------------------------------------

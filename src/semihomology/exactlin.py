@@ -1,10 +1,18 @@
 """Exact linear algebra over the rationals.
 
-Scalars are arbitrary-precision `fractions.Fraction` values; every rank,
-kernel, image, quotient, and solve is computed by Gaussian elimination with
-no rounding anywhere.  Matrices are immutable and dense on the outside;
-elimination runs on sparse row dictionaries internally, which is what makes
-the large-but-sparse relation matrices of the coend computations cheap.
+Every scalar is exact and has one canonical form, decided by `exact`: an
+`int` when the value is integral, otherwise a `fractions.Fraction` whose
+denominator is greater than 1.  Never a float, and never an integral
+`Fraction`.  Integer matrices, which are most of them, therefore run on
+Python's native integer arithmetic, and `Fraction` arithmetic appears only
+once a denominator does.  Equality and hashing do not see the difference
+(``3 == Fraction(3)`` and ``hash(3) == hash(Fraction(3))``).
+
+Every rank, kernel, image, quotient, and solve is computed by Gaussian
+elimination with no rounding anywhere.  Matrices are immutable and dense on
+the outside; elimination runs on sparse row dictionaries internally, which is
+what makes the large-but-sparse relation matrices of the coend computations
+cheap.
 
 Zero-dimensional matrices (0 x n and n x 0) are legal and denote maps to or
 from the zero space; graded computations hit empty degrees all the time.
@@ -15,19 +23,37 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rational = Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+def exact(x) -> int | Fraction:
+    """The canonical exact scalar equal to ``x``.
+
+    An ``int`` passes through, an integral ``Fraction`` becomes its
+    numerator, and anything else goes through ``Fraction(x)`` first, so
+    whatever ``Fraction`` rejects is rejected here too.
+    """
+    if type(x) is int:
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
-def rational_to_str(x: Fraction) -> str:
-    """Serialize as "p/q", or "p" when the denominator is 1."""
+def rational_to_str(x: int | Fraction) -> str:
+    """Serialize as "p/q", or "p" when the value is integral."""
     return str(x)
 
 
-def rational_from_str(s: str) -> Fraction:
-    return Fraction(s.strip())
+def rational_from_str(s: str) -> int | Fraction:
+    """Parse a rational string such as "p" or "p/q"; a bad entry is a
+    ValueError that names it."""
+    if not isinstance(s, str):
+        raise ValueError(f"matrix entry {s!r} is not a string of the form 'p' or 'p/q'")
+    try:
+        return exact(s.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"matrix entry {s!r} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"matrix entry {s!r} is not a rational number") from None
 
 
 class RatMatrix:
@@ -38,9 +64,9 @@ class RatMatrix:
     def __init__(self, rows: int, cols: int, entries: Iterable = ()):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        flat = [Fraction(e) for e in entries]
+        flat = [e if type(e) is int else exact(e) for e in entries]
         if not flat:
-            flat = [ZERO] * (rows * cols)
+            flat = [0] * (rows * cols)
         if len(flat) != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(flat)}"
@@ -75,19 +101,19 @@ class RatMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
+        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
+    def __getitem__(self, ij: tuple[int, int]) -> int | Fraction:
         i, j = ij
         return self._data[i][j]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
+    def row(self, i: int) -> tuple[int | Fraction, ...]:
         return self._data[i]
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
+    def column(self, j: int) -> tuple[int | Fraction, ...]:
         return tuple(r[j] for r in self._data)
 
-    def row_major(self) -> list[Fraction]:
+    def row_major(self) -> list[int | Fraction]:
         return [e for r in self._data for e in r]
 
     def transpose(self) -> "RatMatrix":
@@ -125,13 +151,13 @@ class RatMatrix:
         )
 
     def scale(self, c) -> "RatMatrix":
-        c = Fraction(c)
+        c = exact(c)
         return RatMatrix(self.rows, self.cols, [c * e for r in self._data for e in r])
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = [[ZERO] * other.cols for _ in range(self.rows)]
+        out = [[0] * other.cols for _ in range(self.rows)]
         odata = other._data
         for i, row in enumerate(self._data):
             acc = out[i]
@@ -180,23 +206,10 @@ def hstack(*mats: RatMatrix) -> RatMatrix:
     return RatMatrix(rows, sum(m.cols for m in mats), data)
 
 
-def vstack(*mats: RatMatrix) -> RatMatrix:
-    mats = [m for m in mats]
-    if not mats:
-        raise ValueError("vstack needs at least one matrix")
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise ValueError("vstack: column counts differ")
-    data = []
-    for m in mats:
-        data.extend(m.row_major())
-    return RatMatrix(sum(m.rows for m in mats), cols, data)
-
-
 def block_diag(*mats: RatMatrix) -> RatMatrix:
     rows = sum(m.rows for m in mats)
     cols = sum(m.cols for m in mats)
-    out = [[ZERO] * cols for _ in range(rows)]
+    out = [[0] * cols for _ in range(rows)]
     r0 = c0 = 0
     for m in mats:
         for i in range(m.rows):
@@ -216,25 +229,26 @@ def block_diag(*mats: RatMatrix) -> RatMatrix:
 # canonical, so this is a performance rule, not a semantic one.
 
 
-def _sparse_rows(m: RatMatrix) -> list[dict[int, Fraction]]:
+def _sparse_rows(m: RatMatrix) -> list[dict[int, int | Fraction]]:
     return [{j: v for j, v in enumerate(row) if v} for row in m._data]
 
 
-def _axpy(target: dict[int, Fraction], source: dict[int, Fraction], coeff: Fraction) -> None:
+def _axpy(target: dict[int, int | Fraction], source: dict[int, int | Fraction],
+          coeff: int | Fraction) -> None:
     for c, v in source.items():
-        nv = target.get(c, ZERO) + coeff * v
+        nv = target.get(c, 0) + coeff * v
         if nv:
-            target[c] = nv
+            target[c] = nv if type(nv) is int else exact(nv)
         else:
             target.pop(c, None)
 
 
-def _eliminate(m: RatMatrix) -> tuple[list[int], list[dict[int, Fraction]]]:
+def _eliminate(m: RatMatrix) -> tuple[list[int], list[dict[int, int | Fraction]]]:
     """Run full reduced elimination; returns (pivot columns, pivot rows)."""
     work = _sparse_rows(m)
     free_rows = list(range(m.rows))
     pivots: list[int] = []
-    pivot_rows: list[dict[int, Fraction]] = []
+    pivot_rows: list[dict[int, int | Fraction]] = []
     for col in range(m.cols):
         sel = None
         for pos, ridx in enumerate(free_rows):
@@ -246,9 +260,11 @@ def _eliminate(m: RatMatrix) -> tuple[list[int], list[dict[int, Fraction]]]:
         ridx = free_rows.pop(sel)
         row = work[ridx]
         lead = row[col]
-        if lead != ONE:
-            inv = ONE / lead
-            row = {c: v * inv for c, v in row.items()}
+        if lead == -1:
+            row = {c: -v for c, v in row.items()}
+        elif lead != 1:
+            inv = Fraction(1, lead)
+            row = {c: exact(v * inv) for c, v in row.items()}
         for other in free_rows:
             factor = work[other].get(col)
             if factor:
@@ -277,8 +293,8 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, list[int], int]:
     pivots, pivot_rows = _eliminate(m)
     data = []
     for row in pivot_rows:
-        data.extend(row.get(j, ZERO) for j in range(m.cols))
-    data.extend([ZERO] * ((m.rows - len(pivot_rows)) * m.cols))
+        data.extend(row.get(j, 0) for j in range(m.cols))
+    data.extend([0] * ((m.rows - len(pivot_rows)) * m.cols))
     return RatMatrix(m.rows, m.cols, data), pivots, len(pivots)
 
 
@@ -297,8 +313,8 @@ def kernel_basis(m: RatMatrix) -> RatMatrix:
     free = [c for c in range(m.cols) if c not in pivot_set]
     columns = []
     for f in free:
-        v = [ZERO] * m.cols
-        v[f] = ONE
+        v = [0] * m.cols
+        v[f] = 1
         for i, p in enumerate(pivots):
             coef = pivot_rows[i].get(f)
             if coef:
@@ -324,7 +340,7 @@ def solve(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
     pivots, pivot_rows = _eliminate(hstack(a, b))
     if any(p >= a.cols for p in pivots):
         return None
-    out = [[ZERO] * b.cols for _ in range(a.cols)]
+    out = [[0] * b.cols for _ in range(a.cols)]
     for i, p in enumerate(pivots):
         row = pivot_rows[i]
         for j in range(b.cols):
@@ -357,9 +373,9 @@ def quotient_with_section(ambient_dim: int, sub: RatMatrix) -> tuple[RatMatrix, 
     pivots, pivot_rows = _eliminate(sub.transpose())
     pivot_set = set(pivots)
     kept = [c for c in range(ambient_dim) if c not in pivot_set]
-    out = [[ZERO] * ambient_dim for _ in kept]
+    out = [[0] * ambient_dim for _ in kept]
     for k, f in enumerate(kept):
-        out[k][f] = ONE
+        out[k][f] = 1
         for i, p in enumerate(pivots):
             coef = pivot_rows[i].get(f)
             if coef:
@@ -372,8 +388,8 @@ def coordinate_section(ambient_dim: int, kept: Sequence[int]) -> RatMatrix:
     """The inclusion k^kept -> k^ambient on the given coordinates."""
     cols = []
     for f in kept:
-        v = [ZERO] * ambient_dim
-        v[f] = ONE
+        v = [0] * ambient_dim
+        v[f] = 1
         cols.append(v)
     return RatMatrix.from_columns(cols, rows=ambient_dim)
 

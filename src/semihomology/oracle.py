@@ -22,7 +22,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 
 from .chainkit import (
@@ -153,8 +152,8 @@ def _random_pieces(rng: random.Random, lower: int, top: int, count: int) -> list
 
 
 def _random_unimodular(rng: random.Random, n: int) -> RatMatrix:
-    lo = [[Fraction(1 if i == j else (rng.randint(-1, 1) if i > j else 0)) for j in range(n)] for i in range(n)]
-    up = [[Fraction(1 if i == j else (rng.randint(-1, 1) if i < j else 0)) for j in range(n)] for i in range(n)]
+    lo = [[1 if i == j else (rng.randint(-1, 1) if i > j else 0) for j in range(n)] for i in range(n)]
+    up = [[1 if i == j else (rng.randint(-1, 1) if i < j else 0) for j in range(n)] for i in range(n)]
     return RatMatrix.from_rows(lo, cols=n) @ RatMatrix.from_rows(up, cols=n)
 
 
@@ -550,7 +549,7 @@ def decreasing_basis_matrix(kind: str, m: int, n: int):
     index = hom_index(hk, m, n)
     rows = []
     for word in words:
-        row = [Fraction(0)] * len(basis)
+        row = [0] * len(basis)
         for f, coeff in word.expand().terms.items():
             row[col_of[index[f]]] = coeff
         rows.append(row)
@@ -568,7 +567,7 @@ def _check_decreasing_basis(runner: _Runner, top: int) -> None:
                         {"kind": kind, "m": m, "n": n, "size": [matrix.rows, matrix.cols]},
                     )
                     for r, word in enumerate(words):
-                        diag = Fraction(-1) ** word.index_sum()
+                        diag = (-1) ** word.index_sum()
                         _require(
                             matrix[r, r] == diag,
                             {"kind": kind, "m": m, "n": n, "row": r, "diag": str(matrix[r, r])},
@@ -615,7 +614,7 @@ def cubical_family_matrix(m: int, n: int, first_family: bool):
     entries.sort(key=lambda t: t[0])
     rows = []
     for _, element in entries:
-        row = [Fraction(0)] * len(basis)
+        row = [0] * len(basis)
         for f, coeff in element.terms.items():
             row[col_of[index[f]]] = coeff
         rows.append(row)

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .exactlin import ONE, ZERO
+from .exactlin import exact
 
 
 @dataclass(frozen=True, slots=True)
@@ -239,13 +239,13 @@ class LinComb:
 
     __slots__ = ("source", "target", "terms")
 
-    def __init__(self, source: int, target: int, terms: dict[Morphism, Fraction] | None = None):
+    def __init__(self, source: int, target: int, terms: dict[Morphism, int | Fraction] | None = None):
         self.source = source
         self.target = target
-        self.terms: dict[Morphism, Fraction] = {}
+        self.terms: dict[Morphism, int | Fraction] = {}
         if terms:
             for f, c in terms.items():
-                c = Fraction(c)
+                c = exact(c)
                 if not c:
                     continue
                 if f.source != source or f.target != target:
@@ -254,7 +254,7 @@ class LinComb:
 
     @classmethod
     def of(cls, f: Morphism, coeff=1) -> "LinComb":
-        return cls(f.source, f.target, {f: Fraction(coeff)})
+        return cls(f.source, f.target, {f: exact(coeff)})
 
     @classmethod
     def zero(cls, source: int, target: int) -> "LinComb":
@@ -268,7 +268,7 @@ class LinComb:
         if len(self.terms) != 1:
             raise ValueError("combination is not a single morphism")
         ((f, c),) = self.terms.items()
-        if c != ONE:
+        if c != 1:
             raise ValueError("combination is not monic")
         return f
 
@@ -277,7 +277,7 @@ class LinComb:
             raise ValueError("adding combinations with different endpoints")
         terms = dict(self.terms)
         for f, c in other.terms.items():
-            nc = terms.get(f, ZERO) + c
+            nc = terms.get(f, 0) + c
             if nc:
                 terms[f] = nc
             else:
@@ -288,19 +288,19 @@ class LinComb:
         return self + other.scale(-1)
 
     def scale(self, c) -> "LinComb":
-        c = Fraction(c)
+        c = exact(c)
         return LinComb(self.source, self.target, {f: c * v for f, v in self.terms.items()})
 
     def compose(self, other: "LinComb") -> "LinComb":
         """self o other, extended bilinearly; other acts first."""
         if other.target != self.source:
             raise ValueError("boundary mismatch in LinComb composition")
-        terms: dict[Morphism, Fraction] = {}
+        terms: dict[Morphism, int | Fraction] = {}
         for g, cg in self.terms.items():
             for f, cf in other.terms.items():
                 h = compose(g, f)
                 c = cg * cf
-                nc = terms.get(h, ZERO) + c
+                nc = terms.get(h, 0) + c
                 if nc:
                     terms[h] = nc
                 else:
@@ -453,7 +453,7 @@ def _sign_embedding(f: InjMap) -> LinComb:
     sign +1 or color 0 with sign -1, multiplicatively."""
     comp = f.complement()
     base = _monochromatic_embedding(f, 1)
-    terms: dict[Morphism, Fraction] = {}
+    terms: dict[Morphism, int] = {}
     for colors in _all_colorings(len(comp)):
         tokens = list(base.assignment)
         sign = 1
@@ -462,19 +462,19 @@ def _sign_embedding(f: InjMap) -> LinComb:
             if col == 0:
                 sign = -sign
         g = CubeMap(base.source, base.target, tuple(tokens))
-        terms[g] = Fraction(sign)
+        terms[g] = sign
     return LinComb(base.source, base.target, terms)
 
 
 def _alternating_sum(n: int) -> LinComb:
-    terms: dict[Morphism, Fraction] = {delta(i, n): Fraction(-1) ** i for i in range(n + 1)}
+    terms: dict[Morphism, int] = {delta(i, n): (-1) ** i for i in range(n + 1)}
     return LinComb(n - 1, n, terms)
 
 
 def _cube_alternating_sum(n: int) -> LinComb:
-    terms: dict[Morphism, Fraction] = {}
+    terms: dict[Morphism, int] = {}
     for i in range(1, n + 1):
-        sign = Fraction(-1) ** (i - 1)
+        sign = (-1) ** (i - 1)
         terms[cube_delta(i, 1, n)] = sign
         terms[cube_delta(i, 0, n)] = -sign
     return LinComb(n - 1, n, terms)
@@ -554,7 +554,7 @@ def d_lower(i: int, n: int, kind: str = "ssimp") -> LinComb:
         raise ValueError("nonaugmented tails need n >= 1")
     if kind not in ("ssimp", "aug"):
         raise ValueError(f"unknown kind {kind!r}")
-    terms: dict[Morphism, Fraction] = {delta(j, n): Fraction(-1) ** j for j in range(i, n + 1)}
+    terms: dict[Morphism, int] = {delta(j, n): (-1) ** j for j in range(i, n + 1)}
     return LinComb(n - 1, n, terms)
 
 

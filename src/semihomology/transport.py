@@ -83,7 +83,7 @@ def k_bullet_complex(truncation: int) -> ChainComplex:
     (the alternating sum has n + 1 terms)."""
     dims = {n: 1 for n in range(truncation + 1)}
     diff = {
-        n: RatMatrix(1, 1, [sum(Fraction(-1) ** i for i in range(n + 1))])
+        n: RatMatrix(1, 1, [sum((-1) ** i for i in range(n + 1))])
         for n in range(1, truncation + 1)
     }
     return make_complex(0, truncation, dims, diff)
@@ -249,7 +249,7 @@ class _RawInduction:
                 for i in range(dim_q):
                     labels.append((q, phi, i))
         index = {lab: k for k, lab in enumerate(labels)}
-        rel_cols: list[list[Fraction]] = []
+        rel_cols: list[list[int | Fraction]] = []
         for g in generators_for(self.src_kind, self.src_cap):
             q = g.degree
             if self.m.dim(q) == 0:
@@ -259,7 +259,7 @@ class _RawInduction:
             for phi in self._hom(a, q - 1):
                 composed = image.compose(LinComb.of(phi))
                 for i in range(self.m.dim(q)):
-                    col = [Fraction(0)] * len(labels)
+                    col = [0] * len(labels)
                     for t in range(mg.rows):
                         coeff = mg[t, i]
                         if coeff:
@@ -508,12 +508,12 @@ def resolution_complex(kind: str, c: int, truncation: int) -> ChainComplex:
         sign_sum = apply_functor(which, omega_d(p))
         cols = []
         for phi in hom_basis(hk, p, c):
-            col = [Fraction(0)] * dims[p - 1]
+            col = [0] * dims[p - 1]
             for w, coeff in LinComb.of(phi).compose(sign_sum).terms.items():
                 col[index_low[w]] += coeff
             cols.append(col)
         diff[p] = RatMatrix.from_columns(cols, rows=dims[p - 1])
-    diff[0] = RatMatrix(dims[-1], dims[0], [Fraction(1)] * (dims[-1] * dims[0]))
+    diff[0] = RatMatrix(dims[-1], dims[0], [1] * (dims[-1] * dims[0]))
     return make_complex(-1, truncation, dims, diff)
 
 
@@ -532,7 +532,7 @@ def tensor_with_representable(
             for i in range(x.dim(cdeg)):
                 labels.append((cdeg, phi, i))
     index = {lab: k for k, lab in enumerate(labels)}
-    rel_cols: list[list[Fraction]] = []
+    rel_cols: list[list[int | Fraction]] = []
     for g in generators_for(x.kind, x.truncation):
         cdeg = g.degree
         if x.dim(cdeg) == 0:
@@ -542,12 +542,12 @@ def tensor_with_representable(
         for phi in hom_basis(hk, p, cdeg - 1):
             pushed = compose(gm, phi)
             for i in range(x.dim(cdeg)):
-                col = [Fraction(0)] * len(labels)
+                col = [0] * len(labels)
                 for t in range(xg.rows):
                     coeff = xg[t, i]
                     if coeff:
                         col[index[(cdeg - 1, phi, t)]] += coeff
-                col[index[(cdeg, pushed, i)]] -= Fraction(1)
+                col[index[(cdeg, pushed, i)]] -= 1
                 rel_cols.append(col)
     sub = RatMatrix.from_columns(rel_cols, rows=len(labels))
     proj, kept = quotient_with_section(len(labels), sub)
@@ -572,7 +572,7 @@ def tensor_resolution_complex(x: DiagramModule, truncation: int | None = None) -
         cols = []
         for k in kept_p:
             cdeg, phi, i = labels_p[k]
-            col = [Fraction(0)] * len(labels_low)
+            col = [0] * len(labels_low)
             for w, coeff in LinComb.of(phi).compose(sign_sum).terms.items():
                 col[index_low[(cdeg, w, i)]] += coeff
             cols.append(col)

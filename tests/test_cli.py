@@ -69,6 +69,23 @@ class TestValidate:
         status, _, err = run(capsys, "validate", "--in", bad)
         assert status == 2
 
+    @pytest.mark.parametrize("entry, says", [
+        (1.5, "1.5"),
+        (3, "3"),
+        ("1/0", "zero denominator"),
+    ])
+    def test_bad_entry_is_input_error(self, capsys, tmp_path, entry, says):
+        obj = json.loads(module_to_json(representable("ssimp", 1, 2)))
+        obj["actions"]["delta 0 1"][0][0] = entry
+        bad = tmp_path / "entry.json"
+        bad.write_text(json.dumps(obj))
+        status, out, err = run(capsys, "validate", "--in", bad)
+        assert status == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert "entry" in err and says in err
+
     def test_malformed_file_is_input_error(self, capsys, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")

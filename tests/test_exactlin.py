@@ -19,6 +19,7 @@ from semihomology.exactlin import (
     rref,
     solve,
 )
+from semihomology.simplexcat import LinComb, apply_functor, delta, identity_inj, omega_d
 
 
 def M(rows):
@@ -35,6 +36,112 @@ def small_matrices(draw, max_dim=4):
     c = draw(st.integers(min_value=0, max_value=max_dim))
     entries = draw(st.lists(st.integers(min_value=-5, max_value=5), min_size=r * c, max_size=r * c))
     return RatMatrix(r, c, entries)
+
+
+# Scalars of every shape a caller may hand in: small ints (non-unit pivots),
+# integral Fractions (which must come back as ints), small and large proper
+# fractions.
+scalars = st.one_of(
+    st.integers(min_value=-5, max_value=5),
+    st.builds(Fraction, st.integers(min_value=-5, max_value=5)),
+    st.builds(Fraction, st.integers(min_value=-5, max_value=5), st.integers(min_value=1, max_value=4)),
+    rationals,
+)
+
+
+@st.composite
+def mixed_matrices(draw, max_dim=4):
+    r = draw(st.integers(min_value=0, max_value=max_dim))
+    c = draw(st.integers(min_value=0, max_value=max_dim))
+    return RatMatrix(r, c, draw(st.lists(scalars, min_size=r * c, max_size=r * c)))
+
+
+def is_canonical(x) -> bool:
+    """An int, or a Fraction that is not integral; never a float."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+def assert_canonical(m: RatMatrix) -> None:
+    bad = [e for e in m.row_major() if not is_canonical(e)]
+    assert not bad, f"non-canonical entries {bad!r}"
+
+
+def reference_rref(m: RatMatrix) -> list[list[Fraction]]:
+    """Textbook Gauss-Jordan elimination on Fractions only."""
+    a = [[Fraction(e) for e in m.row(i)] for i in range(m.rows)]
+    r = 0
+    for c in range(m.cols):
+        p = next((i for i in range(r, m.rows) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        lead = a[r][c]
+        a[r] = [v / lead for v in a[r]]
+        for i in range(m.rows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return a
+
+
+class TestCanonicalScalars:
+    @given(mixed_matrices(), scalars)
+    @settings(max_examples=150, deadline=None)
+    def test_every_result_entry_is_canonical(self, m, c):
+        results = [
+            m, m.transpose(), m @ m.transpose(), m.transpose() @ m, m + m, m - m, -m,
+            m.scale(c), m.scale(Fraction(1, 2)), rref(m)[0], kernel_basis(m),
+            image_basis(m), solve(m, m), quotient_with_section(m.rows, m)[0],
+        ]
+        if is_invertible(m):
+            results.append(inverse(m))
+        for r in results:
+            assert_canonical(r)
+
+    @given(mixed_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_rref_matches_fraction_reference(self, m):
+        r, _, _ = rref(m)
+        assert [list(r.row(i)) for i in range(r.rows)] == reference_rref(m)
+
+    def test_non_unit_pivots_leave_ints_where_integral(self):
+        r, pivots, _ = rref(M([[2, 4, 3], [0, 3, 6]]))
+        assert pivots == [0, 1]
+        assert list(r.row(0)) == [1, 0, Fraction(-5, 2)]
+        assert [type(e) for e in r.row(1)] == [int, int, int]
+        assert_canonical(r)
+
+    def test_integral_fraction_entry_equals_int_entry(self):
+        a = RatMatrix(1, 1, [Fraction(2)])
+        b = RatMatrix(1, 1, [2])
+        assert a == b
+        assert hash(a) == hash(b)
+        assert type(a[0, 0]) is int
+
+    def test_parsed_entries_are_canonical(self):
+        assert type(rational_from_str("4/2")) is int
+        assert rational_from_str("-3/4") == Fraction(-3, 4)
+
+    @pytest.mark.parametrize("entry", [1.5, 3, None, "1/0", "one", "1//2"])
+    def test_bad_string_entries_are_value_errors(self, entry):
+        with pytest.raises(ValueError, match="entry"):
+            rational_from_str(entry)
+
+    @given(scalars, scalars)
+    @settings(max_examples=100, deadline=None)
+    def test_lincomb_coefficients_are_canonical(self, a, b):
+        f, g = delta(0, 1), delta(1, 1)
+        x = LinComb(0, 1, {f: a, g: b})
+        y = LinComb.of(g, b).scale(Fraction(1, 3))
+        combos = [
+            x, y, x + y, x - y, x.scale(a), LinComb.of(f, a),
+            apply_functor("u_delta", omega_d(2)).compose(x),
+            x.compose(LinComb.of(identity_inj(0), b)),
+        ]
+        for lc in combos:
+            assert all(is_canonical(c) for c in lc.terms.values()), lc
+        assert all(type(c) is int for c in apply_functor("v", delta(0, 2)).terms.values())
 
 
 class TestRref:
