@@ -1,9 +1,15 @@
-"""Bounded-below chain complexes with exact homology.
+"""Chain complexes as chain-kind modules, with exact homology.
 
-A complex stores dimensions for degrees lower..truncation (lower is -1 or 0)
-and one differential matrix per degree lower < n <= truncation.  Homology is
-reported only on the validity window [lower, truncation - 1]: at the
-truncation edge the boundaries are unknown, so nothing is claimed there.
+A chain complex is a ``DiagramModule`` of kind ``chain0`` (degrees 0..N) or
+``chain_neg1`` (degrees -1..N): a module over the differential algebra whose
+one generator d(n) per degree acts as the differential C_n -> C_{n-1}.  Its
+``diff`` is the read-only view {n: X(d(n))} of those actions, a chain map is
+a ``ModuleMap``, and ``diagmod`` validates, truncates, composes and
+serializes both.  ``make_complex`` builds a complex from its lower bound,
+dimensions and differentials.
+
+Homology is reported only on the validity window [lower, truncation - 1]: at
+the truncation edge the boundaries are unknown, so nothing is claimed there.
 Every verdict that depends on a window carries it.
 
 Cycle bases are the kernel bases in rref order; homology representatives are
@@ -14,8 +20,7 @@ basis-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .exactlin import (
     RatMatrix,
@@ -32,62 +37,14 @@ from .exactlin import (
 from .diagmod import DiagramModule, GeneratorId, ModuleMap, make_module
 
 
-@dataclass
-class ChainComplex:
-    lower: int
-    truncation: int
-    dims: dict[int, int]
-    diff: dict[int, RatMatrix]
-    _validated: bool = field(default=False, repr=False, compare=False)
-
-    def dim(self, n: int) -> int:
-        if n < self.lower or n > self.truncation:
-            raise ValueError(f"degree {n} outside [{self.lower}, {self.truncation}]")
-        return self.dims.get(n, 0)
-
-    def degrees(self) -> range:
-        return range(self.lower, self.truncation + 1)
-
-    def require_valid(self) -> None:
-        if not self._validated:
-            problem = validate_complex(self)
-            if problem:
-                raise ValueError(problem)
-
-    def window(self) -> tuple[int, int]:
-        return (self.lower, self.truncation - 1)
-
-
 def make_complex(lower: int, truncation: int, dims: dict[int, int],
-                 diff: dict[int, RatMatrix]) -> ChainComplex:
+                 diff: dict[int, RatMatrix]) -> DiagramModule:
+    """The chain-kind module with these dimensions and d(n) = diff[n];
+    missing degrees and differentials are zero."""
     if lower not in (-1, 0):
         raise ValueError("lower bound must be -1 or 0")
-    if truncation < lower:
-        raise ValueError("truncation below lower bound")
-    full_dims = {n: int(dims.get(n, 0)) for n in range(lower, truncation + 1)}
-    full_diff = {}
-    for n in range(lower + 1, truncation + 1):
-        m = diff.get(n)
-        shape = (full_dims[n - 1], full_dims[n])
-        if m is None:
-            m = RatMatrix.zeros(*shape)
-        if (m.rows, m.cols) != shape:
-            raise ValueError(f"differential at degree {n} has shape {m.rows}x{m.cols}, expected {shape}")
-        full_diff[n] = m
-    return ChainComplex(lower, truncation, full_dims, full_diff)
-
-
-def validate_complex(c: ChainComplex) -> str | None:
-    """None when d o d = 0 holds exactly everywhere; else a description."""
-    for n in range(c.lower + 1, c.truncation):
-        if not (c.diff[n] @ c.diff[n + 1]).is_zero():
-            return f"d o d != 0 between degrees {n + 1} and {n - 1}"
-    c._validated = True
-    return None
-
-
-def zero_complex(lower: int, truncation: int) -> ChainComplex:
-    return make_complex(lower, truncation, {}, {})
+    kind = "chain0" if lower == 0 else "chain_neg1"
+    return make_module(kind, truncation, dims, {GeneratorId("d", n): m for n, m in diff.items()})
 
 
 # -- homology -----------------------------------------------------------------
@@ -113,21 +70,22 @@ class HomologyReport:
         return [self.dims[n] for n in range(lo, hi + 1)]
 
 
-def homology(c: ChainComplex) -> HomologyReport:
+def homology(c: DiagramModule) -> HomologyReport:
     """Exact homology with bases, inside the validity window.
 
     At the bottom degree the cycle space is everything (there is no outgoing
     differential), so H_lower = C_lower / im d_{lower+1}.
     """
     c.require_valid()
-    lo, hi = c.window()
+    lo, hi = c.lower, c.truncation - 1
+    d = c.diff
     dims: dict[int, int] = {}
     cycles: dict[int, RatMatrix] = {}
     boundaries: dict[int, RatMatrix] = {}
     reps: dict[int, RatMatrix] = {}
     for n in range(lo, hi + 1):
-        z = RatMatrix.identity(c.dim(n)) if n == lo else kernel_basis(c.diff[n])
-        b = image_basis(c.diff[n + 1])
+        z = RatMatrix.identity(c.dim(n)) if n == lo else kernel_basis(d[n])
+        b = image_basis(d[n + 1])
         picked = _complete_boundaries(b, z)
         dims[n] = picked.cols
         cycles[n] = z
@@ -160,51 +118,9 @@ def homology_coordinates(report: HomologyReport, n: int, vectors: RatMatrix) -> 
 # -- chain maps ----------------------------------------------------------------
 
 
-@dataclass
-class ChainMap:
-    source: ChainComplex
-    target: ChainComplex
-    components: dict[int, RatMatrix]
-
-    def component(self, n: int) -> RatMatrix:
-        return self.components[n]
-
-    def require_valid(self) -> None:
-        problem = validate_chain_map(self)
-        if problem:
-            raise ValueError(problem)
-
-
-def validate_chain_map(f: ChainMap) -> str | None:
-    s, t = f.source, f.target
-    if (s.lower, s.truncation) != (t.lower, t.truncation):
-        return "source and target windows differ"
-    s.require_valid()
-    t.require_valid()
-    for n in s.degrees():
-        m = f.components.get(n)
-        if m is None or (m.rows, m.cols) != (t.dim(n), s.dim(n)):
-            return f"missing or misshaped component at degree {n}"
-    for n in range(s.lower + 1, s.truncation + 1):
-        if t.diff[n] @ f.components[n] != f.components[n - 1] @ s.diff[n]:
-            return f"component does not commute with the differential at degree {n}"
-    return None
-
-
-def identity_chain_map(c: ChainComplex) -> ChainMap:
-    return ChainMap(c, c, {n: RatMatrix.identity(c.dim(n)) for n in c.degrees()})
-
-
-def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
-    return ChainMap(
-        f.source, g.target,
-        {n: g.components[n] @ f.components[n] for n in f.source.degrees()},
-    )
-
-
-def homology_map(f: ChainMap) -> dict[int, RatMatrix]:
+def homology_map(f: ModuleMap) -> dict[int, RatMatrix]:
     """Matrices of H_n(f) in the pinned homology bases, per window degree."""
-    f.require_valid()
+    f.require_checked()
     hx = homology(f.source)
     hy = homology(f.target)
     lo, hi = hx.window
@@ -225,10 +141,10 @@ class QuasiIsoVerdict:
         return self.ok
 
 
-def is_quasi_iso(f: ChainMap) -> QuasiIsoVerdict:
+def is_quasi_iso(f: ModuleMap) -> QuasiIsoVerdict:
     """True when H_n(f) is invertible for every degree in the window."""
     maps = homology_map(f)
-    window = f.source.window()
+    window = (f.source.lower, f.source.truncation - 1)
     failures = [
         n for n, m in sorted(maps.items()) if m.rows != m.cols or rank(m) != m.rows
     ]
@@ -238,33 +154,34 @@ def is_quasi_iso(f: ChainMap) -> QuasiIsoVerdict:
 # -- truncations and reindexing --------------------------------------------------
 
 
-def good_truncation(c: ChainComplex) -> ChainComplex:
+def good_truncation(c: DiagramModule) -> DiagramModule:
     """Replace degree 0 by ker(d_0) and erase degree -1; degrees >= 1 unchanged."""
     if c.lower != -1:
         raise ValueError("good truncation needs a complex with lower bound -1")
     c.require_valid()
-    k = kernel_basis(c.diff[0])
+    d = c.diff
+    k = kernel_basis(d[0])
     dims = {n: c.dim(n) for n in range(1, c.truncation + 1)}
     dims[0] = k.cols
-    diff = {n: c.diff[n] for n in range(2, c.truncation + 1)}
+    diff = {n: m for n, m in d.items() if n >= 2}
     if c.truncation >= 1:
-        lifted = solve(k, c.diff[1])  # im d_1 lies in ker d_0 because d o d = 0
+        lifted = solve(k, d[1])  # im d_1 lies in ker d_0 because d o d = 0
         if lifted is None:
             raise AssertionError("d_1 does not land in ker d_0 on a valid complex")
         diff[1] = lifted
     return make_complex(0, c.truncation, dims, diff)
 
 
-def good_truncation_basis(c: ChainComplex) -> RatMatrix:
+def good_truncation_basis(c: DiagramModule) -> RatMatrix:
     """The kernel inclusion identifying the truncated degree 0 inside C_0."""
     if c.lower != -1:
         raise ValueError("good truncation needs a complex with lower bound -1")
     return kernel_basis(c.diff[0])
 
 
-def good_truncation_map(f: ChainMap) -> ChainMap:
+def good_truncation_map(f: ModuleMap) -> ModuleMap:
     """The induced map between good truncations (components restrict to kernels)."""
-    f.require_valid()
+    f.require_checked()
     ts = good_truncation(f.source)
     tt = good_truncation(f.target)
     ks = good_truncation_basis(f.source)
@@ -274,31 +191,29 @@ def good_truncation_map(f: ChainMap) -> ChainMap:
     if restricted is None:
         raise AssertionError("chain map does not preserve kernels")
     comps[0] = restricted
-    return ChainMap(ts, tt, comps)
+    return ModuleMap(ts, tt, comps)
 
 
-def brutal_truncation(c: ChainComplex) -> ChainComplex:
+def brutal_truncation(c: DiagramModule) -> DiagramModule:
     """Drop degree -1 and the differential into it; keep everything else."""
     if c.lower != -1:
         raise ValueError("brutal truncation needs a complex with lower bound -1")
     c.require_valid()
     dims = {n: c.dim(n) for n in range(0, c.truncation + 1)}
-    diff = {n: c.diff[n] for n in range(2, c.truncation + 1)}
-    if c.truncation >= 1:
-        diff[1] = c.diff[1]
+    diff = {n: m for n, m in c.diff.items() if n >= 1}
     return make_complex(0, c.truncation, dims, diff)
 
 
-def brutal_truncation_map(f: ChainMap) -> ChainMap:
-    f.require_valid()
-    return ChainMap(
+def brutal_truncation_map(f: ModuleMap) -> ModuleMap:
+    f.require_checked()
+    return ModuleMap(
         brutal_truncation(f.source),
         brutal_truncation(f.target),
         {n: f.components[n] for n in range(0, f.source.truncation + 1)},
     )
 
 
-def bottom_cokernel(c: ChainComplex) -> tuple[RatMatrix, int]:
+def bottom_cokernel(c: DiagramModule) -> tuple[RatMatrix, int]:
     """Projection onto coker(d_0) at the bottom degree -1, with its dimension."""
     if c.lower != -1:
         raise ValueError("bottom cokernel needs a complex with lower bound -1")
@@ -307,9 +222,9 @@ def bottom_cokernel(c: ChainComplex) -> tuple[RatMatrix, int]:
     return q, q.rows
 
 
-def bottom_cokernel_map(f: ChainMap) -> RatMatrix:
+def bottom_cokernel_map(f: ModuleMap) -> RatMatrix:
     """The induced map on coker(d_0), in the pinned quotient coordinates."""
-    f.require_valid()
+    f.require_checked()
     qs, kept_s = quotient_with_section(
         f.source.dim(-1), image_basis(f.source.diff[0])
     )
@@ -318,7 +233,7 @@ def bottom_cokernel_map(f: ChainMap) -> RatMatrix:
     return qt @ f.components[-1] @ section
 
 
-def reindex_shift(c: ChainComplex, by: int) -> ChainComplex:
+def reindex_shift(c: DiagramModule, by: int) -> DiagramModule:
     """Relabel degrees by +1 or -1; the lower bound must stay in {-1, 0}."""
     if by not in (1, -1):
         raise ValueError("shift must be +1 or -1")
@@ -327,7 +242,7 @@ def reindex_shift(c: ChainComplex, by: int) -> ChainComplex:
         raise ValueError(f"shift would move the lower bound to {new_lower}")
     c.require_valid()
     dims = {n + by: c.dim(n) for n in c.degrees()}
-    diff = {n + by: c.diff[n] for n in range(c.lower + 1, c.truncation + 1)}
+    diff = {n + by: m for n, m in c.diff.items()}
     return make_complex(new_lower, c.truncation + by, dims, diff)
 
 
@@ -336,7 +251,7 @@ def reindex_shift(c: ChainComplex, by: int) -> ChainComplex:
 
 def disk_sphere_complex(pieces: list[tuple[str, int]], truncation: int,
                         lower: int = 0,
-                        twists: dict[int, RatMatrix] | None = None) -> ChainComplex:
+                        twists: dict[int, RatMatrix] | None = None) -> DiagramModule:
     """Direct sum of elementary complexes, optionally conjugated degreewise.
 
     A sphere(n) contributes one k in degree n with zero differential; a
@@ -366,49 +281,13 @@ def disk_sphere_complex(pieces: list[tuple[str, int]], truncation: int,
         for row, col, val in blocks.get(n, []):
             m[row][col] = val
         diff[n] = RatMatrix.from_rows(m, cols=dims[n])
-    c = make_complex(lower, truncation, dims, diff)
     if twists:
-        new_diff = {}
         for n in range(lower + 1, truncation + 1):
             t_out = twists.get(n - 1, RatMatrix.identity(dims[n - 1]))
             t_in = twists.get(n, RatMatrix.identity(dims[n]))
-            new_diff[n] = t_out @ c.diff[n] @ inverse(t_in)
-        c = make_complex(lower, truncation, dims, new_diff)
-    return c
+            diff[n] = t_out @ diff[n] @ inverse(t_in)
+    return make_complex(lower, truncation, dims, diff)
 
 
-def euler_characteristic(dims: dict[int, int]) -> Fraction:
-    # Fraction(-1) ** -1 == Fraction(-1), so degree -1 carries sign -1 as it should
-    return sum(Fraction(-1) ** n * d for n, d in dims.items())
-
-
-# -- complexes as chain-kind modules ----------------------------------------------
-
-
-def complex_to_module(c: ChainComplex) -> DiagramModule:
-    kind = "chain0" if c.lower == 0 else "chain_neg1"
-    c.require_valid()
-    actions = {
-        GeneratorId("d", n): c.diff[n] for n in range(c.lower + 1, c.truncation + 1)
-    }
-    mod = make_module(kind, c.truncation, dict(c.dims), actions)
-    mod._validated = True
-    return mod
-
-
-def module_to_complex(x: DiagramModule) -> ChainComplex:
-    if x.kind not in ("chain0", "chain_neg1"):
-        raise ValueError(f"module of kind {x.kind!r} is not a chain complex")
-    x.require_valid()
-    diff = {
-        n: x.actions[GeneratorId("d", n)] for n in range(x.lower + 1, x.truncation + 1)
-    }
-    c = make_complex(x.lower, x.truncation, dict(x.dims), diff)
-    c._validated = True
-    return c
-
-
-def module_map_to_chain_map(f: ModuleMap) -> ChainMap:
-    return ChainMap(
-        module_to_complex(f.source), module_to_complex(f.target), dict(f.components)
-    )
+def euler_characteristic(dims: dict[int, int]) -> int:
+    return sum(d if n % 2 == 0 else -d for n, d in dims.items())

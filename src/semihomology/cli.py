@@ -18,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from .chainkit import homology, module_to_complex, good_truncation, complex_to_module
+from .chainkit import homology, good_truncation
 from .diagmod import (
     DiagramModule,
     MAP_FORMAT,
@@ -172,7 +172,7 @@ def _detecting_homology(module: DiagramModule):
         return homology(restrict("u_square", module)), "sign complex homology"
     if module.kind == "aug_ssimp":
         return homology(augmented_chain(module)), "augmented complex homology"
-    return homology(module_to_complex(module)), "chain complex homology"
+    return homology(module), "chain complex homology"
 
 
 def cmd_homology(args) -> int:
@@ -191,14 +191,12 @@ def cmd_restrict(args) -> int:
             raise CliError(f"no default restriction for kind {module.kind}; pass --functor")
     if functor == "v":
         out = restrict_v(module)
-        text = module_to_json(out)
     else:
         try:
-            complex_ = restrict(functor, module)
+            out = restrict(functor, module)
         except ValueError as exc:
             raise CliError(str(exc)) from None
-        text = module_to_json(complex_to_module(complex_))
-    _write(args.out, text)
+    _write(args.out, module_to_json(out))
     return OK
 
 
@@ -206,8 +204,7 @@ def cmd_augment(args) -> int:
     module = _load_module(args.infile)
     if module.kind != "aug_ssimp":
         raise CliError(f"augment needs an aug_ssimp module, got {module.kind}")
-    text = module_to_json(complex_to_module(augmented_chain(module)))
-    _write(args.out, text)
+    _write(args.out, module_to_json(augmented_chain(module)))
     return OK
 
 
@@ -215,8 +212,7 @@ def cmd_truncate(args) -> int:
     module = _load_module(args.infile)
     if module.kind != "chain_neg1":
         raise CliError(f"truncate needs a chain_neg1 module, got {module.kind}")
-    truncated = good_truncation(module_to_complex(module))
-    _write(args.out, module_to_json(complex_to_module(truncated)))
+    _write(args.out, module_to_json(good_truncation(module)))
     return OK
 
 

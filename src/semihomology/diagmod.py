@@ -16,14 +16,22 @@ Kinds:
 * ``chain0``      -- nonnegative chain complex: one generator d(n) per degree.
 * ``chain_neg1``  -- chain complex in degrees >= -1.
 
+The chain kinds are the package's only chain complexes: X(d(n)) is the
+differential C_n -> C_{n-1}, ``DiagramModule.diff`` is the read-only view
+{n: X(d(n))}, a chain map is a ``ModuleMap``, and ``validate`` checks
+d o d = 0.  ``chainkit`` computes their homology.
+
 A module asserts nothing above its truncation; operations either stay inside
-the window or say so.
+the window or say so, and the loaders reject dimensions and actions outside
+the window.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 from .exactlin import RatMatrix, block_diag, rational_from_str, rational_to_str
 from .simplexcat import (
@@ -40,6 +48,7 @@ from .simplexcat import (
 )
 
 KINDS = ("ssimp", "aug_ssimp", "scube", "chain0", "chain_neg1")
+CHAIN_KINDS = ("chain0", "chain_neg1")
 
 _LOWER = {"ssimp": 0, "aug_ssimp": -1, "scube": 0, "chain0": 0, "chain_neg1": -1}
 _HOM_KIND = {"ssimp": "ssimp", "aug_ssimp": "aug", "scube": "scube"}
@@ -103,6 +112,13 @@ class DiagramModule:
 
     def degrees(self) -> range:
         return range(self.lower, self.truncation + 1)
+
+    @property
+    def diff(self) -> Mapping[int, RatMatrix]:
+        """The differentials {n: X(d(n))} of a chain-kind module, read-only."""
+        if self.kind not in CHAIN_KINDS:
+            raise ValueError(f"module of kind {self.kind!r} is not a chain complex")
+        return MappingProxyType({g.degree: m for g, m in self.actions.items()})
 
     def action(self, g: GeneratorId) -> RatMatrix:
         try:
@@ -225,7 +241,7 @@ def act(x: DiagramModule, phi) -> RatMatrix:
     the relations).  Requires a validated module.
     """
     x.require_valid()
-    if x.kind in ("chain0", "chain_neg1"):
+    if x.kind in CHAIN_KINDS:
         if isinstance(phi, GeneratorId) and phi.kind == "d":
             return x.action(phi)
         raise ValueError("chain kinds act through their d(n) generators only")
@@ -407,14 +423,22 @@ def module_from_obj(obj: dict) -> DiagramModule:
         raise ValueError(f"not a {MODULE_FORMAT} document")
     kind = obj["kind"]
     truncation = int(obj["truncation"])
-    dims = {int(k): int(v) for k, v in obj.get("dims", {}).items()}
-    full_dims = {n: dims.get(n, 0) for n in range(kind_lower(kind), truncation + 1)}
+    lower = kind_lower(kind)
+    window = f"the truncation window [{lower}, {truncation}]"
+    dims: dict[int, int] = {}
+    for key, value in obj.get("dims", {}).items():
+        n = int(key)
+        if not lower <= n <= truncation:
+            raise ValueError(f"dims key {key!r} is outside {window}")
+        dims[n] = int(value)
+    generators = set(generators_for(kind, truncation))
     actions: dict[GeneratorId, RatMatrix] = {}
     for token, rows in obj.get("actions", {}).items():
         g = GeneratorId.from_token(token)
-        shape = (full_dims.get(g.degree - 1, 0), full_dims.get(g.degree, 0))
-        actions[g] = _matrix_from_json(rows, shape)
-    return make_module(kind, truncation, full_dims, actions)
+        if g not in generators:
+            raise ValueError(f"action {token!r} is not a generator of kind {kind} inside {window}")
+        actions[g] = _matrix_from_json(rows, (dims.get(g.degree - 1, 0), dims.get(g.degree, 0)))
+    return make_module(kind, truncation, dims, actions)
 
 
 def module_to_json(x: DiagramModule) -> str:

@@ -29,11 +29,14 @@ def exact(x) -> int | Fraction:
 
     An ``int`` passes through, an integral ``Fraction`` becomes its
     numerator, and anything else goes through ``Fraction(x)`` first, so
-    whatever ``Fraction`` rejects is rejected here too.
+    whatever ``Fraction`` rejects is rejected here too.  A ``float`` is a
+    ``TypeError``: its binary expansion is not the number that was meant.
     """
     if type(x) is int:
         return x
     if not isinstance(x, Fraction):
+        if isinstance(x, float):
+            raise TypeError(f"{x!r} is a float, not an exact scalar")
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 

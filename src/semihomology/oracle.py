@@ -25,17 +25,14 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .chainkit import (
-    ChainMap,
     bottom_cokernel,
     bottom_cokernel_map,
-    complex_to_module,
     disk_sphere_complex,
     good_truncation,
     good_truncation_map,
     homology,
     homology_map,
     is_quasi_iso,
-    module_map_to_chain_map,
     reindex_shift,
 )
 from .diagmod import (
@@ -162,7 +159,7 @@ def _random_chain_module(rng: random.Random, lower: int, truncation: int, top: i
     pieces = _random_pieces(rng, lower, top, pieces_count)
     plain = disk_sphere_complex(pieces, truncation, lower=lower)
     twists = {n: _random_unimodular(rng, plain.dim(n)) for n in plain.degrees()}
-    return complex_to_module(disk_sphere_complex(pieces, truncation, lower=lower, twists=twists))
+    return disk_sphere_complex(pieces, truncation, lower=lower, twists=twists)
 
 
 def _interleave(*groups):
@@ -323,8 +320,7 @@ def check_weak_equivalence(kind: str, f) -> WeqVerdict:
         }
         return WeqVerdict(ok, (-1, tau_ok.window[1]), witness, crosscheck_agrees=(ok == full.ok))
     if kind in ("chain0", "chain_neg1"):
-        chain = f if isinstance(f, ChainMap) else module_map_to_chain_map(f)
-        verdict = is_quasi_iso(chain)
+        verdict = is_quasi_iso(f)
         return WeqVerdict(verdict.ok, verdict.window, {"failures": verdict.failures})
     raise ValueError(f"unknown kind {kind!r}")
 
@@ -770,12 +766,6 @@ def _invertible_family(maps: dict[int, RatMatrix]) -> bool:
     return all(m.rows == m.cols and rank(m) == m.rows for m in maps.values())
 
 
-def _as_chain_module_map(chain: ChainMap) -> ModuleMap:
-    return ModuleMap(
-        complex_to_module(chain.source), complex_to_module(chain.target), dict(chain.components)
-    )
-
-
 def _check_weq_characterizations(runner: _Runner, corpus: Corpus) -> None:
     for name, f in corpus.maps:
         kind = f.source.kind
@@ -786,7 +776,7 @@ def _check_weq_characterizations(runner: _Runner, corpus: Corpus) -> None:
                 c1 = is_quasi_iso(chain).ok
                 c2 = _invertible_family(homology_map(chain))
                 c3 = _invertible_family(tor_map(kind, f, "k_constant"))
-                c4 = _invertible_family(tor_map("chain0", _as_chain_module_map(chain), "k_point"))
+                c4 = _invertible_family(tor_map("chain0", chain, "k_point"))
                 _require(c1 == c2 == c3 == c4, {"conditions": [c1, c2, c3, c4]})
                 return {"weq": c1}
         elif kind == "aug_ssimp":
@@ -811,11 +801,7 @@ def _check_weq_characterizations(runner: _Runner, corpus: Corpus) -> None:
                     and tau0_ok
                     and minus1_ok
                 )
-                omega = tor_map(
-                    "chain0",
-                    _as_chain_module_map(brutal_truncation_map(chain)),
-                    "k_point",
-                )
+                omega = tor_map("chain0", brutal_truncation_map(chain), "k_point")
                 c4 = (
                     all(m.rows == m.cols and rank(m) == m.rows for n, m in omega.items() if n >= 1)
                     and tau0_ok

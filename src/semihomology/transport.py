@@ -1,17 +1,20 @@
 """Restriction, induction, units and counits, Tor, and the sign shadow.
 
 Restriction along a comparison functor turns a module over an index category
-into a chain complex: the differential in degree n is the action of the
-signed coface sum.  The sign shadow v* of a semicubical module is the
-augmented semisimplicial module whose degree n is the cube degree n + 1 and
-whose cofaces act by the signed difference of the two cube coface families.
+into a chain complex, that is a chain-kind module: the differential in degree
+n is the action of the signed coface sum.  The sign shadow v* of a
+semicubical module is the augmented semisimplicial module whose degree n is
+the cube degree n + 1 and whose cofaces act by the signed difference of the
+two cube coface families.
 
-Induction (the left adjoint of restriction) is computed as a literal coend:
-for each target object, the direct sum of (source space) x (hom into the
-image object), divided by the bilinearity relations, with generator actions
-induced by precomposition.  Because the source module is only known up to its
-truncation, every induction carries a validity window: a target degree is
-certified when recomputing with one fewer source layer changes nothing.
+One private builder, ``_coend``, computes every coend as a literal quotient:
+the direct sum of (source space) x (hom into the image object), divided by the
+bilinearity relations.  Induction (the left adjoint of restriction) is that
+coend along a comparison functor, for each target object, with generator
+actions induced by precomposition; ``tensor_with_representable`` is the same
+coend along the identity functor.  Because the source module is only known up
+to its truncation, every induction carries a validity window: a target degree
+is certified when recomputing with one fewer source layer changes nothing.
 
 Tor with the four named coefficient objects is realized through the explicit
 representable resolutions; after the co-Yoneda collapse these are the
@@ -24,23 +27,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .chainkit import (
-    ChainComplex,
-    ChainMap,
     HomologyReport,
     bottom_cokernel,
     brutal_truncation,
     brutal_truncation_map,
-    complex_to_module,
     good_truncation,
     good_truncation_basis,
     homology,
     homology_coordinates,
     homology_map,
     make_complex,
-    module_map_to_chain_map,
-    module_to_complex,
     reindex_shift,
 )
 from .diagmod import (
@@ -77,7 +76,7 @@ class WindowError(ValueError):
 COEFFICIENTS = ("k_point", "k_constant", "k_constant_shifted", "k_point_neg1")
 
 
-def k_bullet_complex(truncation: int) -> ChainComplex:
+def k_bullet_complex(truncation: int) -> DiagramModule:
     """The constant coefficient object as a complex: every degree is k and the
     differential alternates 0, 1, 0, 1, ... starting with zero into degree 0
     (the alternating sum has n + 1 terms)."""
@@ -89,18 +88,18 @@ def k_bullet_complex(truncation: int) -> ChainComplex:
     return make_complex(0, truncation, dims, diff)
 
 
-def k_point_complex(truncation: int) -> ChainComplex:
+def k_point_complex(truncation: int) -> DiagramModule:
     """The simple object: k in degree 0 only."""
     return make_complex(0, truncation, {0: 1}, {})
 
 
-def k_point_to_bullet(truncation: int) -> ChainMap:
+def k_point_to_bullet(truncation: int) -> ModuleMap:
     """The degree-0 inclusion of the point into the constant object."""
     src = k_point_complex(truncation)
     tgt = k_bullet_complex(truncation)
     comps = {n: RatMatrix.zeros(1, src.dim(n)) for n in src.degrees()}
     comps[0] = RatMatrix.identity(1)
-    return ChainMap(src, tgt, comps)
+    return ModuleMap(src, tgt, comps)
 
 
 # -- restriction ------------------------------------------------------------------
@@ -108,7 +107,7 @@ def k_point_to_bullet(truncation: int) -> ChainMap:
 _RESTRICT_SOURCE = {"u_delta": "ssimp", "u_square": "scube"}
 
 
-def restrict(which: str, x: DiagramModule) -> ChainComplex:
+def restrict(which: str, x: DiagramModule) -> DiagramModule:
     """The chain complex underlying a semisimplicial or semicubical module:
     same dimensions, differential = action of the signed coface sum."""
     if which not in _RESTRICT_SOURCE:
@@ -127,11 +126,11 @@ def restrict(which: str, x: DiagramModule) -> ChainComplex:
     return c
 
 
-def restrict_map(which: str, f: ModuleMap) -> ChainMap:
-    return ChainMap(restrict(which, f.source), restrict(which, f.target), dict(f.components))
+def restrict_map(which: str, f: ModuleMap) -> ModuleMap:
+    return ModuleMap(restrict(which, f.source), restrict(which, f.target), dict(f.components))
 
 
-def augmented_chain(x: DiagramModule) -> ChainComplex:
+def augmented_chain(x: DiagramModule) -> DiagramModule:
     """The full complex of an augmented module, including degree -1."""
     if x.kind != "aug_ssimp":
         raise ValueError(f"augmented chain needs an aug_ssimp module, got {x.kind}")
@@ -145,8 +144,8 @@ def augmented_chain(x: DiagramModule) -> ChainComplex:
     return c
 
 
-def augmented_chain_map(f: ModuleMap) -> ChainMap:
-    return ChainMap(augmented_chain(f.source), augmented_chain(f.target), dict(f.components))
+def augmented_chain_map(f: ModuleMap) -> ModuleMap:
+    return ModuleMap(augmented_chain(f.source), augmented_chain(f.target), dict(f.components))
 
 
 def restrict_v(x: DiagramModule) -> DiagramModule:
@@ -196,6 +195,58 @@ class InductionResult:
         return self.valid_window is not None and self.valid_window[0] <= n <= self.valid_window[1]
 
 
+_Label = tuple[int, Morphism, int]  # (source degree q, hom element phi, basis index i)
+
+
+def _coend(
+    m: DiagramModule,
+    top: int,
+    hom: Callable[[int], tuple[Morphism, ...]],
+    image: Callable[[GeneratorId], LinComb],
+) -> tuple[list[_Label], dict[_Label, int], RatMatrix, list[int]]:
+    """The coend of M against hom(-) over source degrees <= top, as a quotient.
+
+    ``hom(q)`` is the hom basis into the image of the source object q and
+    ``image(g)`` is the image of a source generator g: q - 1 -> q.  The
+    ambient space has one coordinate per label (q, phi, i); each g, each phi
+    in hom(q - 1) and each basis index i of M_q give the relation column
+    M(g) e_i (x) phi - e_i (x) (image(g) o phi).  Labels and relations are
+    ordered by degree, generator, phi and index, which pins the kept
+    coordinates of the quotient.  Returns the labels, their positions, the
+    projection onto the quotient and its kept coordinates.
+    """
+    labels: list[_Label] = []
+    for q in range(m.lower, top + 1):
+        dim_q = m.dim(q)
+        if dim_q == 0:
+            continue
+        for phi in hom(q):
+            for i in range(dim_q):
+                labels.append((q, phi, i))
+    index = {lab: k for k, lab in enumerate(labels)}
+    rel_cols: list[list[int | Fraction]] = []
+    for g in generators_for(m.kind, top):
+        q = g.degree
+        if m.dim(q) == 0:
+            continue
+        mg = m.actions[g]  # M(g): M_q -> M_{q-1}
+        image_g = image(g)
+        for phi in hom(q - 1):
+            composed = image_g.compose(LinComb.of(phi))
+            for i in range(m.dim(q)):
+                col = [0] * len(labels)
+                for t in range(mg.rows):
+                    coeff = mg[t, i]
+                    if coeff:
+                        col[index[(q - 1, phi, t)]] += coeff
+                for w, c in composed.terms.items():
+                    col[index[(q, w, i)]] -= c
+                rel_cols.append(col)
+    sub = RatMatrix.from_columns(rel_cols, rows=len(labels))
+    proj, kept = quotient_with_section(len(labels), sub)
+    return labels, index, proj, kept
+
+
 class _RawInduction:
     """One coend computation at a fixed source cap, all target degrees.
 
@@ -208,8 +259,6 @@ class _RawInduction:
     def __init__(self, which: str, m: DiagramModule, src_cap: int):
         cfg = _INDUCE[which]
         self.which = which
-        self.src_kind = cfg["src"]
-        self.src_lower = kind_lower(cfg["src"])
         self.tgt_kind = cfg["tgt"]
         self.tgt_lower = kind_lower(cfg["tgt"])
         self.shift = cfg["shift"]
@@ -217,8 +266,8 @@ class _RawInduction:
         self.hom = hom_kind(cfg["tgt"])
         self.m = m
         self.src_cap = src_cap
-        self.labels: dict[int, list[tuple[int, Morphism, int]]] = {}
-        self.index: dict[int, dict[tuple[int, Morphism, int], int]] = {}
+        self.labels: dict[int, list[_Label]] = {}
+        self.index: dict[int, dict[_Label, int]] = {}
         self.proj: dict[int, RatMatrix] = {}
         self.kept: dict[int, list[int]] = {}
         self.dims: dict[int, int] = {}
@@ -228,11 +277,8 @@ class _RawInduction:
         for g in generators_for(self.tgt_kind, self.tgt_trunc):
             self.actions[g] = self._build_action(g)
 
-    def _obj(self, q: int) -> int:
-        return q + self.shift
-
     def _hom(self, a: int, q: int) -> tuple[Morphism, ...]:
-        return hom_basis(self.hom, a, self._obj(q))
+        return hom_basis(self.hom, a, q + self.shift)
 
     def _functor_image(self, g: GeneratorId) -> LinComb:
         if self.which == "v":
@@ -240,35 +286,9 @@ class _RawInduction:
         return apply_functor(self.which, omega_d(g.degree))
 
     def _build_degree(self, a: int) -> None:
-        labels: list[tuple[int, Morphism, int]] = []
-        for q in range(self.src_lower, self.src_cap + 1):
-            dim_q = self.m.dim(q)
-            if dim_q == 0:
-                continue
-            for phi in self._hom(a, q):
-                for i in range(dim_q):
-                    labels.append((q, phi, i))
-        index = {lab: k for k, lab in enumerate(labels)}
-        rel_cols: list[list[int | Fraction]] = []
-        for g in generators_for(self.src_kind, self.src_cap):
-            q = g.degree
-            if self.m.dim(q) == 0:
-                continue
-            mg = self.m.actions[g]  # M(g): M_q -> M_{q-1}
-            image = self._functor_image(g)
-            for phi in self._hom(a, q - 1):
-                composed = image.compose(LinComb.of(phi))
-                for i in range(self.m.dim(q)):
-                    col = [0] * len(labels)
-                    for t in range(mg.rows):
-                        coeff = mg[t, i]
-                        if coeff:
-                            col[index[(q - 1, phi, t)]] += coeff
-                    for w, c in composed.terms.items():
-                        col[index[(q, w, i)]] -= c
-                    rel_cols.append(col)
-        sub = RatMatrix.from_columns(rel_cols, rows=len(labels))
-        proj, kept = quotient_with_section(len(labels), sub)
+        labels, index, proj, kept = _coend(
+            self.m, self.src_cap, lambda q: self._hom(a, q), self._functor_image
+        )
         self.labels[a] = labels
         self.index[a] = index
         self.proj[a] = proj
@@ -346,7 +366,7 @@ def induce(which: str, m: DiagramModule) -> InductionResult:
 class AdjunctionMap:
     """A unit or counit together with the window it is certified on."""
 
-    arrow: ChainMap | ModuleMap
+    arrow: ModuleMap
     window: tuple[int, int]
     induction: InductionResult
 
@@ -367,19 +387,14 @@ def unit_map(which: str, m: DiagramModule) -> AdjunctionMap:
     if window_top < lower:
         raise WindowError(f"window too small to express the unit along {which}")
     comps = {n: raw.unit_block(n) for n in range(lower, window_top + 1)}
-    induced = result.module
     if which == "v":
-        shadow = restrict_v(induced)
-        arrow = ModuleMap(
-            truncate_module(m, window_top), truncate_module(shadow, window_top), comps
-        )
-        return AdjunctionMap(arrow, (lower, window_top), result)
-    if which == "u_a":
-        target = _truncate_complex(augmented_chain(induced), window_top)
+        target = restrict_v(result.module)
+    elif which == "u_a":
+        target = augmented_chain(result.module)
     else:
-        target = _truncate_complex(restrict("u_delta", induced), window_top)
-    source = module_to_complex(truncate_module(m, window_top))
-    return AdjunctionMap(ChainMap(source, target, comps), (lower, window_top), result)
+        target = restrict("u_delta", result.module)
+    arrow = ModuleMap(truncate_module(m, window_top), truncate_module(target, window_top), comps)
+    return AdjunctionMap(arrow, (lower, window_top), result)
 
 
 def counit_map(which: str, x: DiagramModule) -> AdjunctionMap:
@@ -390,9 +405,9 @@ def counit_map(which: str, x: DiagramModule) -> AdjunctionMap:
         raise ValueError(f"the counit along {which} needs a {cfg['tgt']} module, got {x.kind}")
     x.require_valid()
     if which == "u_delta":
-        restricted = complex_to_module(restrict("u_delta", x))
+        restricted = restrict("u_delta", x)
     elif which == "u_a":
-        restricted = complex_to_module(augmented_chain(x))
+        restricted = augmented_chain(x)
     else:
         restricted = restrict_v(x)
     result, raw = _induce_full(which, restricted)
@@ -420,14 +435,6 @@ def counit_map(which: str, x: DiagramModule) -> AdjunctionMap:
     return AdjunctionMap(arrow, (lower, window_top), result)
 
 
-def _truncate_complex(c: ChainComplex, new_trunc: int) -> ChainComplex:
-    dims = {n: c.dim(n) for n in range(c.lower, new_trunc + 1)}
-    diff = {n: c.diff[n] for n in range(c.lower + 1, new_trunc + 1)}
-    out = make_complex(c.lower, new_trunc, dims, diff)
-    out._validated = c._validated
-    return out
-
-
 # -- Tor ------------------------------------------------------------------------
 
 _TOR_LEGAL = {
@@ -440,7 +447,7 @@ _TOR_LEGAL = {
 }
 
 
-def tor_complex(kind: str, x: DiagramModule, coeff: str) -> ChainComplex:
+def tor_complex(kind: str, x: DiagramModule, coeff: str) -> DiagramModule:
     """The complex computing Tor against the named coefficient, after the
     co-Yoneda collapse of the representable resolution."""
     if (kind, coeff) not in _TOR_LEGAL:
@@ -455,8 +462,8 @@ def tor_complex(kind: str, x: DiagramModule, coeff: str) -> ChainComplex:
         return brutal_truncation(augmented_chain(x))
     if kind == "chain0":
         # the point and constant coefficients define the same Tor functor
-        return module_to_complex(x)
-    return reindex_shift(module_to_complex(x), 1)
+        return x
+    return reindex_shift(x, 1)
 
 
 def tor(kind: str, x: DiagramModule, coeff: str) -> HomologyReport:
@@ -474,12 +481,11 @@ def tor_map(kind: str, f: ModuleMap, coeff: str) -> dict[int, RatMatrix]:
     if kind == "aug_ssimp":
         return homology_map(brutal_truncation_map(augmented_chain_map(f)))
     if kind == "chain0":
-        return homology_map(module_map_to_chain_map(f))
-    cm = module_map_to_chain_map(f)
-    shifted = ChainMap(
-        reindex_shift(cm.source, 1),
-        reindex_shift(cm.target, 1),
-        {n + 1: m for n, m in cm.components.items()},
+        return homology_map(f)
+    shifted = ModuleMap(
+        reindex_shift(f.source, 1),
+        reindex_shift(f.target, 1),
+        {n + 1: m for n, m in f.components.items()},
     )
     return homology_map(shifted)
 
@@ -487,7 +493,7 @@ def tor_map(kind: str, f: ModuleMap, coeff: str) -> dict[int, RatMatrix]:
 # -- representable resolutions, uncollapsed ----------------------------------------
 
 
-def resolution_complex(kind: str, c: int, truncation: int) -> ChainComplex:
+def resolution_complex(kind: str, c: int, truncation: int) -> DiagramModule:
     """The augmented complex of representables, evaluated at the object c.
 
     Degree p carries the hom space p -> c, the differential is precomposition
@@ -519,42 +525,18 @@ def resolution_complex(kind: str, c: int, truncation: int) -> ChainComplex:
 
 def tensor_with_representable(
     x: DiagramModule, p: int
-) -> tuple[list[tuple[int, Morphism, int]], RatMatrix, list[int]]:
+) -> tuple[list[_Label], RatMatrix, list[int]]:
     """The coend X (x)_A A(p, -) as a literal quotient: labels, projection,
     kept coordinates.  Co-Yoneda says the result is X(p); tests compare."""
     hk = hom_kind(x.kind)
     x.require_valid()
-    labels: list[tuple[int, Morphism, int]] = []
-    for cdeg in range(x.lower, x.truncation + 1):
-        if x.dim(cdeg) == 0:
-            continue
-        for phi in hom_basis(hk, p, cdeg):
-            for i in range(x.dim(cdeg)):
-                labels.append((cdeg, phi, i))
-    index = {lab: k for k, lab in enumerate(labels)}
-    rel_cols: list[list[int | Fraction]] = []
-    for g in generators_for(x.kind, x.truncation):
-        cdeg = g.degree
-        if x.dim(cdeg) == 0:
-            continue
-        xg = x.actions[g]  # X(g): X_c -> X_{c-1}
-        gm = g.as_morphism()
-        for phi in hom_basis(hk, p, cdeg - 1):
-            pushed = compose(gm, phi)
-            for i in range(x.dim(cdeg)):
-                col = [0] * len(labels)
-                for t in range(xg.rows):
-                    coeff = xg[t, i]
-                    if coeff:
-                        col[index[(cdeg - 1, phi, t)]] += coeff
-                col[index[(cdeg, pushed, i)]] -= 1
-                rel_cols.append(col)
-    sub = RatMatrix.from_columns(rel_cols, rows=len(labels))
-    proj, kept = quotient_with_section(len(labels), sub)
+    labels, _, proj, kept = _coend(
+        x, x.truncation, lambda q: hom_basis(hk, p, q), lambda g: LinComb.of(g.as_morphism())
+    )
     return labels, proj, kept
 
 
-def tensor_resolution_complex(x: DiagramModule, truncation: int | None = None) -> ChainComplex:
+def tensor_resolution_complex(x: DiagramModule, truncation: int | None = None) -> DiagramModule:
     """Tensor X against the whole representable resolution, without co-Yoneda:
     an independent route to the Tor complex."""
     hk = hom_kind(x.kind)

@@ -4,11 +4,9 @@ from fractions import Fraction
 import pytest
 
 from semihomology.chainkit import (
-    ChainMap,
     bottom_cokernel,
     bottom_cokernel_map,
     brutal_truncation,
-    compose_chain_maps,
     disk_sphere_complex,
     euler_characteristic,
     good_truncation,
@@ -16,17 +14,23 @@ from semihomology.chainkit import (
     good_truncation_map,
     homology,
     homology_map,
-    identity_chain_map,
     is_quasi_iso,
     make_complex,
-    module_to_complex,
-    complex_to_module,
     reindex_shift,
-    validate_complex,
-    zero_complex,
 )
-from semihomology.diagmod import representable
+from semihomology.diagmod import (
+    GeneratorId,
+    ModuleMap,
+    compose_maps,
+    identity_map,
+    module_from_json,
+    module_to_json,
+    representable,
+    validate,
+    zero_module,
+)
 from semihomology.exactlin import RatMatrix, kernel_basis, rank
+from semihomology.transport import augmented_chain, restrict
 
 N = 5
 
@@ -46,7 +50,8 @@ def k_bullet(truncation: int):
 
 class TestHomology:
     def test_interval_representable(self):
-        c = module_to_complex(_interval_like())
+        c = _interval_like()
+        assert validate(c)
         h = homology(c)
         assert h.dim(0) == 1
         assert h.dim(1) == 0
@@ -55,8 +60,8 @@ class TestHomology:
         h = homology(k_bullet(N))
         assert h.dims_list() == [1] + [0] * (N - 1)
 
-    def test_zero_complex(self):
-        h = homology(zero_complex(0, N))
+    def test_zero_module(self):
+        h = homology(zero_module("chain0", N))
         assert h.dims_list() == [0] * N
 
     def test_spheres_and_disks(self):
@@ -72,7 +77,7 @@ class TestHomology:
         dims = plain.dims
         twists = {n: random_unimodular(rng, dims[n]) for n in range(N + 1)}
         twisted = disk_sphere_complex(pieces, N, twists=twists)
-        assert validate_complex(twisted) is None
+        assert validate(twisted)
         assert homology(twisted).dims == homology(plain).dims
 
     def test_euler_identity(self):
@@ -97,15 +102,13 @@ class TestHomology:
 def _interval_like():
     # semisimplicial representable of the 1-simplex, restricted by hand:
     # dims (2, 1), d_1 = (1, -1)^T pattern transposed
-    return complex_to_module(
-        make_complex(0, N, {0: 2, 1: 1}, {1: RatMatrix(2, 1, [1, -1])})
-    )
+    return make_complex(0, N, {0: 2, 1: 1}, {1: RatMatrix(2, 1, [1, -1])})
 
 
 class TestHomologyMap:
     def test_identity_induces_identity(self):
         c = disk_sphere_complex([("sphere", 0), ("disk", 2), ("sphere", 3)], N)
-        maps = homology_map(identity_chain_map(c))
+        maps = homology_map(identity_map(c))
         h = homology(c)
         for n, m in maps.items():
             assert m == RatMatrix.identity(h.dim(n))
@@ -114,23 +117,23 @@ class TestHomologyMap:
         disk = disk_sphere_complex([("disk", 1)], N)
         sphere = disk_sphere_complex([("sphere", 0)], N)
         # inclusion of the disk into disk (+) nothing else: zero-dimensional homology rows
-        maps = homology_map(identity_chain_map(disk))
+        maps = homology_map(identity_map(disk))
         assert all(m.rows == 0 for m in maps.values())
-        assert is_quasi_iso(identity_chain_map(sphere)).ok
+        assert is_quasi_iso(identity_map(sphere)).ok
 
     def test_point_into_constant_quasi_iso(self):
         kb = k_bullet(N)
         point = disk_sphere_complex([("sphere", 0)], N)
         comps = {n: RatMatrix.zeros(1, point.dim(n)) for n in point.degrees()}
         comps[0] = RatMatrix.identity(1)
-        f = ChainMap(point, kb, comps)
+        f = ModuleMap(point, kb, comps)
         verdict = is_quasi_iso(f)
         assert verdict.ok
         assert verdict.window == (0, N - 1)
 
     def test_zero_map_between_spheres_fails(self):
         s = disk_sphere_complex([("sphere", 2)], N)
-        zero = ChainMap(s, s, {n: RatMatrix.zeros(s.dim(n), s.dim(n)) for n in s.degrees()})
+        zero = ModuleMap(s, s, {n: RatMatrix.zeros(s.dim(n), s.dim(n)) for n in s.degrees()})
         verdict = is_quasi_iso(zero)
         assert not verdict.ok
         assert verdict.failures == [2]
@@ -140,12 +143,12 @@ class TestHomologyMap:
         c = disk_sphere_complex([("sphere", 1), ("disk", 2)], N)
         t1 = {n: random_unimodular(rng, c.dim(n)) for n in c.degrees()}
         d1 = disk_sphere_complex([("sphere", 1), ("disk", 2)], N, twists=t1)
-        f = ChainMap(c, d1, t1)
+        f = ModuleMap(c, d1, t1)
         t2 = {n: random_unimodular(rng, c.dim(n)) for n in c.degrees()}
-        g = ChainMap(d1, disk_sphere_complex(
+        g = ModuleMap(d1, disk_sphere_complex(
             [("sphere", 1), ("disk", 2)], N,
             twists={n: t2[n] @ t1[n] for n in c.degrees()}), t2)
-        gf = compose_chain_maps(g, f)
+        gf = compose_maps(g, f)
         hg = homology_map(g)
         hf = homology_map(f)
         hgf = homology_map(gf)
@@ -194,7 +197,7 @@ class TestTruncations:
 
     def test_good_truncation_needs_augmented(self):
         with pytest.raises(ValueError):
-            good_truncation(zero_complex(0, N))
+            good_truncation(zero_module("chain0", N))
 
 
 def _random_augmented(rng: random.Random, truncation: int = N):
@@ -218,7 +221,7 @@ class TestBottomCokernel:
 
     def test_cokernel_map_of_identity(self):
         c = _random_augmented(random.Random(2))
-        m = bottom_cokernel_map(identity_chain_map(c))
+        m = bottom_cokernel_map(identity_map(c))
         assert m == RatMatrix.identity(m.rows)
 
 
@@ -236,12 +239,42 @@ class TestReindex:
 
     def test_illegal_shift(self):
         with pytest.raises(ValueError):
-            reindex_shift(zero_complex(0, N), 1)
+            reindex_shift(zero_module("chain0", N), 1)
 
 
 class TestGoodTruncationMap:
     def test_identity_restricts_to_identity(self):
         c = _random_augmented(random.Random(8))
-        tf = good_truncation_map(identity_chain_map(c))
+        tf = good_truncation_map(identity_map(c))
         assert tf.components[0] == RatMatrix.identity(tf.source.dim(0))
         assert good_truncation_basis(c).cols == tf.source.dim(0)
+
+
+class TestComplexesAreModules:
+    def test_constructions_validate_and_round_trip(self):
+        augmented = augmented_chain(representable("aug_ssimp", 1, N))
+        complexes = [
+            restrict("u_delta", representable("ssimp", 2, N)),
+            restrict("u_square", representable("scube", 1, N)),
+            augmented,
+            good_truncation(augmented),
+            brutal_truncation(augmented),
+            reindex_shift(augmented, 1),
+            reindex_shift(disk_sphere_complex([("sphere", 1)], N), -1),
+            disk_sphere_complex([("sphere", 0), ("disk", 2)], N),
+            _random_augmented(random.Random(1)),
+        ]
+        for c in complexes:
+            assert c.kind in ("chain0", "chain_neg1")
+            assert validate(c)
+            assert module_from_json(module_to_json(c)) == c
+
+    def test_diff_is_a_read_only_view_of_the_d_actions(self):
+        c = _random_augmented(random.Random(3))
+        assert sorted(c.diff) == list(range(0, N + 1))
+        for n, m in c.diff.items():
+            assert m is c.action(GeneratorId("d", n))
+        with pytest.raises(TypeError):
+            c.diff[0] = RatMatrix.zeros(c.dim(-1), c.dim(0))
+        with pytest.raises(ValueError):
+            representable("ssimp", 1, N).diff

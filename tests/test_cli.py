@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from semihomology.chainkit import complex_to_module, disk_sphere_complex
+from semihomology.chainkit import disk_sphere_complex
 from semihomology.cli import main
 from semihomology.diagmod import (
     map_to_json,
@@ -86,6 +86,24 @@ class TestValidate:
         assert "Traceback" not in err
         assert "entry" in err and says in err
 
+    @pytest.mark.parametrize("section, key, value, says", [
+        ("actions", "delta 0 3", [["1"]], "action 'delta 0 3'"),
+        ("actions", "d 1", [["1"]], "action 'd 1'"),
+        ("dims", "3", 1, "dims key '3'"),
+        ("dims", "-1", 1, "dims key '-1'"),
+    ])
+    def test_out_of_window_entry_is_input_error(self, capsys, tmp_path, section, key, value, says):
+        obj = json.loads(module_to_json(representable("ssimp", 1, 2)))
+        obj[section][key] = value
+        bad = tmp_path / "window.json"
+        bad.write_text(json.dumps(obj))
+        status, out, err = run(capsys, "validate", "--in", bad)
+        assert status == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert says in err and "[0, 2]" in err
+
     def test_malformed_file_is_input_error(self, capsys, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")
@@ -162,7 +180,7 @@ class TestPipelines:
 
     def test_window_strict_rejects_top_supported_module(self, capsys, tmp_path):
         # a complex supported at the truncation edge cannot certify induction
-        sphere_top = complex_to_module(disk_sphere_complex([("sphere", 4)], 4))
+        sphere_top = disk_sphere_complex([("sphere", 4)], 4)
         path = tmp_path / "top.json"
         path.write_text(module_to_json(sphere_top))
         status, _, err = run(capsys, "induce", "--in", path, "--functor", "u_delta",

@@ -226,7 +226,7 @@ class TestSerialization:
     def test_random_chain_modules_round_trip(self, seed):
         import random
 
-        from semihomology.chainkit import complex_to_module, disk_sphere_complex
+        from semihomology.chainkit import disk_sphere_complex
         from semihomology.exactlin import RatMatrix as RM
 
         rng = random.Random(seed)
@@ -239,6 +239,7 @@ class TestSerialization:
             lo = [[1 if i == j else (rng.randint(-2, 2) if i > j else 0) for j in range(d)] for i in range(d)]
             up = [[1 if i == j else (rng.randint(-2, 2) if i < j else 0) for j in range(d)] for i in range(d)]
             twists[n] = RM.from_rows(lo, cols=d) @ RM.from_rows(up, cols=d)
-        x = complex_to_module(disk_sphere_complex(pieces, 4, twists=twists))
+        x = disk_sphere_complex(pieces, 4, twists=twists)
+        assert validate(x)
         text = module_to_json(x)
         assert module_to_json(module_from_json(text)) == text

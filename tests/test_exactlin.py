@@ -19,6 +19,7 @@ from semihomology.exactlin import (
     rref,
     solve,
 )
+from semihomology.chainkit import euler_characteristic
 from semihomology.simplexcat import LinComb, apply_functor, delta, identity_inj, omega_d
 
 
@@ -142,6 +143,23 @@ class TestCanonicalScalars:
         for lc in combos:
             assert all(is_canonical(c) for c in lc.terms.values()), lc
         assert all(type(c) is int for c in apply_functor("v", delta(0, 2)).terms.values())
+
+    @pytest.mark.parametrize("dims, chi", [({0: 1, 1: 2}, -1), ({-1: 1, 0: 3}, 2), ({}, 0)])
+    def test_euler_characteristic_is_an_int(self, dims, chi):
+        got = euler_characteristic(dims)
+        assert got == chi and type(got) is int
+
+    @pytest.mark.parametrize("build", [
+        lambda: RatMatrix(1, 1, [0.1]),
+        lambda: RatMatrix(1, 2, [1, 2.0]),
+        lambda: M([[1, 2]]).scale(0.5),
+        lambda: LinComb(0, 1, {delta(0, 1): 0.25}),
+        lambda: LinComb.of(delta(0, 1), 1.0),
+        lambda: LinComb.of(delta(0, 1)).scale(0.5),
+    ], ids=["matrix", "mixed-matrix", "matrix-scale", "lincomb", "lincomb-of", "lincomb-scale"])
+    def test_floats_are_rejected(self, build):
+        with pytest.raises(TypeError, match="float"):
+            build()
 
 
 class TestRref:

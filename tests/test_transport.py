@@ -2,21 +2,17 @@
 import pytest
 
 from semihomology.chainkit import (
-    ChainMap,
     bottom_cokernel,
     bottom_cokernel_map,
-    complex_to_module,
     disk_sphere_complex,
     good_truncation,
     homology,
     is_quasi_iso,
     reindex_shift,
-    validate_chain_map,
-    validate_complex,
-    zero_complex,
 )
 from semihomology.diagmod import (
     GeneratorId,
+    ModuleMap,
     check_map,
     direct_sum,
     representable,
@@ -43,6 +39,13 @@ from semihomology.transport import (
 )
 
 N = 4
+
+
+def assert_chain_map(f):
+    """A valid map between valid chain complexes."""
+    assert f.source.kind in ("chain0", "chain_neg1")
+    assert validate(f.source) and validate(f.target)
+    assert check_map(f)
 
 
 class TestRestrict:
@@ -121,7 +124,7 @@ class TestSignShadow:
 
 
 def sphere_module(n: int, truncation: int):
-    return complex_to_module(disk_sphere_complex([("sphere", n)], truncation))
+    return disk_sphere_complex([("sphere", n)], truncation)
 
 
 class TestInduce:
@@ -147,12 +150,12 @@ class TestInduce:
         assert result.valid_window == (0, N)
 
     def test_zero_module(self):
-        result = induce("u_a", complex_to_module(zero_complex(-1, N)))
+        result = induce("u_a", zero_module("chain_neg1", N))
         assert result.module.is_zero()
         assert result.valid_window == (-1, N)
 
     def test_window_shrinks_with_top_support(self):
-        top = complex_to_module(disk_sphere_complex([("sphere", N)], N))
+        top = disk_sphere_complex([("sphere", N)], N)
         result = induce("u_delta", top)
         assert result.valid_window is None or result.valid_window[1] < N
 
@@ -179,7 +182,7 @@ class TestUnitCounit:
     def test_unit_point_sphere_quasi_iso(self):
         m = sphere_module(0, N)
         unit = unit_map("u_delta", m)
-        assert validate_chain_map(unit.arrow) is None
+        assert_chain_map(unit.arrow)
         assert is_quasi_iso(unit.arrow).ok
 
     def test_unit_u_delta_defect_on_odd_cells(self):
@@ -187,24 +190,24 @@ class TestUnitCounit:
         # D[1] induces to the 1-simplex representable, whose restricted complex
         # has H_0 = k, so the unit from the acyclic disk cannot be a
         # quasi-isomorphism.  The augmented comparison absorbs the parity.
-        disk = complex_to_module(disk_sphere_complex([("disk", 1)], N))
+        disk = disk_sphere_complex([("disk", 1)], N)
         induced = induce("u_delta", disk)
         interval = representable("ssimp", 1, N)
         assert induced.module.dims == interval.dims
         assert induced.module.actions == interval.actions
         unit = unit_map("u_delta", disk)
-        assert validate_chain_map(unit.arrow) is None
+        assert_chain_map(unit.arrow)
         verdict = is_quasi_iso(unit.arrow)
         assert not verdict.ok and verdict.failures == [0]
-        disk_aug = complex_to_module(disk_sphere_complex([("disk", 1)], N, lower=-1))
+        disk_aug = disk_sphere_complex([("disk", 1)], N, lower=-1)
         unit_aug = unit_map("u_a", disk_aug)
         assert is_quasi_iso(unit_aug.arrow).ok
 
     def test_unit_u_a_on_spheres_all_parities(self):
         for n in range(-1, N):
-            m = complex_to_module(disk_sphere_complex([("sphere", n)], N, lower=-1))
+            m = disk_sphere_complex([("sphere", n)], N, lower=-1)
             unit = unit_map("u_a", m)
-            assert validate_chain_map(unit.arrow) is None
+            assert_chain_map(unit.arrow)
             assert is_quasi_iso(unit.arrow).ok
 
     def test_unit_v_fails_on_augmented_point(self):
@@ -216,24 +219,22 @@ class TestUnitCounit:
         assert bottom_cokernel(src)[1] == 0
         assert bottom_cokernel(tgt)[1] == 1
         # away from the augmentation the unit is fine
-        chain = ChainMap(src, tgt, dict(unit.arrow.components))
+        chain = ModuleMap(src, tgt, dict(unit.arrow.components))
         tau_dims_src = homology(good_truncation(src))
         tau_dims_tgt = homology(good_truncation(tgt))
         assert tau_dims_src.dims == tau_dims_tgt.dims
 
     def test_unit_u_a_quasi_iso(self):
-        m = complex_to_module(
-            disk_sphere_complex([("sphere", -1), ("disk", 1)], N, lower=-1)
-        )
+        m = disk_sphere_complex([("sphere", -1), ("disk", 1)], N, lower=-1)
         unit = unit_map("u_a", m)
-        assert validate_chain_map(unit.arrow) is None
+        assert_chain_map(unit.arrow)
         assert is_quasi_iso(unit.arrow).ok
 
     def test_counit_checks_and_triangle_u_delta(self):
         x = representable("ssimp", 2, N)
         eps = counit_map("u_delta", x)
         assert check_map(eps.arrow)
-        m = complex_to_module(restrict("u_delta", x))
+        m = restrict("u_delta", x)
         eta = unit_map("u_delta", m)
         top = min(eps.window[1], eta.window[1])
         for n in range(0, top + 1):
@@ -255,7 +256,7 @@ class TestUnitCounit:
         x = representable("aug_ssimp", 1, N)
         eps = counit_map("u_a", x)
         assert check_map(eps.arrow)
-        m = complex_to_module(augmented_chain(x))
+        m = augmented_chain(x)
         eta = unit_map("u_a", m)
         top = min(eps.window[1], eta.window[1])
         for n in range(-1, top + 1):
@@ -298,7 +299,7 @@ class TestTor:
 
     def test_shifted_point_coefficient(self):
         c = disk_sphere_complex([("sphere", -1), ("sphere", 1)], N, lower=-1)
-        t = tor("chain_neg1", complex_to_module(c), "k_point_neg1")
+        t = tor("chain_neg1", c, "k_point_neg1")
         h = homology(c)
         for n in range(-1, N):
             assert t.dim(n + 1) == h.dim(n)
@@ -349,7 +350,7 @@ class TestResolutions:
         ):
             for c_obj in objs:
                 c = resolution_complex(kind, c_obj, N)
-                assert validate_complex(c) is None
+                assert validate(c)
                 h = homology(c)
                 assert all(d == 0 for d in h.dims_list()), (kind, c_obj, h.dims)
 
@@ -365,7 +366,7 @@ class TestKBullet:
 
     def test_inclusion_is_quasi_iso(self):
         f = k_point_to_bullet(5)
-        assert validate_chain_map(f) is None
+        assert_chain_map(f)
         assert is_quasi_iso(f).ok
 
 
