@@ -28,9 +28,9 @@ from .exactlin import (
     hstack,
     image_basis,
     inverse,
+    is_invertible,
     kernel_basis,
     quotient_with_section,
-    rank,
     rref,
     solve,
 )
@@ -145,9 +145,7 @@ def is_quasi_iso(f: ModuleMap) -> QuasiIsoVerdict:
     """True when H_n(f) is invertible for every degree in the window."""
     maps = homology_map(f)
     window = (f.source.lower, f.source.truncation - 1)
-    failures = [
-        n for n, m in sorted(maps.items()) if m.rows != m.cols or rank(m) != m.rows
-    ]
+    failures = [n for n, m in sorted(maps.items()) if not is_invertible(m)]
     return QuasiIsoVerdict(not failures, window, failures)
 
 

@@ -42,12 +42,10 @@ from .oracle import (
     run_counterexample,
 )
 from .transport import (
-    WindowError,
-    augmented_chain,
+    DETECTING_FUNCTOR,
     counit_map,
     induce,
     restrict,
-    restrict_v,
     tor,
     unit_map,
 )
@@ -165,14 +163,18 @@ def cmd_validate(args) -> int:
     return OK
 
 
+_HOMOLOGY_TITLES = {
+    "u_delta": "restricted complex homology",
+    "u_square": "sign complex homology",
+    "u_a": "augmented complex homology",
+}
+
+
 def _detecting_homology(module: DiagramModule):
-    if module.kind == "ssimp":
-        return homology(restrict("u_delta", module)), "restricted complex homology"
-    if module.kind == "scube":
-        return homology(restrict("u_square", module)), "sign complex homology"
-    if module.kind == "aug_ssimp":
-        return homology(augmented_chain(module)), "augmented complex homology"
-    return homology(module), "chain complex homology"
+    which = DETECTING_FUNCTOR.get(module.kind)
+    if which is None:
+        return homology(module), "chain complex homology"
+    return homology(restrict(which, module)), _HOMOLOGY_TITLES[which]
 
 
 def cmd_homology(args) -> int:
@@ -186,16 +188,14 @@ def cmd_restrict(args) -> int:
     module = _load_module(args.infile)
     functor = args.functor
     if functor == "auto":
-        functor = {"ssimp": "u_delta", "scube": "u_square"}.get(module.kind)
+        # the augmented complex has its own command, augment
+        functor = DETECTING_FUNCTOR.get(module.kind) if module.kind != "aug_ssimp" else None
         if functor is None:
             raise CliError(f"no default restriction for kind {module.kind}; pass --functor")
-    if functor == "v":
-        out = restrict_v(module)
-    else:
-        try:
-            out = restrict(functor, module)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+    try:
+        out = restrict(functor, module)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     _write(args.out, module_to_json(out))
     return OK
 
@@ -204,7 +204,7 @@ def cmd_augment(args) -> int:
     module = _load_module(args.infile)
     if module.kind != "aug_ssimp":
         raise CliError(f"augment needs an aug_ssimp module, got {module.kind}")
-    _write(args.out, module_to_json(augmented_chain(module)))
+    _write(args.out, module_to_json(restrict("u_a", module)))
     return OK
 
 
@@ -250,8 +250,8 @@ def cmd_induce(args) -> int:
     return OK
 
 
-def _adjunction_report(args, adj, kind: str, label: str) -> int:
-    verdict = check_weak_equivalence(kind, adj.arrow)
+def _adjunction_report(args, adj, label: str) -> int:
+    verdict = check_weak_equivalence(adj.arrow)
     obj = {
         "map": label,
         "window": list(adj.window),
@@ -267,37 +267,32 @@ def cmd_unit(args) -> int:
     module = _load_module(args.infile)
     try:
         adj = unit_map(args.functor, module)
-    except WindowError as exc:
-        raise CliError(str(exc)) from None
     except ValueError as exc:
         raise CliError(str(exc)) from None
     if args.window_strict and adj.window[1] < module.truncation:
         raise CliError(
             f"window exhausted: unit certified up to degree {adj.window[1]}"
         )
-    kind = {"u_delta": "chain0", "u_a": "chain_neg1", "v": "aug_ssimp"}[args.functor]
-    return _adjunction_report(args, adj, kind, f"unit along {args.functor}")
+    return _adjunction_report(args, adj, f"unit along {args.functor}")
 
 
 def cmd_counit(args) -> int:
     module = _load_module(args.infile)
     try:
         adj = counit_map(args.functor, module)
-    except WindowError as exc:
-        raise CliError(str(exc)) from None
     except ValueError as exc:
         raise CliError(str(exc)) from None
     if args.window_strict and adj.window[1] < module.truncation:
         raise CliError(
             f"window exhausted: counit certified up to degree {adj.window[1]}"
         )
-    return _adjunction_report(args, adj, module.kind, f"counit along {args.functor}")
+    return _adjunction_report(args, adj, f"counit along {args.functor}")
 
 
 def cmd_tor(args) -> int:
     module = _load_module(args.infile)
     try:
-        report = tor(module.kind, module, args.coeff)
+        report = tor(module, args.coeff)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     _emit(args, _homology_obj(report), _homology_table(report, f"Tor against {args.coeff}"))
@@ -306,7 +301,7 @@ def cmd_tor(args) -> int:
 
 def cmd_weq(args) -> int:
     f = _load_map(args.infile)
-    verdict = check_weak_equivalence(f.source.kind, f)
+    verdict = check_weak_equivalence(f)
     obj = {
         "kind": f.source.kind,
         "weak_equivalence": verdict.ok,
@@ -319,7 +314,7 @@ def cmd_weq(args) -> int:
 
 def cmd_fib(args) -> int:
     f = _load_map(args.infile)
-    verdict = check_fibration(f.source.kind, f)
+    verdict = check_fibration(f)
     obj = {"kind": f.source.kind, "fibration": verdict.ok, "failures": verdict.failures}
     _emit(args, obj, f"fibration: {verdict.ok}" + (f" (fails at {verdict.failures})" if verdict.failures else ""))
     return OK
@@ -468,7 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("homology", cmd_homology, "detecting homology of a module, per kind")
     p.add_argument("--in", dest="infile", required=True)
 
-    p = command("restrict", cmd_restrict, "restricted chain complex (or sign shadow with --functor v)")
+    p = command("restrict", cmd_restrict,
+                "restriction along a comparison functor: the chain complex along "
+                "u_delta or u_square, the sign shadow along v")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--functor", choices=("auto", "u_delta", "u_square", "v"), default="auto")

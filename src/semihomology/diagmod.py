@@ -262,8 +262,10 @@ def _act_normal_form(x: DiagramModule, f: Morphism) -> RatMatrix:
         word = coface_factorization(f)
     else:
         word = cube_coface_factorization(f)
-    out = RatMatrix.identity(x.dim(f.target))
-    for g in word:  # outermost first; X(f) = X(inner) @ ... @ X(outer)
+    if not word:
+        return RatMatrix.identity(x.dim(f.target))
+    out = x.action(word[0])
+    for g in word[1:]:  # outermost first; X(f) = X(inner) @ ... @ X(outer)
         out = x.action(g) @ out
     return out
 

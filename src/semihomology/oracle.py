@@ -52,7 +52,7 @@ from .diagmod import (
     zero_map,
     zero_module,
 )
-from .exactlin import RatMatrix, rank
+from .exactlin import RatMatrix, is_invertible, rank
 from .simplexcat import (
     apply_functor,
     compose,
@@ -63,9 +63,8 @@ from .simplexcat import (
     strictly_decreasing_basis,
 )
 from .transport import (
+    DETECTING_FUNCTOR,
     WindowError,
-    augmented_chain,
-    augmented_chain_map,
     brutal_truncation_map,
     counit_map,
     induce,
@@ -75,8 +74,6 @@ from .transport import (
     resolution_complex,
     restrict,
     restrict_map,
-    restrict_v,
-    restrict_v_map,
     tensor_resolution_complex,
     tor,
     tor_map,
@@ -119,10 +116,6 @@ class CorpusSpec:
             "sums": self.sums,
             "yoneda_maps": self.yoneda_maps,
         }
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "CorpusSpec":
-        return cls(**{k: int(v) for k, v in obj.items()})
 
 
 @dataclass
@@ -294,23 +287,21 @@ class WeqVerdict:
         return self.ok
 
 
-def check_weak_equivalence(kind: str, f) -> WeqVerdict:
-    """The kind's detecting invariant, exactly.
+def check_weak_equivalence(f) -> WeqVerdict:
+    """The detecting invariant of the source kind, exactly.
 
-    Nonaugmented kinds: the restricted complex must be a quasi-isomorphism.
-    Augmented kind: good truncation quasi-isomorphism plus an isomorphism on
-    the degree -1 cokernel; cross-checked against the quasi-isomorphism of
-    the full augmented complex, which must agree.
+    Chain kinds: a quasi-isomorphism.  Nonaugmented index kinds: the
+    restricted complex must be a quasi-isomorphism.  Augmented kind: good
+    truncation quasi-isomorphism plus an isomorphism on the degree -1
+    cokernel; cross-checked against the quasi-isomorphism of the full
+    augmented complex, which must agree.
     """
-    if kind in ("ssimp", "scube"):
-        which = "u_delta" if kind == "ssimp" else "u_square"
-        verdict = is_quasi_iso(restrict_map(which, f))
-        return WeqVerdict(verdict.ok, verdict.window, {"failures": verdict.failures})
+    kind = f.source.kind
     if kind == "aug_ssimp":
-        chain = augmented_chain_map(f)
+        chain = restrict_map("u_a", f)
         tau_ok = is_quasi_iso(good_truncation_map(chain))
         h_minus1 = bottom_cokernel_map(chain)
-        minus1_ok = h_minus1.rows == h_minus1.cols and rank(h_minus1) == h_minus1.rows
+        minus1_ok = is_invertible(h_minus1)
         ok = tau_ok.ok and minus1_ok
         full = is_quasi_iso(chain)
         witness = {
@@ -319,10 +310,10 @@ def check_weak_equivalence(kind: str, f) -> WeqVerdict:
             "full_failures": full.failures,
         }
         return WeqVerdict(ok, (-1, tau_ok.window[1]), witness, crosscheck_agrees=(ok == full.ok))
-    if kind in ("chain0", "chain_neg1"):
-        verdict = is_quasi_iso(f)
-        return WeqVerdict(verdict.ok, verdict.window, {"failures": verdict.failures})
-    raise ValueError(f"unknown kind {kind!r}")
+    if kind in DETECTING_FUNCTOR:
+        f = restrict_map(DETECTING_FUNCTOR[kind], f)
+    verdict = is_quasi_iso(f)
+    return WeqVerdict(verdict.ok, verdict.window, {"failures": verdict.failures})
 
 
 @dataclass
@@ -334,7 +325,7 @@ class FibVerdict:
         return self.ok
 
 
-def check_fibration(kind: str, f) -> FibVerdict:
+def check_fibration(f) -> FibVerdict:
     """Degreewise surjectivity of the detecting components.
 
     For every kind this comes down to each component being onto: the
@@ -342,8 +333,8 @@ def check_fibration(kind: str, f) -> FibVerdict:
     chain includes degree -1, and the cube kind is tested after the sign
     shadow, which carries the same components reindexed.
     """
-    if kind == "scube":
-        f = restrict_v_map(f)
+    if f.source.kind == "scube":
+        f = restrict_map("v", f)
     failures = [
         n for n in f.source.degrees() if rank(f.components[n]) != f.target.dim(n)
     ]
@@ -470,7 +461,7 @@ def run_counterexample(truncation: int = 5) -> VerificationReport:
     runner.run("obstruction.induced-dims", "v_! of the aug point representable", dims_check)
 
     def source_check():
-        _, h = bottom_cokernel(augmented_chain(m))
+        _, h = bottom_cokernel(restrict("u_a", m))
         _require(h == 0, {"h_minus1": h})
         return {"h_minus1": h}
 
@@ -479,14 +470,14 @@ def run_counterexample(truncation: int = 5) -> VerificationReport:
     unit = unit_map("v", m)
 
     def target_check():
-        _, h = bottom_cokernel(augmented_chain(unit.arrow.target))
+        _, h = bottom_cokernel(restrict("u_a", unit.arrow.target))
         _require(h == 1, {"h_minus1": h})
         return {"h_minus1": h}
 
     runner.run("obstruction.h-minus1-shadow", "v* v_! of the aug point representable", target_check)
 
     def unit_fails_check():
-        verdict = check_weak_equivalence("aug_ssimp", unit.arrow)
+        verdict = check_weak_equivalence(unit.arrow)
         _require(not verdict.ok, {"verdict": verdict.ok, "witness": verdict.witness})
         _require(bool(verdict.crosscheck_agrees), {"crosscheck": verdict.crosscheck_agrees})
         return {"verdict": verdict.ok, "witness": verdict.witness}
@@ -499,7 +490,7 @@ def run_counterexample(truncation: int = 5) -> VerificationReport:
     )
 
     def higher_iso_check():
-        chain = augmented_chain_map(unit.arrow)
+        chain = restrict_map("u_a", unit.arrow)
         verdict = is_quasi_iso(good_truncation_map(chain))
         _require(verdict.ok, {"tau_failures": verdict.failures})
         return {"tau_window": list(verdict.window)}
@@ -681,22 +672,16 @@ def _check_k_bullet(runner: _Runner, truncation: int) -> None:
 
 def _check_tor(runner: _Runner, corpus: Corpus) -> None:
     for name, x in corpus.modules:
-        if x.kind == "ssimp":
+        if x.kind in ("ssimp", "scube"):
             def check(x=x):
-                t = tor("ssimp", x, "k_constant")
-                h = homology(restrict("u_delta", x))
-                _require(t.dims == h.dims, {"tor": t.dims, "restricted": h.dims})
-                return {"dims": t.dims_list()}
-        elif x.kind == "scube":
-            def check(x=x):
-                t = tor("scube", x, "k_constant")
-                h = homology(restrict("u_square", x))
+                t = tor(x, "k_constant")
+                h = homology(restrict(DETECTING_FUNCTOR[x.kind], x))
                 _require(t.dims == h.dims, {"tor": t.dims, "restricted": h.dims})
                 return {"dims": t.dims_list()}
         elif x.kind == "aug_ssimp":
             def check(x=x):
-                t = tor("aug_ssimp", x, "k_constant_shifted")
-                tau = homology(good_truncation(augmented_chain(x)))
+                t = tor(x, "k_constant_shifted")
+                tau = homology(good_truncation(restrict("u_a", x)))
                 for n in range(1, t.window[1] + 1):
                     _require(t.dim(n) == tau.dim(n), {"degree": n, "tor": t.dim(n), "tau": tau.dim(n)})
                 return {"dims": t.dims_list()}
@@ -712,7 +697,7 @@ def _check_tor(runner: _Runner, corpus: Corpus) -> None:
         def check(x=x):
             coeff = {"ssimp": "k_constant", "scube": "k_constant", "aug_ssimp": "k_constant_shifted"}[x.kind]
             lhs = homology(tensor_resolution_complex(x))
-            rhs = tor(x.kind, x, coeff)
+            rhs = tor(x, coeff)
             _require(lhs.dims == rhs.dims, {"tensor": lhs.dims, "collapsed": rhs.dims})
             return {"dims": rhs.dims_list()}
 
@@ -734,9 +719,9 @@ def _check_low_degree(runner: _Runner, corpus: Corpus) -> None:
 def _check_sign_shadow(runner: _Runner, corpus: Corpus) -> None:
     for name, x in corpus.by_kind("scube"):
         def check(x=x):
-            shadow = restrict_v(x)
+            shadow = restrict("v", x)
             _require(bool(validate(shadow)), {"shadow_invalid": True})
-            lhs = augmented_chain(shadow)
+            lhs = restrict("u_a", shadow)
             rhs = reindex_shift(restrict("u_square", x), -1)
             _require(lhs.dims == rhs.dims and lhs.diff == rhs.diff, {"complexes_differ": True})
             h_tau = homology(good_truncation(lhs))
@@ -754,8 +739,8 @@ def _check_sign_shadow(runner: _Runner, corpus: Corpus) -> None:
 
     for name, f in corpus.maps_by_kind("scube"):
         def check(f=f):
-            direct = check_weak_equivalence("scube", f)
-            shadowed = check_weak_equivalence("aug_ssimp", restrict_v_map(f))
+            direct = check_weak_equivalence(f)
+            shadowed = check_weak_equivalence(restrict_map("v", f))
             _require(direct.ok == shadowed.ok, {"cube": direct.ok, "shadow": shadowed.ok})
             return {"weq": direct.ok}
 
@@ -763,7 +748,7 @@ def _check_sign_shadow(runner: _Runner, corpus: Corpus) -> None:
 
 
 def _invertible_family(maps: dict[int, RatMatrix]) -> bool:
-    return all(m.rows == m.cols and rank(m) == m.rows for m in maps.values())
+    return all(is_invertible(m) for m in maps.values())
 
 
 def _check_weq_characterizations(runner: _Runner, corpus: Corpus) -> None:
@@ -771,39 +756,32 @@ def _check_weq_characterizations(runner: _Runner, corpus: Corpus) -> None:
         kind = f.source.kind
         if kind in ("ssimp", "scube"):
             def check(f=f, kind=kind):
-                which = "u_delta" if kind == "ssimp" else "u_square"
-                chain = restrict_map(which, f)
+                chain = restrict_map(DETECTING_FUNCTOR[kind], f)
                 c1 = is_quasi_iso(chain).ok
                 c2 = _invertible_family(homology_map(chain))
-                c3 = _invertible_family(tor_map(kind, f, "k_constant"))
-                c4 = _invertible_family(tor_map("chain0", chain, "k_point"))
+                c3 = _invertible_family(tor_map(f, "k_constant"))
+                c4 = _invertible_family(tor_map(chain, "k_point"))
                 _require(c1 == c2 == c3 == c4, {"conditions": [c1, c2, c3, c4]})
                 return {"weq": c1}
         elif kind == "aug_ssimp":
             def check(f=f):
-                chain = augmented_chain_map(f)
+                chain = restrict_map("u_a", f)
                 tau = good_truncation_map(chain)
                 h_minus1 = bottom_cokernel_map(chain)
-                minus1_ok = h_minus1.rows == h_minus1.cols and rank(h_minus1) == h_minus1.rows
+                minus1_ok = is_invertible(h_minus1)
                 tau_maps = homology_map(tau)
-                tau0_ok = (
-                    tau_maps[0].rows == tau_maps[0].cols and rank(tau_maps[0]) == tau_maps[0].rows
-                )
+                tau0_ok = is_invertible(tau_maps[0])
                 c1 = _invertible_family(tau_maps) and minus1_ok
                 c2 = is_quasi_iso(chain).ok
-                brutal = tor_map("aug_ssimp", f, "k_constant_shifted")
+                brutal = tor_map(f, "k_constant_shifted")
                 c3 = (
-                    all(
-                        m.rows == m.cols and rank(m) == m.rows
-                        for n, m in brutal.items()
-                        if n >= 1
-                    )
+                    all(is_invertible(m) for n, m in brutal.items() if n >= 1)
                     and tau0_ok
                     and minus1_ok
                 )
-                omega = tor_map("chain0", brutal_truncation_map(chain), "k_point")
+                omega = tor_map(brutal_truncation_map(chain), "k_point")
                 c4 = (
-                    all(m.rows == m.cols and rank(m) == m.rows for n, m in omega.items() if n >= 1)
+                    all(is_invertible(m) for n, m in omega.items() if n >= 1)
                     and tau0_ok
                     and minus1_ok
                 )
@@ -826,10 +804,10 @@ def _check_two_of_three(runner: _Runner, corpus: Corpus, limit: int = 12) -> Non
             if kind not in ("ssimp", "scube", "aug_ssimp"):
                 continue
 
-            def check(f=f, g=g, kind=kind):
-                vf = check_weak_equivalence(kind, f).ok
-                vg = check_weak_equivalence(kind, g).ok
-                vgf = check_weak_equivalence(kind, compose_maps(g, f)).ok
+            def check(f=f, g=g):
+                vf = check_weak_equivalence(f).ok
+                vg = check_weak_equivalence(g).ok
+                vgf = check_weak_equivalence(compose_maps(g, f)).ok
                 _require(sum([vf, vg, vgf]) != 2, {"f": vf, "g": vg, "gf": vgf})
                 return {"f": vf, "g": vg, "gf": vgf}
 
@@ -879,7 +857,7 @@ def _check_unit_counit(runner: _Runner, corpus: Corpus) -> None:
     for name, x in corpus.by_kind("ssimp"):
         def check(x=x):
             eps = counit_map("u_delta", x)
-            verdict = check_weak_equivalence("ssimp", eps.arrow)
+            verdict = check_weak_equivalence(eps.arrow)
             _require(verdict.ok, {"witness": verdict.witness})
             return {"window": list(eps.window)}
 
@@ -887,7 +865,7 @@ def _check_unit_counit(runner: _Runner, corpus: Corpus) -> None:
     for name, x in corpus.by_kind("aug_ssimp"):
         def check(x=x):
             eps = counit_map("u_a", x)
-            verdict = check_weak_equivalence("aug_ssimp", eps.arrow)
+            verdict = check_weak_equivalence(eps.arrow)
             _require(verdict.ok and bool(verdict.crosscheck_agrees), {"witness": verdict.witness})
             return {"window": list(eps.window)}
 
@@ -899,7 +877,7 @@ def _check_unit_counit(runner: _Runner, corpus: Corpus) -> None:
                 unit = unit_map("v", m)
             except WindowError:
                 return {"recorded": "window-empty"}
-            verdict = check_weak_equivalence("aug_ssimp", unit.arrow)
+            verdict = check_weak_equivalence(unit.arrow)
             return {"recorded": verdict.ok, "witness": verdict.witness}
 
         runner.run("adjunction.unit-recorded.v", name, check)
@@ -920,7 +898,7 @@ def _check_fibrations(runner: _Runner, corpus: Corpus) -> None:
         fixtures.append((f"identity:{name}", identity_map(x), True))
     for name, f, expected in fixtures:
         def check(f=f, expected=expected):
-            verdict = check_fibration(f.source.kind, f)
+            verdict = check_fibration(f)
             _require(verdict.ok == expected, {"got": verdict.ok, "failures": verdict.failures})
             return {"fibration": verdict.ok}
 

@@ -193,10 +193,6 @@ class GeneratorId:
         else:
             raise ValueError(f"unknown generator kind {self.kind!r}")
 
-    @property
-    def source_degree(self) -> int:
-        return self.degree - 1
-
     def as_morphism(self) -> Morphism:
         if self.kind == "delta":
             return delta(self.index, self.degree)

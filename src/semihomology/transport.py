@@ -1,16 +1,21 @@
 """Restriction, induction, units and counits, Tor, and the sign shadow.
 
-Restriction along a comparison functor turns a module over an index category
-into a chain complex, that is a chain-kind module: the differential in degree
-n is the action of the signed coface sum.  The sign shadow v* of a
-semicubical module is the augmented semisimplicial module whose degree n is
+One private table names the four comparison functors u_delta, u_a,
+u_square and v with their source kind, target kind and degree shift, and
+``restrict`` is the one restriction along all of them: degree n of the
+result is degree n + shift of the module, and each source generator g acts
+by X(F(g)).  Along u_delta, u_a and u_square the result is a chain complex,
+that is a chain-kind module whose differential in degree n is the action of
+the signed coface sum; ``DETECTING_FUNCTOR`` names the one that detects weak
+equivalences of each index kind.  Along v it is the sign shadow of a
+semicubical module: the augmented semisimplicial module whose degree n is
 the cube degree n + 1 and whose cofaces act by the signed difference of the
 two cube coface families.
 
 One private builder, ``_coend``, computes every coend as a literal quotient:
 the direct sum of (source space) x (hom into the image object), divided by the
 bilinearity relations.  Induction (the left adjoint of restriction) is that
-coend along a comparison functor, for each target object, with generator
+coend along u_delta, u_a or v, for each target object, with generator
 actions induced by precomposition; ``tensor_with_representable`` is the same
 coend along the identity functor.  Because the source module is only known up
 to its truncation, every induction carries a validity window: a target degree
@@ -43,6 +48,7 @@ from .chainkit import (
     reindex_shift,
 )
 from .diagmod import (
+    CHAIN_KINDS,
     DiagramModule,
     GeneratorId,
     ModuleMap,
@@ -102,87 +108,53 @@ def k_point_to_bullet(truncation: int) -> ModuleMap:
     return ModuleMap(src, tgt, comps)
 
 
-# -- restriction ------------------------------------------------------------------
+# -- the comparison functors -------------------------------------------------------
 
-_RESTRICT_SOURCE = {"u_delta": "ssimp", "u_square": "scube"}
+# which -> (source kind, target kind, degree shift): the functor goes from the
+# source kind's algebra to the target kind's and raises degrees by the shift.
+_FUNCTORS = {
+    "u_delta": ("chain0", "ssimp", 0),
+    "u_a": ("chain_neg1", "aug_ssimp", 0),
+    "u_square": ("chain0", "scube", 0),
+    "v": ("aug_ssimp", "scube", 1),
+}
+
+# The functor whose restriction detects weak equivalences of each index kind.
+DETECTING_FUNCTOR = {
+    tgt: which for which, (src, tgt, _) in _FUNCTORS.items() if src in CHAIN_KINDS
+}
+
+
+# -- restriction ------------------------------------------------------------------
 
 
 def restrict(which: str, x: DiagramModule) -> DiagramModule:
-    """The chain complex underlying a semisimplicial or semicubical module:
-    same dimensions, differential = action of the signed coface sum."""
-    if which not in _RESTRICT_SOURCE:
+    """Restriction along a comparison functor F: (F*X)_n = X_{n + shift} and
+    each source generator g acts by X(F(g)).  Along u_delta, u_a and
+    u_square this is the chain complex with differential the signed coface
+    sum; along v it is the sign shadow, whose cofaces act by the signed
+    difference of the color-1 and color-0 cube cofaces."""
+    if which not in _FUNCTORS:
         raise ValueError(f"unknown restriction {which!r}")
-    if x.kind != _RESTRICT_SOURCE[which]:
-        raise ValueError(
-            f"{which} restricts modules of kind {_RESTRICT_SOURCE[which]}, got {x.kind}"
-        )
+    src, tgt, shift = _FUNCTORS[which]
+    if x.kind != tgt:
+        raise ValueError(f"{which} restricts modules of kind {tgt}, got {x.kind}")
     x.require_valid()
-    dims = {n: x.dim(n) for n in x.degrees()}
-    diff = {
-        n: act(x, apply_functor(which, omega_d(n))) for n in range(1, x.truncation + 1)
-    }
-    c = make_complex(0, x.truncation, dims, diff)
-    c._validated = True  # d o d = 0: the functor kills d(n+1) d(n)
-    return c
-
-
-def restrict_map(which: str, f: ModuleMap) -> ModuleMap:
-    return ModuleMap(restrict(which, f.source), restrict(which, f.target), dict(f.components))
-
-
-def augmented_chain(x: DiagramModule) -> DiagramModule:
-    """The full complex of an augmented module, including degree -1."""
-    if x.kind != "aug_ssimp":
-        raise ValueError(f"augmented chain needs an aug_ssimp module, got {x.kind}")
-    x.require_valid()
-    dims = {n: x.dim(n) for n in x.degrees()}
-    diff = {
-        n: act(x, apply_functor("u_a", omega_d(n))) for n in range(0, x.truncation + 1)
-    }
-    c = make_complex(-1, x.truncation, dims, diff)
-    c._validated = True
-    return c
-
-
-def augmented_chain_map(f: ModuleMap) -> ModuleMap:
-    return ModuleMap(augmented_chain(f.source), augmented_chain(f.target), dict(f.components))
-
-
-def restrict_v(x: DiagramModule) -> DiagramModule:
-    """The sign shadow: degree n of the result is cube degree n + 1, the
-    augmentation degree -1 is cube degree 0, and each coface acts by the
-    signed difference of the color-1 and color-0 cube cofaces."""
-    if x.kind != "scube":
-        raise ValueError(f"the sign shadow needs an scube module, got {x.kind}")
-    x.require_valid()
-    trunc = x.truncation - 1
-    dims = {n: x.dim(n + 1) for n in range(-1, trunc + 1)}
-    actions = {}
-    for g in generators_for("aug_ssimp", trunc):
-        n, i = g.degree, g.index
-        actions[g] = x.actions[GeneratorId("cube", n + 1, index=i + 1, color=1)] - x.actions[
-            GeneratorId("cube", n + 1, index=i + 1, color=0)
-        ]
-    out = make_module("aug_ssimp", trunc, dims, actions)
-    out._validated = True  # the relations are the image of the cube relations
+    trunc = x.truncation - shift
+    dims = {n: x.dim(n + shift) for n in range(kind_lower(src), trunc + 1)}
+    actions = {g: act(x, apply_functor(which, g)) for g in generators_for(src, trunc)}
+    out = make_module(src, trunc, dims, actions)
+    out._validated = True  # a functor carries the source relations to true identities
     return out
 
 
-def restrict_v_map(f: ModuleMap) -> ModuleMap:
-    return ModuleMap(
-        restrict_v(f.source),
-        restrict_v(f.target),
-        {n: f.components[n + 1] for n in range(-1, f.source.truncation)},
-    )
+def restrict_map(which: str, f: ModuleMap) -> ModuleMap:
+    source, target = restrict(which, f.source), restrict(which, f.target)
+    shift = _FUNCTORS[which][2]
+    return ModuleMap(source, target, {n: f.components[n + shift] for n in source.degrees()})
 
 
 # -- induction ---------------------------------------------------------------------
-
-_INDUCE = {
-    "u_delta": dict(src="chain0", tgt="ssimp", shift=0),
-    "u_a": dict(src="chain_neg1", tgt="aug_ssimp", shift=0),
-    "v": dict(src="aug_ssimp", tgt="scube", shift=1),
-}
 
 
 @dataclass
@@ -190,9 +162,6 @@ class InductionResult:
     module: DiagramModule
     valid_window: tuple[int, int] | None
     presentation: dict[int, list[tuple[int, str, int]]]
-
-    def window_contains(self, n: int) -> bool:
-        return self.valid_window is not None and self.valid_window[0] <= n <= self.valid_window[1]
 
 
 _Label = tuple[int, Morphism, int]  # (source degree q, hom element phi, basis index i)
@@ -257,13 +226,11 @@ class _RawInduction:
     """
 
     def __init__(self, which: str, m: DiagramModule, src_cap: int):
-        cfg = _INDUCE[which]
+        _, self.tgt_kind, self.shift = _FUNCTORS[which]
         self.which = which
-        self.tgt_kind = cfg["tgt"]
-        self.tgt_lower = kind_lower(cfg["tgt"])
-        self.shift = cfg["shift"]
-        self.tgt_trunc = m.truncation + cfg["shift"]
-        self.hom = hom_kind(cfg["tgt"])
+        self.tgt_lower = kind_lower(self.tgt_kind)
+        self.tgt_trunc = m.truncation + self.shift
+        self.hom = hom_kind(self.tgt_kind)
         self.m = m
         self.src_cap = src_cap
         self.labels: dict[int, list[_Label]] = {}
@@ -280,14 +247,10 @@ class _RawInduction:
     def _hom(self, a: int, q: int) -> tuple[Morphism, ...]:
         return hom_basis(self.hom, a, q + self.shift)
 
-    def _functor_image(self, g: GeneratorId) -> LinComb:
-        if self.which == "v":
-            return apply_functor("v", g.as_morphism())
-        return apply_functor(self.which, omega_d(g.degree))
-
     def _build_degree(self, a: int) -> None:
         labels, index, proj, kept = _coend(
-            self.m, self.src_cap, lambda q: self._hom(a, q), self._functor_image
+            self.m, self.src_cap, lambda q: self._hom(a, q),
+            lambda g: apply_functor(self.which, g),
         )
         self.labels[a] = labels
         self.index[a] = index
@@ -318,17 +281,15 @@ class _RawInduction:
 
 
 def _induce_full(which: str, m: DiagramModule) -> tuple[InductionResult, _RawInduction]:
-    if which not in _INDUCE:
+    if which not in _FUNCTORS or which == "u_square":
         raise ValueError(f"unknown induction {which!r}")
-    cfg = _INDUCE[which]
-    if m.kind != cfg["src"]:
-        raise ValueError(f"{which} induces from kind {cfg['src']}, got {m.kind}")
+    src = _FUNCTORS[which][0]
+    if m.kind != src:
+        raise ValueError(f"{which} induces from kind {src}, got {m.kind}")
     m.require_valid()
     full = _RawInduction(which, m, m.truncation)
     shallow = (
-        _RawInduction(which, m, m.truncation - 1)
-        if m.truncation - 1 >= kind_lower(cfg["src"])
-        else None
+        _RawInduction(which, m, m.truncation - 1) if m.truncation - 1 >= m.lower else None
     )
     window_top = None
     for a in range(full.tgt_lower, full.tgt_trunc + 1):
@@ -341,7 +302,7 @@ def _induce_full(which: str, m: DiagramModule) -> tuple[InductionResult, _RawInd
         if not stable:
             break
         window_top = a
-    module = make_module(cfg["tgt"], full.tgt_trunc, full.dims, full.actions)
+    module = make_module(full.tgt_kind, full.tgt_trunc, full.dims, full.actions)
     module._validated = True  # precomposition is functorial on the quotient
     window = (full.tgt_lower, window_top) if window_top is not None else None
     presentation = {
@@ -379,20 +340,14 @@ def unit_map(which: str, m: DiagramModule) -> AdjunctionMap:
     class of (vector tensor identity).
     """
     result, raw = _induce_full(which, m)
-    cfg = _INDUCE[which]
-    lower = kind_lower(cfg["src"])
+    lower = m.lower
     if result.valid_window is None:
         raise WindowError(f"induction along {which} has an empty validity window")
-    window_top = min(m.truncation, result.valid_window[1] - cfg["shift"])
+    window_top = min(m.truncation, result.valid_window[1] - raw.shift)
     if window_top < lower:
         raise WindowError(f"window too small to express the unit along {which}")
     comps = {n: raw.unit_block(n) for n in range(lower, window_top + 1)}
-    if which == "v":
-        target = restrict_v(result.module)
-    elif which == "u_a":
-        target = augmented_chain(result.module)
-    else:
-        target = restrict("u_delta", result.module)
+    target = restrict(which, result.module)
     arrow = ModuleMap(truncate_module(m, window_top), truncate_module(target, window_top), comps)
     return AdjunctionMap(arrow, (lower, window_top), result)
 
@@ -400,17 +355,7 @@ def unit_map(which: str, m: DiagramModule) -> AdjunctionMap:
 def counit_map(which: str, x: DiagramModule) -> AdjunctionMap:
     """The adjunction counit induce(restrict(X)) -> X: a presentation label
     (q, phi, i) is evaluated by acting with phi on the i-th basis vector."""
-    cfg = _INDUCE[which]
-    if x.kind != cfg["tgt"]:
-        raise ValueError(f"the counit along {which} needs a {cfg['tgt']} module, got {x.kind}")
-    x.require_valid()
-    if which == "u_delta":
-        restricted = restrict("u_delta", x)
-    elif which == "u_a":
-        restricted = augmented_chain(x)
-    else:
-        restricted = restrict_v(x)
-    result, raw = _induce_full(which, restricted)
+    result, raw = _induce_full(which, restrict(which, x))
     if result.valid_window is None:
         raise WindowError(f"induction along {which} has an empty validity window")
     window_top = min(x.truncation, result.valid_window[1])
@@ -447,47 +392,40 @@ _TOR_LEGAL = {
 }
 
 
-def tor_complex(kind: str, x: DiagramModule, coeff: str) -> DiagramModule:
+def tor_complex(x: DiagramModule, coeff: str) -> DiagramModule:
     """The complex computing Tor against the named coefficient, after the
     co-Yoneda collapse of the representable resolution."""
-    if (kind, coeff) not in _TOR_LEGAL:
-        raise ValueError(f"illegal Tor pairing ({kind}, {coeff})")
-    if x.kind != kind:
-        raise ValueError(f"module has kind {x.kind}, not {kind}")
-    if kind == "ssimp":
-        return restrict("u_delta", x)
-    if kind == "scube":
-        return restrict("u_square", x)
-    if kind == "aug_ssimp":
-        return brutal_truncation(augmented_chain(x))
-    if kind == "chain0":
+    if (x.kind, coeff) not in _TOR_LEGAL:
+        raise ValueError(f"illegal Tor pairing ({x.kind}, {coeff})")
+    if x.kind == "chain0":
         # the point and constant coefficients define the same Tor functor
         return x
-    return reindex_shift(x, 1)
+    if x.kind == "chain_neg1":
+        return reindex_shift(x, 1)
+    c = restrict(DETECTING_FUNCTOR[x.kind], x)
+    return brutal_truncation(c) if x.kind == "aug_ssimp" else c
 
 
-def tor(kind: str, x: DiagramModule, coeff: str) -> HomologyReport:
-    return homology(tor_complex(kind, x, coeff))
+def tor(x: DiagramModule, coeff: str) -> HomologyReport:
+    return homology(tor_complex(x, coeff))
 
 
-def tor_map(kind: str, f: ModuleMap, coeff: str) -> dict[int, RatMatrix]:
+def tor_map(f: ModuleMap, coeff: str) -> dict[int, RatMatrix]:
     """Induced maps on Tor, through the same realized complexes."""
+    kind = f.source.kind
     if (kind, coeff) not in _TOR_LEGAL:
         raise ValueError(f"illegal Tor pairing ({kind}, {coeff})")
-    if kind == "ssimp":
-        return homology_map(restrict_map("u_delta", f))
-    if kind == "scube":
-        return homology_map(restrict_map("u_square", f))
-    if kind == "aug_ssimp":
-        return homology_map(brutal_truncation_map(augmented_chain_map(f)))
     if kind == "chain0":
         return homology_map(f)
-    shifted = ModuleMap(
-        reindex_shift(f.source, 1),
-        reindex_shift(f.target, 1),
-        {n + 1: m for n, m in f.components.items()},
-    )
-    return homology_map(shifted)
+    if kind == "chain_neg1":
+        shifted = ModuleMap(
+            reindex_shift(f.source, 1),
+            reindex_shift(f.target, 1),
+            {n + 1: m for n, m in f.components.items()},
+        )
+        return homology_map(shifted)
+    chain = restrict_map(DETECTING_FUNCTOR[kind], f)
+    return homology_map(brutal_truncation_map(chain) if kind == "aug_ssimp" else chain)
 
 
 # -- representable resolutions, uncollapsed ----------------------------------------
@@ -505,7 +443,7 @@ def resolution_complex(kind: str, c: int, truncation: int) -> DiagramModule:
     lower = kind_lower(kind)
     if not lower <= c <= truncation:
         raise ValueError(f"evaluation object {c} outside truncation")
-    which = {"ssimp": "u_delta", "aug_ssimp": "u_a", "scube": "u_square"}[kind]
+    which = DETECTING_FUNCTOR[kind]
     dims = {p: len(hom_basis(hk, p, c)) for p in range(0, truncation + 1)}
     dims[-1] = 0 if (kind == "aug_ssimp" and c == -1) else 1
     diff: dict[int, RatMatrix] = {}
@@ -540,7 +478,7 @@ def tensor_resolution_complex(x: DiagramModule, truncation: int | None = None) -
     """Tensor X against the whole representable resolution, without co-Yoneda:
     an independent route to the Tor complex."""
     hk = hom_kind(x.kind)
-    which = {"ssimp": "u_delta", "aug_ssimp": "u_a", "scube": "u_square"}[x.kind]
+    which = DETECTING_FUNCTOR[x.kind]
     if truncation is None:
         truncation = x.truncation
     data = {p: tensor_with_representable(x, p) for p in range(0, truncation + 1)}
@@ -594,7 +532,7 @@ class LowDegreeSequence:
 def low_degree_sequence(x: DiagramModule) -> LowDegreeSequence:
     if x.kind != "aug_ssimp":
         raise ValueError("the low-degree sequence needs an aug_ssimp module")
-    c = augmented_chain(x)
+    c = restrict("u_a", x)
     tau = good_truncation(c)
     bru = brutal_truncation(c)
     h_tau = homology(tau)

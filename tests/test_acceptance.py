@@ -55,7 +55,6 @@ from semihomology.oracle import (
 )
 from semihomology.simplexcat import hom_basis
 from semihomology.transport import (
-    augmented_chain,
     counit_map,
     induce,
     k_bullet_complex,
@@ -63,7 +62,6 @@ from semihomology.transport import (
     low_degree_sequence,
     restrict,
     restrict_map,
-    restrict_v,
     tor,
     unit_map,
 )
@@ -88,9 +86,9 @@ def test_criterion_01_counterexample_reproduction():
     m = representable("aug_ssimp", 0, N)
     result = induce("v", m)
     dims = [result.module.dim(a) for a in result.module.degrees()]
-    _, h_source = bottom_cokernel(augmented_chain(m))
+    _, h_source = bottom_cokernel(restrict("u_a", m))
     unit = unit_map("v", m)
-    _, h_shadow = bottom_cokernel(augmented_chain(unit.arrow.target))
+    _, h_shadow = bottom_cokernel(restrict("u_a", unit.arrow.target))
     elapsed = time.perf_counter() - started
     ok = (
         dims[:2] == [2, 1]
@@ -172,11 +170,11 @@ def test_criterion_04_resolution_exactness():
 def test_criterion_05_tor_identifications(corpus):
     for name, x in corpus.modules:
         if x.kind == "ssimp":
-            assert tor("ssimp", x, "k_constant").dims == homology(restrict("u_delta", x)).dims, name
+            assert tor(x, "k_constant").dims == homology(restrict("u_delta", x)).dims, name
         elif x.kind == "scube":
-            assert tor("scube", x, "k_constant").dims == homology(restrict("u_square", x)).dims, name
+            assert tor(x, "k_constant").dims == homology(restrict("u_square", x)).dims, name
         elif x.kind == "chain0":
-            assert tor("chain0", x, "k_constant").dims == homology(x).dims, name
+            assert tor(x, "k_constant").dims == homology(x).dims, name
     exactness = []
     for name, x in corpus.by_kind("aug_ssimp"):
         seq = low_degree_sequence(x)
@@ -198,8 +196,8 @@ def test_criterion_06_weq_characterizations_agree(corpus):
 def test_criterion_07_sign_shadow_shift(corpus):
     checked = 0
     for name, x in corpus.by_kind("scube"):
-        shadow = restrict_v(x)
-        lhs = augmented_chain(shadow)
+        shadow = restrict("v", x)
+        lhs = restrict("u_a", shadow)
         rhs = reindex_shift(restrict("u_square", x), -1)
         assert lhs.dims == rhs.dims and lhs.diff == rhs.diff, name  # identity of spaces
         h_tau = homology(good_truncation(lhs))
@@ -221,7 +219,7 @@ def test_criterion_08_unit_counit_u_a(corpus):
             failures.append(("unit", name))
     for name, x in corpus.by_kind("aug_ssimp"):
         eps = counit_map("u_a", x)
-        verdict = check_weak_equivalence("aug_ssimp", eps.arrow)
+        verdict = check_weak_equivalence(eps.arrow)
         if not (verdict.ok and verdict.crosscheck_agrees):
             failures.append(("counit", name))
     _report(8, not failures, "augmented comparison: units and counits on the corpus")
@@ -285,7 +283,7 @@ def test_criterion_08_unit_counit_u_delta(corpus):
     for name, x in counits:
         eps = counit_map("u_delta", x)
         assert eps.window == (0, N), (name, eps.window)
-        verdict = check_weak_equivalence("ssimp", eps.arrow)
+        verdict = check_weak_equivalence(eps.arrow)
         found = _parity_mismatch("counit", name, restrict_map("u_delta", eps.arrow),
                                  _odd_cells(x), verdict.witness["failures"])
         if found:
@@ -316,10 +314,10 @@ def test_criterion_10_fibration_detection(corpus):
             continue
         name, x = mods[0]
         z = zero_module(kind, x.truncation)
-        assert check_fibration(kind, zero_map(x, z)).ok
-        assert check_fibration(kind, identity_map(x)).ok
+        assert check_fibration(zero_map(x, z)).ok
+        assert check_fibration(identity_map(x)).ok
         if any(x.dim(n) > 0 for n in x.degrees()):
-            assert not check_fibration(kind, zero_map(z, x)).ok
+            assert not check_fibration(zero_map(z, x)).ok
         checked += 1
     _report(10, True, f"epi and non-epi fixtures in {checked} kinds")
     assert checked == 3

@@ -30,7 +30,7 @@ from semihomology.diagmod import (
     zero_module,
 )
 from semihomology.exactlin import RatMatrix, kernel_basis, rank
-from semihomology.transport import augmented_chain, restrict
+from semihomology.transport import restrict
 
 N = 5
 
@@ -252,7 +252,7 @@ class TestGoodTruncationMap:
 
 class TestComplexesAreModules:
     def test_constructions_validate_and_round_trip(self):
-        augmented = augmented_chain(representable("aug_ssimp", 1, N))
+        augmented = restrict("u_a", representable("aug_ssimp", 1, N))
         complexes = [
             restrict("u_delta", representable("ssimp", 2, N)),
             restrict("u_square", representable("scube", 1, N)),

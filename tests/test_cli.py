@@ -138,6 +138,16 @@ class TestPipelines:
         status, out, _ = run(capsys, "homology", "--in", out_file, "--format", "json")
         assert json.loads(out)["dims"]["0"] == 1
 
+    @pytest.mark.parametrize("kind", ["ssimp", "aug_ssimp"])
+    def test_restrict_along_v_wrong_kind_is_input_error(self, capsys, tmp_path, kind):
+        path = tmp_path / "x.json"
+        path.write_text(module_to_json(representable(kind, 1, 4)))
+        status, _, err = run(capsys, "restrict", "--in", path, "--functor", "v")
+        assert status == 2
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert f"got {kind}" in err
+
     def test_augment_then_truncate(self, capsys, aug_file, tmp_path):
         aug_complex = tmp_path / "augc.json"
         run(capsys, "augment", "--in", aug_file, "--out", aug_complex)

@@ -6,13 +6,13 @@ from semihomology.chainkit import (
     bottom_cokernel_map,
     disk_sphere_complex,
     good_truncation,
+    good_truncation_map,
     homology,
     is_quasi_iso,
     reindex_shift,
 )
 from semihomology.diagmod import (
     GeneratorId,
-    ModuleMap,
     check_map,
     direct_sum,
     representable,
@@ -21,8 +21,6 @@ from semihomology.diagmod import (
 )
 from semihomology.exactlin import RatMatrix, rank
 from semihomology.transport import (
-    augmented_chain_map,
-    augmented_chain,
     counit_map,
     induce,
     k_bullet_complex,
@@ -31,7 +29,6 @@ from semihomology.transport import (
     resolution_complex,
     restrict,
     restrict_map,
-    restrict_v,
     tensor_resolution_complex,
     tensor_with_representable,
     tor,
@@ -78,14 +75,14 @@ class TestRestrict:
 class TestAugmentedChain:
     def test_representable_point(self):
         x = representable("aug_ssimp", 0, N)
-        c = augmented_chain(x)
+        c = restrict("u_a", x)
         assert c.diff[0] == RatMatrix.identity(1)
         _, h_minus1 = bottom_cokernel(c)
         assert h_minus1 == 0
 
     def test_no_augmentation_space(self):
         x = direct_sum(zero_module("aug_ssimp", N), zero_module("aug_ssimp", N))
-        c = augmented_chain(x)
+        c = restrict("u_a", x)
         _, h_minus1 = bottom_cokernel(c)
         assert h_minus1 == 0
 
@@ -93,33 +90,33 @@ class TestAugmentedChain:
 class TestSignShadow:
     def test_interval_dims_and_obstruction_cokernel(self):
         x = representable("scube", 1, N)
-        s = restrict_v(x)
+        s = restrict("v", x)
         assert s.dim(-1) == 2 and s.dim(0) == 1
         assert validate(s)
-        c = augmented_chain(s)
+        c = restrict("u_a", s)
         _, h = bottom_cokernel(c)
         assert h == 1
 
     def test_zero(self):
-        s = restrict_v(zero_module("scube", N))
+        s = restrict("v", zero_module("scube", N))
         assert s.is_zero()
 
     def test_shadow_complex_is_shifted_sign_complex(self):
         for c_obj in (1, 2, 3):
             x = representable("scube", c_obj, N)
-            lhs = augmented_chain(restrict_v(x))
+            lhs = restrict("u_a", restrict("v", x))
             rhs = reindex_shift(restrict("u_square", x), -1)
             assert lhs.dims == rhs.dims
             assert lhs.diff == rhs.diff
 
     def test_homology_shift_identities(self):
         x = direct_sum(representable("scube", 2, N), representable("scube", 1, N))
-        shadow = restrict_v(x)
-        h_tau = homology(good_truncation(augmented_chain(shadow)))
+        shadow = restrict("v", x)
+        h_tau = homology(good_truncation(restrict("u_a", shadow)))
         h_cube = homology(restrict("u_square", x))
         for n in range(0, N - 2):
             assert h_tau.dim(n) == h_cube.dim(n + 1)
-        _, h_minus1 = bottom_cokernel(augmented_chain(shadow))
+        _, h_minus1 = bottom_cokernel(restrict("u_a", shadow))
         assert h_minus1 == h_cube.dim(0)
 
 
@@ -214,12 +211,13 @@ class TestUnitCounit:
         m = representable("aug_ssimp", 0, N)
         unit = unit_map("v", m)
         assert check_map(unit.arrow)
-        src = augmented_chain(unit.arrow.source)
-        tgt = augmented_chain(unit.arrow.target)
+        src = restrict("u_a", unit.arrow.source)
+        tgt = restrict("u_a", unit.arrow.target)
         assert bottom_cokernel(src)[1] == 0
         assert bottom_cokernel(tgt)[1] == 1
         # away from the augmentation the unit is fine
-        chain = ModuleMap(src, tgt, dict(unit.arrow.components))
+        chain = restrict_map("u_a", unit.arrow)
+        assert is_quasi_iso(good_truncation_map(chain)).ok
         tau_dims_src = homology(good_truncation(src))
         tau_dims_tgt = homology(good_truncation(tgt))
         assert tau_dims_src.dims == tau_dims_tgt.dims
@@ -245,7 +243,7 @@ class TestUnitCounit:
         x = representable("scube", 1, N)
         eps = counit_map("v", x)
         assert check_map(eps.arrow)
-        shadow = restrict_v(x)
+        shadow = restrict("v", x)
         eta = unit_map("v", shadow)
         top = min(eps.window[1] - 1, eta.window[1])
         for n in range(-1, top + 1):
@@ -256,7 +254,7 @@ class TestUnitCounit:
         x = representable("aug_ssimp", 1, N)
         eps = counit_map("u_a", x)
         assert check_map(eps.arrow)
-        m = augmented_chain(x)
+        m = restrict("u_a", x)
         eta = unit_map("u_a", m)
         top = min(eps.window[1], eta.window[1])
         for n in range(-1, top + 1):
@@ -276,37 +274,37 @@ class TestUnitCounit:
         for c_obj in (0, 1, 2):
             x = representable("aug_ssimp", c_obj, N)
             eps = counit_map("u_a", x)
-            chain = augmented_chain_map(eps.arrow)
+            chain = restrict_map("u_a", eps.arrow)
             assert is_quasi_iso(chain).ok
-            assert bottom_cokernel_map(chain).rows == bottom_cokernel(augmented_chain(x))[1]
+            assert bottom_cokernel_map(chain).rows == bottom_cokernel(restrict("u_a", x))[1]
 
 
 class TestTor:
     def test_tor_equals_restricted_homology(self):
         x = representable("ssimp", 2, N)
-        t = tor("ssimp", x, "k_constant")
+        t = tor(x, "k_constant")
         h = homology(restrict("u_delta", x))
         assert t.dims == h.dims
 
     def test_aug_point_tor(self):
         x = representable("aug_ssimp", 0, N)
-        t = tor("aug_ssimp", x, "k_constant_shifted")
+        t = tor(x, "k_constant_shifted")
         assert t.dims_list() == [1] + [0] * (N - 1)
 
     def test_zero_module(self):
-        t = tor("scube", zero_module("scube", N), "k_constant")
+        t = tor(zero_module("scube", N), "k_constant")
         assert all(d == 0 for d in t.dims_list())
 
     def test_shifted_point_coefficient(self):
         c = disk_sphere_complex([("sphere", -1), ("sphere", 1)], N, lower=-1)
-        t = tor("chain_neg1", c, "k_point_neg1")
+        t = tor(c, "k_point_neg1")
         h = homology(c)
         for n in range(-1, N):
             assert t.dim(n + 1) == h.dim(n)
 
     def test_illegal_pairing(self):
         with pytest.raises(ValueError):
-            tor("ssimp", representable("ssimp", 1, N), "k_point_neg1")
+            tor(representable("ssimp", 1, N), "k_point_neg1")
 
 
 class TestTensorRoute:
@@ -319,25 +317,25 @@ class TestTensorRoute:
     def test_tensor_complex_matches_tor_ssimp(self):
         x = representable("ssimp", 2, 3)
         lhs = homology(tensor_resolution_complex(x))
-        rhs = tor("ssimp", x, "k_constant")
+        rhs = tor(x, "k_constant")
         assert lhs.dims == rhs.dims
 
     def test_tensor_complex_matches_tor_scube(self):
         x = representable("scube", 1, 3)
         lhs = homology(tensor_resolution_complex(x))
-        rhs = tor("scube", x, "k_constant")
+        rhs = tor(x, "k_constant")
         assert lhs.dims == rhs.dims
 
     def test_tensor_complex_matches_tor_aug(self):
         x = representable("aug_ssimp", 1, 3)
         lhs = homology(tensor_resolution_complex(x))
-        rhs = tor("aug_ssimp", x, "k_constant_shifted")
+        rhs = tor(x, "k_constant_shifted")
         assert lhs.dims == rhs.dims
 
     def test_tensor_route_on_sum(self):
         x = direct_sum(representable("ssimp", 1, 3), representable("ssimp", 0, 3))
         lhs = homology(tensor_resolution_complex(x))
-        rhs = tor("ssimp", x, "k_constant")
+        rhs = tor(x, "k_constant")
         assert lhs.dims == rhs.dims
 
 
@@ -391,7 +389,7 @@ class TestLowDegree:
         assert rank(seq.include_tau) == a  # the inclusion is an isomorphism
 
     def test_shadow_modules_exact(self):
-        shadow = restrict_v(representable("scube", 2, N))
+        shadow = restrict("v", representable("scube", 2, N))
         seq = low_degree_sequence(shadow)
         assert seq.is_exact()
 
