@@ -5,7 +5,14 @@ truncation window plus one matrix per one-step generator, in the contravariant
 convention: a degree-raising generator g acts by a matrix X(g) of shape
 dims[n-1] x dims[n] (face maps lower degree).  ``validate`` checks the
 defining relations of the kind exactly; everything downstream assumes a
-validated module and treats it as immutable.
+validated module.
+
+Modules and module maps are immutable: frozen dataclasses whose ``dims``,
+``actions`` and ``components`` are read-only mappings.  Each object carries
+one private memo for the values computed from it alone, so they live and die
+with it: its validity, X(f) for each normal form f, its restriction along
+each comparison functor (``transport.restrict``), and a map's
+``check_map`` verdict.
 
 Kinds:
 
@@ -30,8 +37,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Any, Callable, Mapping
 
 from .exactlin import RatMatrix, block_diag, rational_from_str, rational_to_str
 from .simplexcat import (
@@ -69,7 +77,8 @@ def hom_kind(kind: str) -> str:
     return _HOM_KIND[kind]
 
 
-def generators_for(kind: str, truncation: int) -> list[GeneratorId]:
+@lru_cache(maxsize=None)
+def generators_for(kind: str, truncation: int) -> tuple[GeneratorId, ...]:
     """All one-step generators acting inside the truncation, in token order."""
     lower = kind_lower(kind)
     out: list[GeneratorId] = []
@@ -81,7 +90,7 @@ def generators_for(kind: str, truncation: int) -> list[GeneratorId]:
                 out.extend(GeneratorId("cube", n, index=i, color=e) for e in (0, 1))
         else:
             out.append(GeneratorId("d", n))
-    return out
+    return tuple(out)
 
 
 @dataclass
@@ -93,13 +102,39 @@ class ValidationReport:
         return self.ok
 
 
-@dataclass
-class DiagramModule:
+# Memo key of a module's validity: set by validate on success and by the
+# trusted constructor.
+_VALID = "valid"
+
+
+class _Memoized:
+    """A private per-object memo: ``_memo`` is a dict field of the frozen
+    subclass, holding values computed from the object alone.  Its keys are
+    "valid" (a module's validity), a normal form f (a module's X(f)),
+    ("restrict", which) (a module's restriction) and "check_map" (a map's
+    verdict)."""
+
+    def _memoized(self, key, compute: Callable[[], Any]):
+        """The value cached under key, computed and stored on the first call."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
+
+
+@dataclass(frozen=True)
+class DiagramModule(_Memoized):
     kind: str
     truncation: int
-    dims: dict[int, int]
-    actions: dict[GeneratorId, RatMatrix]
-    _validated: bool = field(default=False, repr=False, compare=False)
+    dims: Mapping[int, int]
+    actions: Mapping[GeneratorId, RatMatrix]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    __hash__ = None  # equality is by content, and the mappings are not hashable
+
+    def __post_init__(self):
+        object.__setattr__(self, "dims", MappingProxyType(dict(self.dims)))
+        object.__setattr__(self, "actions", MappingProxyType(dict(self.actions)))
 
     @property
     def lower(self) -> int:
@@ -127,7 +162,7 @@ class DiagramModule:
             raise ValueError(f"generator {g.token()} outside truncation") from None
 
     def require_valid(self) -> None:
-        if not self._validated:
+        if not self._memo.get(_VALID):
             report = validate(self)
             if not report:
                 raise ValueError(f"invalid module: {report.message}")
@@ -136,18 +171,28 @@ class DiagramModule:
         return all(self.dim(n) == 0 for n in self.degrees())
 
 
-def make_module(kind: str, truncation: int, dims: dict[int, int],
-                actions: dict[GeneratorId, RatMatrix]) -> DiagramModule:
+def make_module(kind: str, truncation: int, dims: Mapping[int, int],
+                actions: Mapping[GeneratorId, RatMatrix]) -> DiagramModule:
     """Build a module, filling in missing dims/actions with zeros and
-    checking shapes eagerly."""
+    checking shapes eagerly.  A dims key outside the truncation window or
+    an action that is not a generator of the kind inside it is an error."""
     lower = kind_lower(kind)
     if truncation < lower:
         raise ValueError("truncation below the kind's lower bound")
+    window = f"the truncation window [{lower}, {truncation}]"
+    for n in dims:
+        if not lower <= n <= truncation:
+            raise ValueError(f"dims key '{n}' is outside {window}")
+    generators = generators_for(kind, truncation)
+    known = set(generators)
+    for g in actions:
+        if g not in known:
+            raise ValueError(f"action '{g.token()}' is not a generator of kind {kind} inside {window}")
     full_dims = {n: int(dims.get(n, 0)) for n in range(lower, truncation + 1)}
     if any(d < 0 for d in full_dims.values()):
         raise ValueError("negative dimension")
     full_actions: dict[GeneratorId, RatMatrix] = {}
-    for g in generators_for(kind, truncation):
+    for g in generators:
         m = actions.get(g)
         rows, cols = full_dims[g.degree - 1], full_dims[g.degree]
         if m is None:
@@ -158,6 +203,16 @@ def make_module(kind: str, truncation: int, dims: dict[int, int],
             )
         full_actions[g] = m
     return DiagramModule(kind, truncation, full_dims, full_actions)
+
+
+def _trusted_module(kind: str, truncation: int, dims: Mapping[int, int],
+                    actions: Mapping[GeneratorId, RatMatrix]) -> DiagramModule:
+    """make_module for a construction whose relations hold by theory, so the
+    result is valid without running validate.  The one place a module is
+    marked valid by fiat; the test suite validates these outputs for real."""
+    mod = make_module(kind, truncation, dims, actions)
+    mod._memo[_VALID] = True
+    return mod
 
 
 def validate(x: DiagramModule) -> ValidationReport:
@@ -198,7 +253,7 @@ def validate(x: DiagramModule) -> ValidationReport:
         for n in range(lower + 2, x.truncation + 1):
             if not (x.actions[GeneratorId("d", n - 1)] @ x.actions[GeneratorId("d", n)]).is_zero():
                 return ValidationReport(False, f"d o d != 0 at degree {n}")
-    x._validated = True
+    x._memo[_VALID] = True
     return ValidationReport(True)
 
 
@@ -222,15 +277,11 @@ def representable(kind: str, c: int, truncation: int) -> DiagramModule:
             col[target_index[compose(phi, gm)]] = 1
             cols.append(col)
         actions[g] = RatMatrix.from_columns(cols, rows=dims[n - 1])
-    mod = make_module(kind, truncation, dims, actions)
-    mod._validated = True  # functoriality of precomposition
-    return mod
+    return _trusted_module(kind, truncation, dims, actions)  # precomposition is functorial
 
 
 def zero_module(kind: str, truncation: int) -> DiagramModule:
-    mod = make_module(kind, truncation, {}, {})
-    mod._validated = True
-    return mod
+    return _trusted_module(kind, truncation, {}, {})
 
 
 def act(x: DiagramModule, phi) -> RatMatrix:
@@ -250,18 +301,31 @@ def act(x: DiagramModule, phi) -> RatMatrix:
     if isinstance(phi, (InjMap, CubeMap)):
         return _act_normal_form(x, phi)
     if isinstance(phi, LinComb):
-        out = RatMatrix.zeros(x.dim(phi.source), x.dim(phi.target))
+        # the +1 terms and the -1 terms are summed apart and subtracted once,
+        # so a signed sum like v(delta) costs one subtraction
+        plus = minus = None
         for f, c in phi.terms.items():
-            out = out + _act_normal_form(x, f).scale(c)
-        return out
+            m = _act_normal_form(x, f)
+            if c == -1:
+                minus = m if minus is None else minus + m
+            else:
+                if c != 1:
+                    m = m.scale(c)
+                plus = m if plus is None else plus + m
+        if minus is None:
+            return plus if plus is not None else RatMatrix.zeros(x.dim(phi.source), x.dim(phi.target))
+        return -minus if plus is None else plus - minus
     raise TypeError(f"cannot act by {phi!r}")
 
 
 def _act_normal_form(x: DiagramModule, f: Morphism) -> RatMatrix:
-    if isinstance(f, InjMap):
-        word = coface_factorization(f)
-    else:
-        word = cube_coface_factorization(f)
+    """X(f), memoized on x."""
+    return x._memoized(f, lambda: _act_word(x, f))
+
+
+def _act_word(x: DiagramModule, f: Morphism) -> RatMatrix:
+    """X(f) through the canonical coface word of f."""
+    word = coface_factorization(f) if isinstance(f, InjMap) else cube_coface_factorization(f)
     if not word:
         return RatMatrix.identity(x.dim(f.target))
     out = x.action(word[0])
@@ -273,11 +337,17 @@ def _act_normal_form(x: DiagramModule, f: Morphism) -> RatMatrix:
 # -- module maps ---------------------------------------------------------------
 
 
-@dataclass
-class ModuleMap:
+@dataclass(frozen=True)
+class ModuleMap(_Memoized):
     source: DiagramModule
     target: DiagramModule
-    components: dict[int, RatMatrix]
+    components: Mapping[int, RatMatrix]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    __hash__ = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "components", MappingProxyType(dict(self.components)))
 
     def component(self, n: int) -> RatMatrix:
         return self.components[n]
@@ -289,7 +359,12 @@ class ModuleMap:
 
 
 def check_map(f: ModuleMap) -> ValidationReport:
-    """Exact commutation of the components with every generator action."""
+    """Exact commutation of the components with every generator action.
+    The verdict is memoized on f."""
+    return f._memoized("check_map", lambda: _check_map(f))
+
+
+def _check_map(f: ModuleMap) -> ValidationReport:
     x, y = f.source, f.target
     if x.kind != y.kind or x.truncation != y.truncation:
         return ValidationReport(False, "source and target kind/truncation differ")
@@ -333,9 +408,7 @@ def direct_sum(x: DiagramModule, y: DiagramModule) -> DiagramModule:
     actions = {
         g: block_diag(x.actions[g], y.actions[g]) for g in generators_for(x.kind, x.truncation)
     }
-    mod = make_module(x.kind, x.truncation, dims, actions)
-    mod._validated = True
-    return mod
+    return _trusted_module(x.kind, x.truncation, dims, actions)
 
 
 def sum_inclusion(x: DiagramModule, y: DiagramModule, which: int) -> ModuleMap:
@@ -391,9 +464,8 @@ def truncate_module(x: DiagramModule, new_truncation: int) -> DiagramModule:
         raise ValueError("cannot extend a truncation")
     dims = {n: x.dim(n) for n in range(x.lower, new_truncation + 1)}
     actions = {g: x.actions[g] for g in generators_for(x.kind, new_truncation)}
-    mod = make_module(x.kind, new_truncation, dims, actions)
-    mod._validated = x._validated
-    return mod
+    build = _trusted_module if x._memo.get(_VALID) else make_module
+    return build(x.kind, new_truncation, dims, actions)
 
 
 # -- serialization ---------------------------------------------------------------
@@ -425,21 +497,13 @@ def module_from_obj(obj: dict) -> DiagramModule:
         raise ValueError(f"not a {MODULE_FORMAT} document")
     kind = obj["kind"]
     truncation = int(obj["truncation"])
-    lower = kind_lower(kind)
-    window = f"the truncation window [{lower}, {truncation}]"
-    dims: dict[int, int] = {}
-    for key, value in obj.get("dims", {}).items():
-        n = int(key)
-        if not lower <= n <= truncation:
-            raise ValueError(f"dims key {key!r} is outside {window}")
-        dims[n] = int(value)
-    generators = set(generators_for(kind, truncation))
+    dims = {int(key): int(value) for key, value in obj.get("dims", {}).items()}
     actions: dict[GeneratorId, RatMatrix] = {}
     for token, rows in obj.get("actions", {}).items():
         g = GeneratorId.from_token(token)
-        if g not in generators:
-            raise ValueError(f"action {token!r} is not a generator of kind {kind} inside {window}")
-        actions[g] = _matrix_from_json(rows, (dims.get(g.degree - 1, 0), dims.get(g.degree, 0)))
+        # the rows give the shape; make_module checks the window, then the shape
+        shape = (len(rows), len(rows[0]) if rows else dims.get(g.degree, 0))
+        actions[g] = _matrix_from_json(rows, shape)
     return make_module(kind, truncation, dims, actions)
 
 

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from types import MappingProxyType
+from typing import Mapping
 
 from .exactlin import exact
 
@@ -118,18 +120,22 @@ class CubeMap:
 Morphism = InjMap | CubeMap
 
 
+@lru_cache(maxsize=None)
 def identity_inj(n: int) -> InjMap:
     return InjMap(n, n, tuple(range(n + 1)))
 
+@lru_cache(maxsize=None)
 def identity_cube(n: int) -> CubeMap:
     return CubeMap(n, n, tuple(f"x{i}" for i in range(1, n + 1)))
 
+@lru_cache(maxsize=None)
 def delta(i: int, n: int) -> InjMap:
     """The coface [n-1] -> [n] omitting i, for 0 <= i <= n."""
     if not 0 <= i <= n:
         raise ValueError(f"delta index {i} out of range for degree {n}")
     return InjMap(n - 1, n, tuple(j for j in range(n + 1) if j != i))
 
+@lru_cache(maxsize=None)
 def cube_delta(i: int, color: int, n: int) -> CubeMap:
     """The cube coface inserting the constant ``color`` at position i, 1 <= i <= n."""
     if not 1 <= i <= n:
@@ -230,15 +236,16 @@ class LinComb:
     """k-linear combination of parallel normal-form morphisms.
 
     Zero coefficients are never stored; the empty combination is the zero
-    morphism between its recorded endpoints.
+    morphism between its recorded endpoints.  ``terms`` is a read-only
+    mapping, because cached functor images are shared between callers.
     """
 
     __slots__ = ("source", "target", "terms")
 
-    def __init__(self, source: int, target: int, terms: dict[Morphism, int | Fraction] | None = None):
+    def __init__(self, source: int, target: int, terms: Mapping[Morphism, int | Fraction] | None = None):
         self.source = source
         self.target = target
-        self.terms: dict[Morphism, int | Fraction] = {}
+        kept: dict[Morphism, int | Fraction] = {}
         if terms:
             for f, c in terms.items():
                 c = exact(c)
@@ -246,7 +253,8 @@ class LinComb:
                     continue
                 if f.source != source or f.target != target:
                     raise ValueError("term endpoints disagree with the combination's")
-                self.terms[f] = c
+                kept[f] = c
+        self.terms: Mapping[Morphism, int | Fraction] = MappingProxyType(kept)
 
     @classmethod
     def of(cls, f: Morphism, coeff=1) -> "LinComb":
@@ -462,11 +470,13 @@ def _sign_embedding(f: InjMap) -> LinComb:
     return LinComb(base.source, base.target, terms)
 
 
+@lru_cache(maxsize=None)
 def _alternating_sum(n: int) -> LinComb:
     terms: dict[Morphism, int] = {delta(i, n): (-1) ** i for i in range(n + 1)}
     return LinComb(n - 1, n, terms)
 
 
+@lru_cache(maxsize=None)
 def _cube_alternating_sum(n: int) -> LinComb:
     terms: dict[Morphism, int] = {}
     for i in range(1, n + 1):
@@ -499,22 +509,32 @@ def apply_functor(which: str, g) -> LinComb:
             return _zero_image(which, g.source, g.target)
         return out
     if isinstance(g, GeneratorId):
-        if which in ("u_delta", "u_a", "u_square"):
-            if g.kind != "d":
-                raise ValueError(f"{which} is defined on chain generators d(n), got {g.token()}")
-            n = g.degree
-            if which == "u_delta":
-                if n < 1:
-                    raise ValueError("d(0) is not a generator of the nonaugmented chain algebra")
-                return _alternating_sum(n)
-            if which == "u_a":
-                if n < 0:
-                    raise ValueError("d(n) needs n >= 0")
-                return _alternating_sum(n)
+        return _generator_image(which, g)
+    return _morphism_image(which, g)
+
+
+@lru_cache(maxsize=None)
+def _generator_image(which: str, g: GeneratorId) -> LinComb:
+    """apply_functor on one generator; cached, so callers share the image."""
+    if which in ("u_delta", "u_a", "u_square"):
+        if g.kind != "d":
+            raise ValueError(f"{which} is defined on chain generators d(n), got {g.token()}")
+        n = g.degree
+        if which == "u_delta":
             if n < 1:
                 raise ValueError("d(0) is not a generator of the nonaugmented chain algebra")
-            return _cube_alternating_sum(n)
-        g = g.as_morphism()
+            return _alternating_sum(n)
+        if which == "u_a":
+            if n < 0:
+                raise ValueError("d(n) needs n >= 0")
+            return _alternating_sum(n)
+        if n < 1:
+            raise ValueError("d(0) is not a generator of the nonaugmented chain algebra")
+        return _cube_alternating_sum(n)
+    return _morphism_image(which, g.as_morphism())
+
+
+def _morphism_image(which: str, g: Morphism) -> LinComb:
     if which in ("v", "j0", "j1"):
         if not isinstance(g, InjMap):
             raise ValueError(f"{which} is defined on injections")

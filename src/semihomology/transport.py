@@ -52,11 +52,11 @@ from .diagmod import (
     DiagramModule,
     GeneratorId,
     ModuleMap,
+    _trusted_module,
     act,
     generators_for,
     hom_kind,
     kind_lower,
-    make_module,
     truncate_module,
 )
 from .exactlin import RatMatrix, quotient_with_section, rank
@@ -133,19 +133,23 @@ def restrict(which: str, x: DiagramModule) -> DiagramModule:
     each source generator g acts by X(F(g)).  Along u_delta, u_a and
     u_square this is the chain complex with differential the signed coface
     sum; along v it is the sign shadow, whose cofaces act by the signed
-    difference of the color-1 and color-0 cube cofaces."""
+    difference of the color-1 and color-0 cube cofaces.  The result is
+    memoized on x, so every caller shares one restricted module."""
     if which not in _FUNCTORS:
         raise ValueError(f"unknown restriction {which!r}")
     src, tgt, shift = _FUNCTORS[which]
     if x.kind != tgt:
         raise ValueError(f"{which} restricts modules of kind {tgt}, got {x.kind}")
-    x.require_valid()
-    trunc = x.truncation - shift
-    dims = {n: x.dim(n + shift) for n in range(kind_lower(src), trunc + 1)}
-    actions = {g: act(x, apply_functor(which, g)) for g in generators_for(src, trunc)}
-    out = make_module(src, trunc, dims, actions)
-    out._validated = True  # a functor carries the source relations to true identities
-    return out
+
+    def compute() -> DiagramModule:
+        x.require_valid()
+        trunc = x.truncation - shift
+        dims = {n: x.dim(n + shift) for n in range(kind_lower(src), trunc + 1)}
+        actions = {g: act(x, apply_functor(which, g)) for g in generators_for(src, trunc)}
+        # a functor carries the source relations to true identities
+        return _trusted_module(src, trunc, dims, actions)
+
+    return x._memoized(("restrict", which), compute)
 
 
 def restrict_map(which: str, f: ModuleMap) -> ModuleMap:
@@ -302,8 +306,8 @@ def _induce_full(which: str, m: DiagramModule) -> tuple[InductionResult, _RawInd
         if not stable:
             break
         window_top = a
-    module = make_module(full.tgt_kind, full.tgt_trunc, full.dims, full.actions)
-    module._validated = True  # precomposition is functorial on the quotient
+    # precomposition is functorial on the quotient
+    module = _trusted_module(full.tgt_kind, full.tgt_trunc, full.dims, full.actions)
     window = (full.tgt_lower, window_top) if window_top is not None else None
     presentation = {
         a: [(q, phi.text(), i) for (q, phi, i) in (full.labels[a][k] for k in full.kept[a])]
@@ -362,16 +366,12 @@ def counit_map(which: str, x: DiagramModule) -> AdjunctionMap:
     lower = x.lower
     if window_top < lower:
         raise WindowError(f"window too small to express the counit along {which}")
-    act_cache: dict[Morphism, RatMatrix] = {}
     comps = {}
     for a in range(lower, window_top + 1):
         cols = []
         for k in raw.kept[a]:
             q, phi, i = raw.labels[a][k]
-            mat = act_cache.get(phi)
-            if mat is None:
-                mat = act(x, phi)
-                act_cache[phi] = mat
+            mat = act(x, phi)
             cols.append([mat[r, i] for r in range(mat.rows)])
         comps[a] = RatMatrix.from_columns(cols, rows=x.dim(a))
     arrow = ModuleMap(

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from math import comb
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from semihomology.diagmod import (
     DiagramModule,
+    ModuleMap,
     act,
     check_map,
     compose_maps,
@@ -31,6 +33,8 @@ from semihomology.simplexcat import (
     GeneratorId,
     LinComb,
     apply_functor,
+    CubeMap,
+    InjMap,
     compose,
     cube_delta,
     delta,
@@ -38,6 +42,8 @@ from semihomology.simplexcat import (
     identity_inj,
     omega_d,
 )
+from semihomology.chainkit import make_complex
+from semihomology.transport import restrict
 
 N = 4
 
@@ -79,6 +85,100 @@ class TestValidate:
             {GeneratorId("d", 1): RatMatrix(1, 1, [1]), GeneratorId("d", 2): RatMatrix(1, 1, [1])},
         )
         assert not validate(bad)
+
+
+class TestMakeModuleWindow:
+    def test_out_of_window_dims_key_is_named(self):
+        with pytest.raises(ValueError, match=r"dims key '5' is outside the truncation window \[0, 2\]"):
+            make_complex(0, 2, {0: 1, 1: 1, 5: 3}, {3: RatMatrix(1, 1, [1])})
+
+    def test_out_of_window_differential_is_named(self):
+        with pytest.raises(ValueError, match=r"action 'd 3' is not a generator of kind chain0"):
+            make_complex(0, 2, {0: 1, 1: 1}, {3: RatMatrix(1, 1, [1])})
+
+    def test_foreign_generator_is_named(self):
+        with pytest.raises(ValueError, match=r"action 'd 1' is not a generator of kind ssimp"):
+            make_module("ssimp", 1, {0: 1}, {GeneratorId("d", 1): RatMatrix(1, 0)})
+
+
+def _fresh(x):
+    """An equal module (or map) with an empty memo."""
+    if isinstance(x, ModuleMap):
+        return ModuleMap(_fresh(x.source), _fresh(x.target), x.components)
+    return DiagramModule(x.kind, x.truncation, x.dims, x.actions)
+
+
+class TestImmutable:
+    def test_fields_cannot_be_assigned(self):
+        x = representable("ssimp", 1, N)
+        f = identity_map(x)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            x.truncation = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            x.dims = {}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.source = x
+
+    def test_mappings_cannot_be_written(self):
+        x = representable("ssimp", 1, N)
+        g = GeneratorId("delta", 1, index=0)
+        f = identity_map(x)
+        with pytest.raises(TypeError):
+            x.dims[0] = 5
+        with pytest.raises(TypeError):
+            x.actions[g] = RatMatrix.zeros(2, 1)
+        with pytest.raises(TypeError):
+            f.components[0] = RatMatrix.zeros(2, 2)
+        lc = apply_functor("v", g)
+        with pytest.raises(TypeError):
+            lc.terms[next(iter(lc.terms))] = 2
+
+    def test_construction_copies_the_mappings(self):
+        dims = {0: 1}
+        x = DiagramModule("ssimp", 0, dims, {})
+        dims[0] = 2
+        assert x.dim(0) == 1
+
+
+class TestMemo:
+    def test_restrict_is_shared_and_equals_a_fresh_restriction(self):
+        for which, x in (
+            ("u_delta", representable("ssimp", 2, N)),
+            ("u_a", representable("aug_ssimp", 1, N)),
+            ("u_square", representable("scube", 2, N)),
+            ("v", representable("scube", 2, N)),
+        ):
+            assert restrict(which, x) is restrict(which, x)
+            assert restrict(which, x) == restrict(which, _fresh(x))
+
+    def test_act_is_shared_and_equals_a_fresh_action(self):
+        x = representable("scube", 2, N)
+        for f in hom_basis("scube", 1, 3):
+            assert act(x, f) is act(x, f)
+            assert act(x, f) == act(_fresh(x), f)
+
+    def test_check_map_verdict_is_shared(self):
+        good = identity_map(representable("ssimp", 1, N))
+        bad = ModuleMap(good.source, good.target, {**good.components, 0: RatMatrix(2, 2, [1, 1, 0, 1])})
+        for f in (good, bad):
+            assert check_map(f) is check_map(f)
+            assert check_map(f) == check_map(_fresh(f))
+        assert check_map(good) and not check_map(bad)
+
+    def test_functor_images_are_shared_and_equal_fresh_ones(self):
+        for which, g in (
+            ("v", GeneratorId("delta", 2, index=1)),
+            ("j0", GeneratorId("delta", 1, index=0)),
+            ("u_delta", omega_d(3)),
+            ("u_square", omega_d(2)),
+        ):
+            assert apply_functor(which, g) is apply_functor(which, g)
+            if g.kind == "delta":
+                assert apply_functor(which, g) == apply_functor(which, g.as_morphism())
+        assert apply_functor("u_a", omega_d(2)) == LinComb(1, 2, {delta(i, 2): (-1) ** i for i in range(3)})
+        assert delta(1, 3) is delta(1, 3)
+        assert delta(1, 3) == InjMap(2, 3, (0, 2, 3))
+        assert cube_delta(2, 1, 2) == CubeMap(1, 2, ("x1", "1"))
 
 
 class TestRepresentable:
@@ -137,8 +237,7 @@ class TestAct:
         x = make_module(
             "chain0", 1, {0: 1, 1: 1}, {GeneratorId("d", 1): RatMatrix(1, 1, [1])}
         )
-        y = DiagramModule(x.kind, x.truncation, x.dims, x.actions)
-        y.dims[1] = 2  # break shape so validation fails
+        y = DiagramModule(x.kind, x.truncation, {**x.dims, 1: 2}, x.actions)  # misshaped d 1
         with pytest.raises(ValueError):
             act(y, GeneratorId("d", 1))
 
@@ -166,7 +265,7 @@ class TestMaps:
     def test_perturbed_map_fails(self):
         x = representable("ssimp", 1, N)
         f = identity_map(x)
-        f.components[0] = RatMatrix(2, 2, [1, 1, 0, 1])
+        f = ModuleMap(f.source, f.target, {**f.components, 0: RatMatrix(2, 2, [1, 1, 0, 1])})
         assert not check_map(f)
 
 

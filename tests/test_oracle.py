@@ -4,9 +4,15 @@ import json
 import pytest
 
 from semihomology.diagmod import (
+    KINDS,
+    DiagramModule,
+    ModuleMap,
+    check_map,
+    direct_sum,
     identity_map,
     module_to_json,
     representable,
+    truncate_module,
     validate,
     zero_map,
     zero_module,
@@ -22,7 +28,7 @@ from semihomology.oracle import (
     run_battery,
     run_counterexample,
 )
-from semihomology.transport import unit_map
+from semihomology.transport import induce, restrict, restrict_map, unit_map
 
 SMALL = CorpusSpec(seed=3, truncation=4, representables=6, induced=4, sums=2, yoneda_maps=5)
 
@@ -181,3 +187,38 @@ class TestBattery:
     def test_seed0_report_bytes_are_pinned(self, truncation, digest):
         text = run_battery(CorpusSpec(seed=0, truncation=truncation)).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# The restrictions and inductions defined on each module kind.
+_RESTRICTIONS = {"ssimp": ("u_delta",), "aug_ssimp": ("u_a",), "scube": ("u_square", "v")}
+_INDUCTIONS = {"chain0": ("u_delta",), "chain_neg1": ("u_a",), "aug_ssimp": ("v",)}
+
+
+class TestFiatOutputsValidate:
+    """Every construction that marks its output valid without validate is
+    checked here by the real validate and check_map, on equal copies with an
+    empty memo, so nothing the construction cached is consulted."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_corpus_constructions(self, seed):
+        corpus = generate_corpus(CorpusSpec(seed=seed, truncation=5))
+        outputs = [zero_module(kind, 5) for kind in KINDS]
+        outputs += [representable(kind, c, 5) for kind, c in
+                    [("ssimp", 0), ("ssimp", 3), ("aug_ssimp", -1), ("aug_ssimp", 2), ("scube", 2)]]
+        modules = [m for _, m in corpus.modules]
+        for x in modules:
+            outputs += [restrict(which, x) for which in _RESTRICTIONS.get(x.kind, ())]
+            outputs += [induce(which, x).module for which in _INDUCTIONS.get(x.kind, ())]
+            outputs.append(truncate_module(x, 4))
+            partner = next(m for m in reversed(modules) if m.kind == x.kind)
+            outputs.append(direct_sum(x, partner))
+        for y in outputs:
+            assert validate(DiagramModule(y.kind, y.truncation, y.dims, y.actions)), y.kind
+        for _, f in corpus.maps:
+            for which in _RESTRICTIONS[f.source.kind]:
+                g = restrict_map(which, f)
+                fresh = ModuleMap(
+                    *(DiagramModule(m.kind, m.truncation, m.dims, m.actions) for m in (g.source, g.target)),
+                    g.components,
+                )
+                assert check_map(fresh), which
