@@ -111,8 +111,8 @@ def homology_coordinates(report: HomologyReport, n: int, vectors: RatMatrix) -> 
     x = solve(hstack(b, h), vectors)
     if x is None:
         raise ValueError(f"vector at degree {n} is not a cycle of the target")
-    rows = [x.row(b.cols + i) for i in range(h.cols)]
-    return RatMatrix.from_rows(rows, cols=vectors.cols)
+    # the rows of x past the boundary coordinates, shared as they are
+    return RatMatrix._trusted(vectors.cols, x._sparse[b.cols:])
 
 
 # -- chain maps ----------------------------------------------------------------

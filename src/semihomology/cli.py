@@ -92,9 +92,21 @@ def _load_json(path: str) -> dict:
     return obj
 
 
+def _check_document_trunc(path: str, *docs) -> None:
+    """The truncation cap on each document, before anything is built from
+    it: a module over a huge truncation costs time before it can fail."""
+    for doc in docs:
+        if isinstance(doc, dict) and "truncation" in doc:
+            try:
+                _check_trunc(int(doc["truncation"]))
+            except CliError as exc:
+                raise CliError(f"{path}: {exc}") from None
+
+
 def _load_module(path: str) -> DiagramModule:
     obj = _load_json(path)
     try:
+        _check_document_trunc(path, obj)
         module = module_from_obj(obj)
     except (ValueError, KeyError, TypeError) as exc:
         raise CliError(f"{path}: {exc}") from None
@@ -107,6 +119,7 @@ def _load_module(path: str) -> DiagramModule:
 def _load_map(path: str):
     obj = _load_json(path)
     try:
+        _check_document_trunc(path, obj, obj.get("source"), obj.get("target"))
         f = map_from_obj(obj)
     except (ValueError, KeyError, TypeError) as exc:
         raise CliError(f"{path}: {exc}") from None

@@ -11,8 +11,8 @@ Modules and module maps are immutable: frozen dataclasses whose ``dims``,
 ``actions`` and ``components`` are read-only mappings.  Each object carries
 one private memo for the values computed from it alone, so they live and die
 with it: its validity, X(f) for each normal form f, its restriction along
-each comparison functor (``transport.restrict``), and a map's
-``check_map`` verdict.
+each comparison functor (``transport.restrict`` and
+``transport.restrict_map``), and a map's ``check_map`` verdict.
 
 Kinds:
 
@@ -111,8 +111,8 @@ class _Memoized:
     """A private per-object memo: ``_memo`` is a dict field of the frozen
     subclass, holding values computed from the object alone.  Its keys are
     "valid" (a module's validity), a normal form f (a module's X(f)),
-    ("restrict", which) (a module's restriction) and "check_map" (a map's
-    verdict)."""
+    ("restrict", which) (a module's or a map's restriction) and "check_map"
+    (a map's verdict)."""
 
     def _memoized(self, key, compute: Callable[[], Any]):
         """The value cached under key, computed and stored on the first call."""
@@ -268,15 +268,13 @@ def representable(kind: str, c: int, truncation: int) -> DiagramModule:
     actions: dict[GeneratorId, RatMatrix] = {}
     for g in generators_for(kind, truncation):
         n = g.degree
-        source_basis = hom_basis(hk, n, c)
         target_index = hom_index(hk, n - 1, c)
         gm = g.as_morphism()
-        cols = []
-        for phi in source_basis:
-            col = [0] * dims[n - 1]
-            col[target_index[compose(phi, gm)]] = 1
-            cols.append(col)
-        actions[g] = RatMatrix.from_columns(cols, rows=dims[n - 1])
+        # one 1 per column: row target_index[phi o g] of column phi
+        rows: list[dict[int, int]] = [{} for _ in range(dims[n - 1])]
+        for j, phi in enumerate(hom_basis(hk, n, c)):
+            rows[target_index[compose(phi, gm)]][j] = 1
+        actions[g] = RatMatrix._trusted(dims[n], rows)
     return _trusted_module(kind, truncation, dims, actions)  # precomposition is functorial
 
 
@@ -448,14 +446,11 @@ def yoneda_map(kind: str, g: Morphism, truncation: int) -> ModuleMap:
     tgt = representable(kind, g.target, truncation)
     comps = {}
     for n in src.degrees():
-        basis = hom_basis(hk, n, g.source)
         tgt_index = hom_index(hk, n, g.target)
-        cols = []
-        for phi in basis:
-            col = [0] * tgt.dim(n)
-            col[tgt_index[compose(g, phi)]] = 1
-            cols.append(col)
-        comps[n] = RatMatrix.from_columns(cols, rows=tgt.dim(n))
+        rows: list[dict[int, int]] = [{} for _ in range(tgt.dim(n))]
+        for j, phi in enumerate(hom_basis(hk, n, g.source)):
+            rows[tgt_index[compose(g, phi)]][j] = 1
+        comps[n] = RatMatrix._trusted(src.dim(n), rows)
     return ModuleMap(src, tgt, comps)
 
 

@@ -9,10 +9,19 @@ once a denominator does.  Equality and hashing do not see the difference
 (``3 == Fraction(3)`` and ``hash(3) == hash(Fraction(3))``).
 
 Every rank, kernel, image, quotient, and solve is computed by Gaussian
-elimination with no rounding anywhere.  Matrices are immutable and dense on
-the outside; elimination runs on sparse row dictionaries internally, which is
-what makes the large-but-sparse relation matrices of the coend computations
-cheap.
+elimination with no rounding anywhere.
+
+Matrices are immutable and stored as sparse rows: one ``{column: value}``
+dict per row, with ascending columns, no zeros and canonical scalars.  The
+face, coface and coend matrices of this package are mostly empty or +-1, so
+every operation costs time in proportion to the nonzeros, not the cells.
+The public constructor ``RatMatrix(rows, cols, entries)`` and ``from_rows``
+and ``from_columns`` coerce every entry with `exact`; everything else, from
+``@`` and ``transpose`` to ``rref`` and ``solve``, builds its result through
+the private ``RatMatrix._trusted`` from rows it already knows to be
+canonical, and never checks an entry again.  No stored row is ever mutated,
+so matrices share rows freely; elimination works on copies.  ``row``,
+``column`` and ``__getitem__`` read the matrix densely.
 
 Zero-dimensional matrices (0 x n and n x 0) are legal and denote maps to or
 from the zero space; graded computations hit empty degrees all the time.
@@ -60,23 +69,46 @@ def rational_from_str(s: str) -> int | Fraction:
 
 
 class RatMatrix:
-    """Immutable dense matrix of rationals, row-major."""
+    """Immutable matrix of rationals, stored as sparse rows.
 
-    __slots__ = ("rows", "cols", "_data")
+    ``RatMatrix(rows, cols, entries)`` takes the entries row-major and
+    coerces each one with `exact`.  Every other constructor in this module
+    goes through `_trusted`, which takes rows that are already canonical.
+    """
+
+    __slots__ = ("rows", "cols", "_sparse")
 
     def __init__(self, rows: int, cols: int, entries: Iterable = ()):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
         flat = [e if type(e) is int else exact(e) for e in entries]
-        if not flat:
-            flat = [0] * (rows * cols)
-        if len(flat) != rows * cols:
+        if flat and len(flat) != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(flat)}"
             )
         self.rows = rows
         self.cols = cols
-        self._data = tuple(tuple(flat[i * cols : (i + 1) * cols]) for i in range(rows))
+        if flat:
+            self._sparse = tuple(
+                {j: e for j, e in enumerate(flat[i * cols : (i + 1) * cols]) if e}
+                for i in range(rows)
+            )
+        else:
+            self._sparse = (_ZERO_ROW,) * rows
+
+    @classmethod
+    def _trusted(cls, cols: int, rows: Sequence[dict[int, int | Fraction]]) -> "RatMatrix":
+        """The matrix with these sparse rows, taken as they are.
+
+        Each row maps column to value with ascending columns, no zeros and
+        canonical scalars.  The rows become the matrix's own: nobody may
+        mutate them afterwards, so matrices share rows freely.
+        """
+        m = object.__new__(cls)
+        m.rows = len(rows)
+        m.cols = cols
+        m._sparse = tuple(rows)
+        return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], cols: int | None = None) -> "RatMatrix":
@@ -86,97 +118,125 @@ class RatMatrix:
         for r in rows:
             if len(r) != cols:
                 raise ValueError("ragged rows")
-        return cls(len(rows), cols, [e for r in rows for e in r])
+        return cls._trusted(cols, [_row_from_dense(r) for r in rows])
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], rows: int | None = None) -> "RatMatrix":
         columns = [list(c) for c in columns]
         if rows is None:
             rows = len(columns[0]) if columns else 0
-        for c in columns:
+        out: list[dict[int, int | Fraction]] = [{} for _ in range(rows)]
+        for j, c in enumerate(columns):
             if len(c) != rows:
                 raise ValueError("ragged columns")
-        return cls(rows, len(columns), [columns[j][i] for i in range(rows) for j in range(len(columns))])
+            for i, e in enumerate(c):
+                if type(e) is not int:
+                    e = exact(e)
+                if e:
+                    out[i][j] = e
+        return cls._trusted(len(columns), out)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(rows, cols)
+        return cls._trusted(cols, (_ZERO_ROW,) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        return cls._trusted(n, [{i: 1} for i in range(n)])
 
     def __getitem__(self, ij: tuple[int, int]) -> int | Fraction:
         i, j = ij
-        return self._data[i][j]
+        return self._sparse[i].get(self._column_index(j), 0)
 
     def row(self, i: int) -> tuple[int | Fraction, ...]:
-        return self._data[i]
+        out = [0] * self.cols
+        for j, v in self._sparse[i].items():
+            out[j] = v
+        return tuple(out)
 
     def column(self, j: int) -> tuple[int | Fraction, ...]:
-        return tuple(r[j] for r in self._data)
+        j = self._column_index(j)
+        return tuple(r.get(j, 0) for r in self._sparse)
 
     def row_major(self) -> list[int | Fraction]:
-        return [e for r in self._data for e in r]
+        return [e for i in range(self.rows) for e in self.row(i)]
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.cols, self.rows, [self._data[i][j] for j in range(self.cols) for i in range(self.rows)])
+        out: list[dict[int, int | Fraction]] = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self._sparse):
+            for j, v in r.items():
+                out[j][i] = v
+        return RatMatrix._trusted(self.rows, out)
 
     def is_zero(self) -> bool:
-        return all(not e for r in self._data for e in r)
+        return not any(self._sparse)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RatMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self._data == other._data
+            and self._sparse == other._sparse
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._data))
+        return hash((self.rows, self.cols, tuple(tuple(r.items()) for r in self._sparse)))
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, [-e for r in self._data for e in r])
+        return RatMatrix._trusted(self.cols, [{j: -v for j, v in r.items()} for r in self._sparse])
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         self._check_same_shape(other)
-        return RatMatrix(
-            self.rows, self.cols,
-            [a + b for ra, rb in zip(self._data, other._data) for a, b in zip(ra, rb)],
+        return RatMatrix._trusted(
+            self.cols, [_row_sum(ra, rb, 1) for ra, rb in zip(self._sparse, other._sparse)]
         )
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         self._check_same_shape(other)
-        return RatMatrix(
-            self.rows, self.cols,
-            [a - b for ra, rb in zip(self._data, other._data) for a, b in zip(ra, rb)],
+        return RatMatrix._trusted(
+            self.cols, [_row_sum(ra, rb, -1) for ra, rb in zip(self._sparse, other._sparse)]
         )
 
     def scale(self, c) -> "RatMatrix":
         c = exact(c)
-        return RatMatrix(self.rows, self.cols, [c * e for r in self._data for e in r])
+        if c == 1:
+            return self
+        if not c:
+            return RatMatrix.zeros(self.rows, self.cols)
+        return RatMatrix._trusted(
+            self.cols, [{j: _canonical(c * v) for j, v in r.items()} for r in self._sparse]
+        )
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = [[0] * other.cols for _ in range(self.rows)]
-        odata = other._data
-        for i, row in enumerate(self._data):
-            acc = out[i]
-            for k, a in enumerate(row):
-                if a:
-                    orow = odata[k]
-                    for j, b in enumerate(orow):
-                        if b:
-                            acc[j] += a * b
-        return RatMatrix(self.rows, other.cols, [e for r in out for e in r])
+        orows = other._sparse
+        out = []
+        for row in self._sparse:
+            if not row:
+                out.append(row)
+                continue
+            if len(row) == 1:
+                # one entry: a scaled copy of one row of other, already sorted
+                (k, a), = row.items()
+                orow = orows[k]
+                out.append(orow if a == 1 else {j: _canonical(a * b) for j, b in orow.items()})
+                continue
+            acc: dict[int, int | Fraction] = {}
+            for k, a in row.items():
+                for j, b in orows[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append(_sorted_row(acc))
+        return RatMatrix._trusted(other.cols, out)
 
     def column_select(self, indices: Sequence[int]) -> "RatMatrix":
-        return RatMatrix(
-            self.rows, len(indices),
-            [self._data[i][j] for i in range(self.rows) for j in indices],
-        )
+        places: dict[int, list[int]] = {}
+        for p, j in enumerate(indices):
+            places.setdefault(self._column_index(j), []).append(p)
+        return RatMatrix._trusted(len(indices), [
+            dict(sorted((p, v) for j, v in r.items() if j in places for p in places[j]))
+            for r in self._sparse
+        ])
 
     def __repr__(self) -> str:
         return f"RatMatrix({self.rows}x{self.cols})"
@@ -184,9 +244,17 @@ class RatMatrix:
     def pretty(self) -> str:
         if self.rows == 0 or self.cols == 0:
             return f"({self.rows}x{self.cols})"
-        cells = [[rational_to_str(e) for e in r] for r in self._data]
+        cells = [[rational_to_str(e) for e in self.row(i)] for i in range(self.rows)]
         width = max(len(c) for r in cells for c in r)
         return "\n".join(" ".join(c.rjust(width) for c in r) for r in cells)
+
+    def _column_index(self, j: int) -> int:
+        """j as a nonnegative column index; negative j counts from the end."""
+        if j < 0:
+            j += self.cols
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} outside a {self.rows}x{self.cols} matrix")
+        return j
 
     def _check_same_shape(self, other: "RatMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -195,34 +263,65 @@ class RatMatrix:
             )
 
 
+# The one empty row, shared by every zero row that is not built one at a time.
+_ZERO_ROW: dict[int, int | Fraction] = {}
+
+
+def _canonical(x: int | Fraction) -> int | Fraction:
+    """`exact` for a value computed from canonical scalars."""
+    return x if type(x) is int else exact(x)
+
+
+def _row_from_dense(values: Sequence) -> dict[int, int | Fraction]:
+    """The sparse row of a dense list, each entry coerced before zeros drop."""
+    coerced = [e if type(e) is int else exact(e) for e in values]
+    return {j: e for j, e in enumerate(coerced) if e}
+
+
+def _sorted_row(row: dict[int, int | Fraction]) -> dict[int, int | Fraction]:
+    """A canonical row from unordered canonical-or-computed entries."""
+    return {j: _canonical(v) for j, v in sorted(row.items()) if v}
+
+
+def _row_sum(a: dict[int, int | Fraction], b: dict[int, int | Fraction],
+             sign: int) -> dict[int, int | Fraction]:
+    """The row a + sign * b."""
+    if not b:
+        return a
+    if not a and sign == 1:
+        return b
+    acc = dict(a)
+    for j, v in b.items():
+        acc[j] = acc.get(j, 0) + sign * v
+    return _sorted_row(acc)
+
+
 def hstack(*mats: RatMatrix) -> RatMatrix:
-    mats = [m for m in mats]
     if not mats:
         raise ValueError("hstack needs at least one matrix")
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise ValueError("hstack: row counts differ")
-    data = []
-    for i in range(rows):
-        for m in mats:
-            data.extend(m.row(i))
-    return RatMatrix(rows, sum(m.cols for m in mats), data)
+    out: list[dict[int, int | Fraction]] = [{} for _ in range(rows)]
+    off = 0
+    for m in mats:  # left to right, so each row's columns stay ascending
+        for merged, r in zip(out, m._sparse):
+            for j, v in r.items():
+                merged[off + j] = v
+        off += m.cols
+    return RatMatrix._trusted(off, out)
 
 
 def block_diag(*mats: RatMatrix) -> RatMatrix:
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = [[0] * cols for _ in range(rows)]
-    r0 = c0 = 0
+    out: list[dict[int, int | Fraction]] = []
+    c0 = 0
     for m in mats:
-        for i in range(m.rows):
-            row = m.row(i)
-            for j in range(m.cols):
-                if row[j]:
-                    out[r0 + i][c0 + j] = row[j]
-        r0 += m.rows
+        if c0:
+            out.extend({c0 + j: v for j, v in r.items()} for r in m._sparse)
+        else:
+            out.extend(m._sparse)
         c0 += m.cols
-    return RatMatrix(rows, cols, [e for r in out for e in r])
+    return RatMatrix._trusted(c0, out)
 
 
 # -- elimination ------------------------------------------------------------
@@ -230,10 +329,6 @@ def block_diag(*mats: RatMatrix) -> RatMatrix:
 # Pivot selection: scan columns left to right, take the first not-yet-used row
 # with a nonzero entry in that column.  The reduced row echelon form is
 # canonical, so this is a performance rule, not a semantic one.
-
-
-def _sparse_rows(m: RatMatrix) -> list[dict[int, int | Fraction]]:
-    return [{j: v for j, v in enumerate(row) if v} for row in m._data]
 
 
 def _axpy(target: dict[int, int | Fraction], source: dict[int, int | Fraction],
@@ -247,8 +342,11 @@ def _axpy(target: dict[int, int | Fraction], source: dict[int, int | Fraction],
 
 
 def _eliminate(m: RatMatrix) -> tuple[list[int], list[dict[int, int | Fraction]]]:
-    """Run full reduced elimination; returns (pivot columns, pivot rows)."""
-    work = _sparse_rows(m)
+    """Run full reduced elimination on copies of the stored rows; returns
+    (pivot columns, pivot rows), the rows unordered."""
+    if not m.rows or not m.cols:
+        return [], []
+    work = [dict(r) for r in m._sparse]
     free_rows = list(range(m.rows))
     pivots: list[int] = []
     pivot_rows: list[dict[int, int | Fraction]] = []
@@ -294,11 +392,9 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, list[int], int]:
     pivot columns are strictly increasing, and ``rank == len(pivots)``.
     """
     pivots, pivot_rows = _eliminate(m)
-    data = []
-    for row in pivot_rows:
-        data.extend(row.get(j, 0) for j in range(m.cols))
-    data.extend([0] * ((m.rows - len(pivot_rows)) * m.cols))
-    return RatMatrix(m.rows, m.cols, data), pivots, len(pivots)
+    rows = [dict(sorted(r.items())) for r in pivot_rows]
+    rows.extend([_ZERO_ROW] * (m.rows - len(rows)))
+    return RatMatrix._trusted(m.cols, rows), pivots, len(pivots)
 
 
 def rank(m: RatMatrix) -> int:
@@ -314,16 +410,14 @@ def kernel_basis(m: RatMatrix) -> RatMatrix:
     pivots, pivot_rows = _eliminate(m)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
-    columns = []
-    for f in free:
-        v = [0] * m.cols
-        v[f] = 1
-        for i, p in enumerate(pivots):
-            coef = pivot_rows[i].get(f)
-            if coef:
-                v[p] = -coef
-        columns.append(v)
-    return RatMatrix.from_columns(columns, rows=m.cols)
+    position = {f: k for k, f in enumerate(free)}
+    rows: list[dict[int, int | Fraction]] = [_ZERO_ROW] * m.cols
+    for k, f in enumerate(free):
+        rows[f] = {k: 1}
+    # a fully reduced pivot row is its pivot plus free coordinates only
+    for p, row in zip(pivots, pivot_rows):
+        rows[p] = {position[c]: -v for c, v in sorted(row.items()) if c != p}
+    return RatMatrix._trusted(len(free), rows)
 
 
 def image_basis(m: RatMatrix) -> RatMatrix:
@@ -343,14 +437,10 @@ def solve(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
     pivots, pivot_rows = _eliminate(hstack(a, b))
     if any(p >= a.cols for p in pivots):
         return None
-    out = [[0] * b.cols for _ in range(a.cols)]
-    for i, p in enumerate(pivots):
-        row = pivot_rows[i]
-        for j in range(b.cols):
-            v = row.get(a.cols + j)
-            if v:
-                out[p][j] = v
-    return RatMatrix(a.cols, b.cols, [e for r in out for e in r])
+    rows: list[dict[int, int | Fraction]] = [_ZERO_ROW] * a.cols
+    for p, row in zip(pivots, pivot_rows):
+        rows[p] = {j - a.cols: v for j, v in sorted(row.items()) if j >= a.cols}
+    return RatMatrix._trusted(b.cols, rows)
 
 
 def quotient_map(ambient_dim: int, sub: RatMatrix) -> RatMatrix:
@@ -376,25 +466,21 @@ def quotient_with_section(ambient_dim: int, sub: RatMatrix) -> tuple[RatMatrix, 
     pivots, pivot_rows = _eliminate(sub.transpose())
     pivot_set = set(pivots)
     kept = [c for c in range(ambient_dim) if c not in pivot_set]
-    out = [[0] * ambient_dim for _ in kept]
-    for k, f in enumerate(kept):
-        out[k][f] = 1
-        for i, p in enumerate(pivots):
-            coef = pivot_rows[i].get(f)
-            if coef:
-                out[k][p] = -coef
-    q = RatMatrix(len(kept), ambient_dim, [e for r in out for e in r])
-    return q, kept
+    position = {f: k for k, f in enumerate(kept)}
+    rows: list[dict[int, int | Fraction]] = [{f: 1} for f in kept]
+    for p, row in zip(pivots, pivot_rows):
+        for c, v in row.items():
+            if c != p:
+                rows[position[c]][p] = -v
+    return RatMatrix._trusted(ambient_dim, [_sorted_row(r) for r in rows]), kept
 
 
 def coordinate_section(ambient_dim: int, kept: Sequence[int]) -> RatMatrix:
     """The inclusion k^kept -> k^ambient on the given coordinates."""
-    cols = []
-    for f in kept:
-        v = [0] * ambient_dim
-        v[f] = 1
-        cols.append(v)
-    return RatMatrix.from_columns(cols, rows=ambient_dim)
+    rows: list[dict[int, int | Fraction]] = [{} for _ in range(ambient_dim)]
+    for k, f in enumerate(kept):
+        rows[f][k] = 1
+    return RatMatrix._trusted(len(kept), rows)
 
 
 def is_invertible(m: RatMatrix) -> bool:

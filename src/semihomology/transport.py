@@ -153,9 +153,15 @@ def restrict(which: str, x: DiagramModule) -> DiagramModule:
 
 
 def restrict_map(which: str, f: ModuleMap) -> ModuleMap:
-    source, target = restrict(which, f.source), restrict(which, f.target)
-    shift = _FUNCTORS[which][2]
-    return ModuleMap(source, target, {n: f.components[n + shift] for n in source.degrees()})
+    """F*f between the restrictions of its source and target, memoized on
+    f, so the verdicts memoized on the result are shared too."""
+
+    def compute() -> ModuleMap:
+        source, target = restrict(which, f.source), restrict(which, f.target)
+        shift = _FUNCTORS[which][2]
+        return ModuleMap(source, target, {n: f.components[n + shift] for n in source.degrees()})
+
+    return f._memoized(("restrict", which), compute)
 
 
 # -- induction ---------------------------------------------------------------------
@@ -197,25 +203,25 @@ def _coend(
             for i in range(dim_q):
                 labels.append((q, phi, i))
     index = {lab: k for k, lab in enumerate(labels)}
-    rel_cols: list[list[int | Fraction]] = []
+    # the relation matrix, one sparse row per label; a relation's two parts
+    # sit on labels of degrees q - 1 and q, so they never share a label
+    rel_rows: list[dict[int, int | Fraction]] = [{} for _ in labels]
+    r = 0
     for g in generators_for(m.kind, top):
         q = g.degree
         if m.dim(q) == 0:
             continue
-        mg = m.actions[g]  # M(g): M_q -> M_{q-1}
+        mg_columns = m.actions[g].transpose()._sparse  # M(g): M_q -> M_{q-1}
         image_g = image(g)
         for phi in hom(q - 1):
             composed = image_g.compose(LinComb.of(phi))
             for i in range(m.dim(q)):
-                col = [0] * len(labels)
-                for t in range(mg.rows):
-                    coeff = mg[t, i]
-                    if coeff:
-                        col[index[(q - 1, phi, t)]] += coeff
+                for t, coeff in mg_columns[i].items():
+                    rel_rows[index[(q - 1, phi, t)]][r] = coeff
                 for w, c in composed.terms.items():
-                    col[index[(q, w, i)]] -= c
-                rel_cols.append(col)
-    sub = RatMatrix.from_columns(rel_cols, rows=len(labels))
+                    rel_rows[index[(q, w, i)]][r] = -c
+                r += 1
+    sub = RatMatrix._trusted(r, rel_rows)
     proj, kept = quotient_with_section(len(labels), sub)
     return labels, index, proj, kept
 
@@ -371,8 +377,7 @@ def counit_map(which: str, x: DiagramModule) -> AdjunctionMap:
         cols = []
         for k in raw.kept[a]:
             q, phi, i = raw.labels[a][k]
-            mat = act(x, phi)
-            cols.append([mat[r, i] for r in range(mat.rows)])
+            cols.append(act(x, phi).column(i))
         comps[a] = RatMatrix.from_columns(cols, rows=x.dim(a))
     arrow = ModuleMap(
         truncate_module(result.module, window_top), truncate_module(x, window_top), comps
@@ -450,13 +455,12 @@ def resolution_complex(kind: str, c: int, truncation: int) -> DiagramModule:
     for p in range(1, truncation + 1):
         index_low = hom_index(hk, p - 1, c)
         sign_sum = apply_functor(which, omega_d(p))
-        cols = []
-        for phi in hom_basis(hk, p, c):
-            col = [0] * dims[p - 1]
+        # column phi holds the distinct terms of phi o (signed coface sum)
+        rows: list[dict[int, int | Fraction]] = [{} for _ in range(dims[p - 1])]
+        for j, phi in enumerate(hom_basis(hk, p, c)):
             for w, coeff in LinComb.of(phi).compose(sign_sum).terms.items():
-                col[index_low[w]] += coeff
-            cols.append(col)
-        diff[p] = RatMatrix.from_columns(cols, rows=dims[p - 1])
+                rows[index_low[w]][j] = coeff
+        diff[p] = RatMatrix._trusted(dims[p], rows)
     diff[0] = RatMatrix(dims[-1], dims[0], [1] * (dims[-1] * dims[0]))
     return make_complex(-1, truncation, dims, diff)
 

@@ -241,6 +241,49 @@ class TestMapCommands:
         assert json.loads(out)["weak_equivalence"] is False
 
 
+# A 104-byte module document over truncation 500: building it, let alone
+# validating it, takes far longer than rejecting it.
+HUGE_MODULE = {"format": "semihomology-module/1", "kind": "ssimp", "truncation": 500,
+               "dims": {"0": 1}, "actions": {}}
+
+
+def _huge_map(part: str) -> dict:
+    """A small valid map document whose `part` claims truncation 500."""
+    obj = json.loads(map_to_json(yoneda_map("ssimp", delta(0, 1), 2)))
+    if part == "map":
+        obj["truncation"] = 500
+    else:
+        obj[part]["truncation"] = 500
+    return obj
+
+
+class TestTruncationCapOnFiles:
+    @pytest.mark.parametrize("argv, doc", [
+        (["validate"], HUGE_MODULE),
+        (["homology"], HUGE_MODULE),
+        (["induce", "--functor", "u_delta"], HUGE_MODULE),
+        (["weq"], _huge_map("map")),
+        (["weq"], _huge_map("source")),
+        (["weq"], _huge_map("target")),
+    ], ids=["validate", "homology", "induce-u_delta", "weq-map", "weq-source", "weq-target"])
+    def test_over_cap_is_input_error_before_any_work(self, capsys, tmp_path, monkeypatch, argv, doc):
+        monkeypatch.delenv("SEMIHOMOLOGY_MAX_TRUNC", raising=False)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        status, out, err = run(capsys, *argv, "--in", path)
+        assert status == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "truncation 500 exceeds the cap 8" in err and "huge.json" in err
+
+    def test_cap_can_be_raised(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("SEMIHOMOLOGY_MAX_TRUNC", "9")
+        path = tmp_path / "nine.json"
+        path.write_text(json.dumps({**HUGE_MODULE, "truncation": 9}))
+        status, _, _ = run(capsys, "validate", "--in", path)
+        assert status == 0
+
+
 class TestCounterexample:
     def test_reproduces_with_exit_zero(self, capsys):
         status, out, _ = run(capsys, "counterexample", "--format", "json")

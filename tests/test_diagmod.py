@@ -43,7 +43,7 @@ from semihomology.simplexcat import (
     omega_d,
 )
 from semihomology.chainkit import make_complex
-from semihomology.transport import restrict
+from semihomology.transport import restrict, restrict_map
 
 N = 4
 
@@ -150,6 +150,17 @@ class TestMemo:
         ):
             assert restrict(which, x) is restrict(which, x)
             assert restrict(which, x) == restrict(which, _fresh(x))
+
+    def test_restrict_map_is_shared_and_equals_a_fresh_restriction(self):
+        for which, f in (
+            ("u_delta", yoneda_map("ssimp", delta(0, 2), N)),
+            ("u_a", yoneda_map("aug_ssimp", delta(0, 0), N)),
+            ("u_square", yoneda_map("scube", cube_delta(1, 0, 2), N)),
+            ("v", yoneda_map("scube", cube_delta(2, 1, 2), N)),
+        ):
+            assert restrict_map(which, f) is restrict_map(which, f)
+            assert restrict_map(which, f) == restrict_map(which, _fresh(f))
+            assert restrict_map(which, f).source is restrict(which, f.source)
 
     def test_act_is_shared_and_equals_a_fresh_action(self):
         x = representable("scube", 2, N)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from semihomology.exactlin import (
     RatMatrix,
+    block_diag,
     hstack,
     image_basis,
     inverse,
@@ -356,3 +357,183 @@ class TestSparseScale:
         assert (m @ k).is_zero()
         assert k.cols == m.cols - rank(m)
         assert elapsed < 10.0
+
+
+# -- sparse storage against a dense reference ---------------------------------
+#
+# The reference below works on lists of lists of Fractions and knows nothing
+# of how RatMatrix stores its entries.  Shapes run from 0 to 4, so 0 x n and
+# n x 0 matrices are drawn often, and entries are mostly 0 and +-1, like the
+# face and coend matrices.
+
+sparse_scalars = st.one_of(st.just(0), st.just(0), st.sampled_from([1, -1]), scalars)
+
+
+def dense_draw(draw, r, c):
+    return [[Fraction(draw(sparse_scalars)) for _ in range(c)] for _ in range(r)]
+
+
+def build(rows, cols):
+    return RatMatrix(len(rows), cols, [e for r in rows for e in r])
+
+
+def dense(m):
+    """Shape and rows of m, read through its public dense accessors, after
+    checking that its entries are canonical and that m equals and hashes
+    like its rebuild from those rows."""
+    assert_canonical(m)
+    rebuilt = RatMatrix(m.rows, m.cols, m.row_major())
+    assert m == rebuilt and hash(m) == hash(rebuilt)
+    return (m.rows, m.cols, [list(m.row(i)) for i in range(m.rows)])
+
+
+def ref_matmul(a, b, cols):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(cols)]
+            for i in range(len(a))]
+
+
+def ref_transpose(a, cols):
+    return [[a[i][j] for i in range(len(a))] for j in range(cols)]
+
+
+def ref_pivots(reduced):
+    return [next(j for j, v in enumerate(row) if v) for row in reduced if any(row)]
+
+
+def ref_kernel(a, cols):
+    """Columns e_f - sum_i R[i][f] e_{p_i}, one per free column f."""
+    reduced = reference_rref(build(a, cols))
+    pivots = ref_pivots(reduced)
+    columns = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -reduced[i][f]
+        columns.append(v)
+    return ref_transpose(columns, cols) if columns else [[] for _ in range(cols)]
+
+
+def ref_solve(a, b, a_cols, b_cols):
+    joined = [ra + rb for ra, rb in zip(a, b)]
+    reduced = reference_rref(build(joined, a_cols + b_cols))
+    pivots = ref_pivots(reduced)
+    if any(p >= a_cols for p in pivots):
+        return None
+    x = [[Fraction(0)] * b_cols for _ in range(a_cols)]
+    for i, p in enumerate(pivots):
+        x[p] = reduced[i][a_cols:]
+    return x
+
+
+def ref_quotient(sub, n, sub_cols):
+    reduced = reference_rref(build(ref_transpose(sub, sub_cols), n))
+    pivots = ref_pivots(reduced)
+    kept = [c for c in range(n) if c not in pivots]
+    q = []
+    for f in kept:
+        row = [Fraction(0)] * n
+        row[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            row[p] = -reduced[i][f]
+        q.append(row)
+    return q, kept
+
+
+@st.composite
+def dense_triples(draw):
+    """Dense A (r x k), B (k x c) and C (r x k) with their shapes."""
+    r, k, c = (draw(st.integers(min_value=0, max_value=4)) for _ in range(3))
+    return (r, k, c), dense_draw(draw, r, k), dense_draw(draw, k, c), dense_draw(draw, r, k)
+
+
+class TestSparseAgainstDense:
+    @given(dense_triples(), scalars, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_every_operation_matches_the_dense_reference(self, triple, s, data):
+        (r, k, c), a, b, cc = triple
+        ma, mb, mc = build(a, k), build(b, c), build(cc, k)
+        assert dense(ma) == (r, k, a)
+        for i in range(r):
+            for j in range(k):
+                assert ma[i, j] == a[i][j]
+        for j in range(k):
+            assert list(ma.column(j)) == [a[i][j] for i in range(r)]
+        assert dense(ma @ mb) == (r, c, ref_matmul(a, b, c))
+        assert dense(ma + mc) == (r, k, [[x + y for x, y in zip(p, q)] for p, q in zip(a, cc)])
+        assert dense(ma - mc) == (r, k, [[x - y for x, y in zip(p, q)] for p, q in zip(a, cc)])
+        assert dense(-ma) == (r, k, [[-x for x in p] for p in a])
+        assert dense(ma.scale(s)) == (r, k, [[s * x for x in p] for p in a])
+        assert dense(ma.transpose()) == (k, r, ref_transpose(a, k))
+        assert dense(hstack(ma, mc)) == (r, 2 * k, [p + q for p, q in zip(a, cc)])
+        assert dense(block_diag(ma, mb)) == (
+            r + k, k + c, [p + [Fraction(0)] * c for p in a] + [[Fraction(0)] * k + q for q in b]
+        )
+        picks = data.draw(st.lists(st.integers(min_value=0, max_value=k - 1), max_size=5)) if k else []
+        assert dense(ma.column_select(picks)) == (r, len(picks), [[p[j] for j in picks] for p in a])
+
+        reduced, pivots, rk = rref(ma)
+        assert dense(reduced) == (r, k, reference_rref(ma))
+        assert pivots == ref_pivots(reference_rref(ma)) and rk == len(pivots)
+        assert dense(kernel_basis(ma)) == (k, k - rk, ref_kernel(a, k))
+        assert dense(image_basis(ma)) == (r, rk, [[p[j] for j in pivots] for p in a])
+        want = ref_solve(a, cc, k, k)
+        got = solve(ma, mc)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert dense(got) == (k, k, want)
+        q, kept = quotient_with_section(r, ma)
+        want_q, want_kept = ref_quotient(a, r, k)
+        assert kept == want_kept
+        assert dense(q) == (len(kept), r, want_q)
+
+    @given(mixed_matrices(), mixed_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_equal_matrices_from_different_routes_are_equal_and_hash_equal(self, m, other):
+        rows = [list(m.row(i)) for i in range(m.rows)]
+        columns = [list(m.column(j)) for j in range(m.cols)]
+        routes = [
+            RatMatrix(m.rows, m.cols, [e for r in rows for e in r]),
+            RatMatrix.from_rows(rows, cols=m.cols),
+            RatMatrix.from_columns(columns, rows=m.rows),
+            m.transpose().transpose(),
+            -(-m),
+            m.scale(2).scale(Fraction(1, 2)),
+            m @ RatMatrix.identity(m.cols),
+            RatMatrix.identity(m.rows) @ m,
+            hstack(m, RatMatrix.zeros(m.rows, 0)),
+            block_diag(m, RatMatrix.zeros(0, 0)),
+            m.column_select(range(m.cols)),
+        ]
+        if (other.rows, other.cols) == (m.rows, m.cols):
+            routes += [(m + other) - other, (m - other) + other]
+        for x in routes:
+            assert x == m
+            assert hash(x) == hash(m)
+
+    @given(mixed_matrices(), mixed_matrices(), scalars)
+    @settings(max_examples=100, deadline=None)
+    def test_no_operation_changes_its_operands(self, m, other, s):
+        def snapshot(x):
+            return dense(x), hash(x)
+
+        square = m @ m.transpose()
+        made = [m, other, square, m.transpose(), rref(m)[0], kernel_basis(m), image_basis(m),
+                m.scale(s), -m, m + m, hstack(m, m), block_diag(m, other), m.column_select([])]
+        before = [snapshot(x) for x in made]
+        for x in made:
+            # results may share rows with their operands; run every
+            # eliminating and combining operation on each of them
+            rref(x)
+            kernel_basis(x)
+            image_basis(x)
+            rank(x)
+            quotient_with_section(x.rows, x)
+            solve(x, x)
+            if is_invertible(x):
+                inverse(x)
+            x @ x.transpose()
+            x + x
+            x - x
+            x.scale(s)
+        assert [snapshot(x) for x in made] == before

@@ -180,12 +180,17 @@ class TestBattery:
     # The seed-0 reports are pinned byte for byte: a change that only makes
     # the computation faster must not move a single byte of the canonical
     # report.  Regenerate a hash only when the report itself is meant to change.
-    @pytest.mark.parametrize("truncation, digest", [
-        (5, "a6e3a4b0ed01c426262b2e4cd3e4e642f416a55260e465e460960f9ea5f68f86"),
-        (6, "444b0a1be12181d0d382e9e687eee2b105f388cbb4e11dd16defbc30e4a82eff"),
+    # Truncation 8 holds the largest matrices of any seed-0 report.  The ids
+    # stay "truncation-digest", as they were before max_dim was a parameter.
+    @pytest.mark.parametrize("truncation, max_dim, digest", [
+        pytest.param(t, d, h, id=f"{t}-{h}") for t, d, h in [
+            (5, 6, "a6e3a4b0ed01c426262b2e4cd3e4e642f416a55260e465e460960f9ea5f68f86"),
+            (6, 6, "444b0a1be12181d0d382e9e687eee2b105f388cbb4e11dd16defbc30e4a82eff"),
+            (8, 6, "081b7fae9a659e26519f30dddafcb57e3d5cd9935a4f3ad2f072f7095cc4e436"),
+        ]
     ])
-    def test_seed0_report_bytes_are_pinned(self, truncation, digest):
-        text = run_battery(CorpusSpec(seed=0, truncation=truncation)).to_json()
+    def test_seed0_report_bytes_are_pinned(self, truncation, max_dim, digest):
+        text = run_battery(CorpusSpec(seed=0, truncation=truncation, max_dim=max_dim)).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
