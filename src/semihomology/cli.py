@@ -13,6 +13,7 @@ Stdout carries reports; stderr carries diagnostics.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,11 +26,11 @@ from .diagmod import (
     MODULE_FORMAT,
     canonical_json,
     check_map,
+    json_int,
     map_from_obj,
     map_to_json,
     module_from_obj,
     module_to_json,
-    module_to_obj,
     validate,
 )
 from .oracle import (
@@ -62,19 +63,23 @@ class CliError(Exception):
 
 
 def _max_trunc() -> int:
+    """The truncation cap, read from the environment on every call."""
     raw = os.environ.get(MAX_TRUNC_ENV, "")
-    try:
-        return int(raw) if raw else DEFAULT_MAX_TRUNC
-    except ValueError:
+    if not raw:
         return DEFAULT_MAX_TRUNC
+    if raw.isascii() and raw.isdigit():
+        return int(raw)
+    raise CliError(f"{MAX_TRUNC_ENV}={raw!r} is not a non-negative integer")
+
+
+def _over_cap(n: int, cap: int) -> str:
+    return f"truncation {n} exceeds the cap {cap} (set {MAX_TRUNC_ENV} to raise it)"
 
 
 def _check_trunc(n: int) -> int:
     cap = _max_trunc()
     if n > cap:
-        raise CliError(
-            f"truncation {n} exceeds the cap {cap} (set {MAX_TRUNC_ENV} to raise it)"
-        )
+        raise CliError(_over_cap(n, cap))
     return n
 
 
@@ -92,24 +97,25 @@ def _load_json(path: str) -> dict:
     return obj
 
 
-def _check_document_trunc(path: str, *docs) -> None:
-    """The truncation cap on each document, before anything is built from
-    it: a module over a huge truncation costs time before it can fail."""
-    for doc in docs:
-        if isinstance(doc, dict) and "truncation" in doc:
-            try:
-                _check_trunc(int(doc["truncation"]))
-            except CliError as exc:
-                raise CliError(f"{path}: {exc}") from None
+def _parse(path: str, obj: dict, build, *parts: str):
+    """build(obj), with a malformed document an input error.  The truncation
+    cap is checked first on obj and on its named parts (a map's source and
+    target), before anything is built: a module over a huge truncation costs
+    time before it can fail."""
+    cap = _max_trunc()
+    try:
+        for doc in (obj, *(obj.get(part) for part in parts)):
+            if isinstance(doc, dict) and "truncation" in doc:
+                n = json_int(doc["truncation"], "truncation")
+                if n > cap:
+                    raise CliError(f"{path}: {_over_cap(n, cap)}")
+        return build(obj)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CliError(f"{path}: {exc}") from None
 
 
 def _load_module(path: str) -> DiagramModule:
-    obj = _load_json(path)
-    try:
-        _check_document_trunc(path, obj)
-        module = module_from_obj(obj)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"{path}: {exc}") from None
+    module = _parse(path, _load_json(path), module_from_obj)
     report = validate(module)
     if not report:
         raise CliError(f"{path}: invalid module: {report.message}", MATH_FAILURE)
@@ -117,12 +123,7 @@ def _load_module(path: str) -> DiagramModule:
 
 
 def _load_map(path: str):
-    obj = _load_json(path)
-    try:
-        _check_document_trunc(path, obj, obj.get("source"), obj.get("target"))
-        f = map_from_obj(obj)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"{path}: {exc}") from None
+    f = _parse(path, _load_json(path), map_from_obj, "source", "target")
     for side, m in (("source", f.source), ("target", f.target)):
         report = validate(m)
         if not report:
@@ -413,15 +414,15 @@ def cmd_convert(args) -> int:
     fmt = obj.get("format")
     if fmt == MODULE_FORMAT:
         if args.to == "module-json":
-            _write(args.out, canonical_json(module_to_obj(module_from_obj(obj))))
+            _write(args.out, module_to_json(_parse(args.infile, obj, module_from_obj)))
             return OK
         if args.to == "text":
-            _write(args.out, _module_text_dump(module_from_obj(obj)))
+            _write(args.out, _module_text_dump(_parse(args.infile, obj, module_from_obj)))
             return OK
         raise CliError(f"cannot convert a module document to {args.to!r}")
     if fmt == MAP_FORMAT:
         if args.to == "map-json":
-            _write(args.out, map_to_json(map_from_obj(obj)))
+            _write(args.out, map_to_json(_parse(args.infile, obj, map_from_obj, "source", "target")))
             return OK
         raise CliError(f"cannot convert a map document to {args.to!r}")
     if fmt == REPORT_FORMAT:
@@ -456,7 +457,11 @@ def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--yoneda-maps", type=int, default=8)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: building it costs far more than a
+    parse, and a parse leaves no state on it (every default is immutable,
+    and argparse looks up sys.stdout and sys.stderr only when it prints)."""
     parser = argparse.ArgumentParser(
         prog="semihomology",
         description="Exact homology and comparison functors for semisimplicial, "
@@ -535,8 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except CliError as exc:

@@ -215,44 +215,64 @@ def _trusted_module(kind: str, truncation: int, dims: Mapping[int, int],
     return mod
 
 
+@lru_cache(maxsize=None)
+def _relations(kind: str, truncation: int) -> tuple[tuple, ...]:
+    """The defining relations of the kind inside the truncation, in the
+    order validate checks them, each with its failure message.
+
+    Simplicial and cubical kinds: (g1, g2, h1, h2, message), asserting
+    X(g1) @ X(g2) == X(h1) @ X(h2), the contravariant coface relations.
+    Chain kinds: (g1, g2, message), asserting X(g1) @ X(g2) == 0.
+    """
+    lower = kind_lower(kind)
+    out: list[tuple] = []
+    if kind in ("ssimp", "aug_ssimp"):
+        for n in range(lower + 2, truncation + 1):
+            for j in range(n + 1):
+                for i in range(j):
+                    out.append((
+                        GeneratorId("delta", n - 1, index=i), GeneratorId("delta", n, index=j),
+                        GeneratorId("delta", n - 1, index=j - 1), GeneratorId("delta", n, index=i),
+                        f"coface relation fails at degree {n} for (i, j) = ({i}, {j})",
+                    ))
+    elif kind == "scube":
+        for n in range(2, truncation + 1):
+            for j in range(1, n + 1):
+                for i in range(1, j):
+                    for eps in (0, 1):
+                        for eta in (0, 1):
+                            out.append((
+                                GeneratorId("cube", n - 1, index=i, color=eps),
+                                GeneratorId("cube", n, index=j, color=eta),
+                                GeneratorId("cube", n - 1, index=j - 1, color=eta),
+                                GeneratorId("cube", n, index=i, color=eps),
+                                f"cube relation fails at degree {n} for (i, j, eps, eta) = ({i}, {j}, {eps}, {eta})",
+                            ))
+    else:
+        for n in range(lower + 2, truncation + 1):
+            out.append((GeneratorId("d", n - 1), GeneratorId("d", n), f"d o d != 0 at degree {n}"))
+    return tuple(out)
+
+
 def validate(x: DiagramModule) -> ValidationReport:
     """Check the defining identities of the kind, exactly.
 
     Simplicial and cubical kinds: the contravariant form of the coface
     relations; chain kinds: d o d = 0.  Reports the first violating triple.
     """
-    lower = x.lower
     for g in generators_for(x.kind, x.truncation):
         m = x.actions.get(g)
         if m is None or (m.rows, m.cols) != (x.dim(g.degree - 1), x.dim(g.degree)):
             return ValidationReport(False, f"missing or misshaped action {g.token()}")
-    if x.kind in ("ssimp", "aug_ssimp"):
-        for n in range(lower + 2, x.truncation + 1):
-            for j in range(n + 1):
-                for i in range(j):
-                    lhs = x.actions[GeneratorId("delta", n - 1, index=i)] @ x.actions[GeneratorId("delta", n, index=j)]
-                    rhs = x.actions[GeneratorId("delta", n - 1, index=j - 1)] @ x.actions[GeneratorId("delta", n, index=i)]
-                    if lhs != rhs:
-                        return ValidationReport(
-                            False, f"coface relation fails at degree {n} for (i, j) = ({i}, {j})"
-                        )
-    elif x.kind == "scube":
-        for n in range(2, x.truncation + 1):
-            for j in range(1, n + 1):
-                for i in range(1, j):
-                    for eps in (0, 1):
-                        for eta in (0, 1):
-                            lhs = x.actions[GeneratorId("cube", n - 1, index=i, color=eps)] @ x.actions[GeneratorId("cube", n, index=j, color=eta)]
-                            rhs = x.actions[GeneratorId("cube", n - 1, index=j - 1, color=eta)] @ x.actions[GeneratorId("cube", n, index=i, color=eps)]
-                            if lhs != rhs:
-                                return ValidationReport(
-                                    False,
-                                    f"cube relation fails at degree {n} for (i, j, eps, eta) = ({i}, {j}, {eps}, {eta})",
-                                )
+    a = x.actions
+    if x.kind in CHAIN_KINDS:
+        for g1, g2, message in _relations(x.kind, x.truncation):
+            if not (a[g1] @ a[g2]).is_zero():
+                return ValidationReport(False, message)
     else:
-        for n in range(lower + 2, x.truncation + 1):
-            if not (x.actions[GeneratorId("d", n - 1)] @ x.actions[GeneratorId("d", n)]).is_zero():
-                return ValidationReport(False, f"d o d != 0 at degree {n}")
+        for g1, g2, h1, h2, message in _relations(x.kind, x.truncation):
+            if a[g1] @ a[g2] != a[h1] @ a[h2]:
+                return ValidationReport(False, message)
     x._memo[_VALID] = True
     return ValidationReport(True)
 
@@ -477,6 +497,26 @@ def _matrix_from_json(rows: list[list[str]], shape: tuple[int, int]) -> RatMatri
     return RatMatrix(shape[0], shape[1], entries)
 
 
+def json_int(value, name: str) -> int:
+    """An integer field of a JSON document: a bool, float or string is an
+    error that names the field, never a silent int(...)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
+def _degree_key(key: str, name: str) -> int:
+    """A degree written as a JSON object key, in canonical decimal ("-1",
+    "3"; not "+1", " 1" or "1_0")."""
+    try:
+        n = int(key)
+    except ValueError:
+        n = None
+    if n is None or str(n) != key:
+        raise ValueError(f"{name} key {key!r} is not a canonical decimal integer")
+    return n
+
+
 def module_to_obj(x: DiagramModule) -> dict:
     return {
         "format": MODULE_FORMAT,
@@ -491,8 +531,11 @@ def module_from_obj(obj: dict) -> DiagramModule:
     if obj.get("format") != MODULE_FORMAT:
         raise ValueError(f"not a {MODULE_FORMAT} document")
     kind = obj["kind"]
-    truncation = int(obj["truncation"])
-    dims = {int(key): int(value) for key, value in obj.get("dims", {}).items()}
+    truncation = json_int(obj["truncation"], "truncation")
+    dims = {
+        _degree_key(key, "dims"): json_int(value, f"dims '{key}'")
+        for key, value in obj.get("dims", {}).items()
+    }
     actions: dict[GeneratorId, RatMatrix] = {}
     for token, rows in obj.get("actions", {}).items():
         g = GeneratorId.from_token(token)
@@ -530,7 +573,7 @@ def map_from_obj(obj: dict) -> ModuleMap:
     target = module_from_obj(obj["target"])
     comps = {}
     for key, rows in obj.get("components", {}).items():
-        n = int(key)
+        n = _degree_key(key, "components")
         comps[n] = _matrix_from_json(rows, (target.dim(n), source.dim(n)))
     for n in source.degrees():
         comps.setdefault(n, RatMatrix.zeros(target.dim(n), source.dim(n)))

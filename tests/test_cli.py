@@ -1,9 +1,11 @@
+import argparse
 import json
 
 import pytest
 
 from semihomology.chainkit import disk_sphere_complex
-from semihomology.cli import main
+from semihomology import cli
+from semihomology.cli import build_parser, main
 from semihomology.diagmod import (
     map_to_json,
     module_from_json,
@@ -29,7 +31,11 @@ def aug_file(tmp_path):
 
 
 def run(capsys, *argv):
-    status = main([str(a) for a in argv])
+    """main(argv), with an argparse exit counted as the exit status."""
+    try:
+        status = main([str(a) for a in argv])
+    except SystemExit as exc:
+        status = exc.code
     captured = capsys.readouterr()
     return status, captured.out, captured.err
 
@@ -103,6 +109,36 @@ class TestValidate:
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
         assert says in err and "[0, 2]" in err
+
+    @pytest.mark.parametrize("edit, says", [
+        ({"truncation": 2.9}, "truncation must be a JSON integer, got 2.9"),
+        ({"truncation": True}, "truncation must be a JSON integer, got true"),
+        ({"truncation": "2"}, 'truncation must be a JSON integer, got "2"'),
+        ({"truncation": 2.9, "dims": {"0": 1.7, "1": "2"}}, "truncation must be a JSON integer"),
+        ({"dims": {"0": 1.7}}, "dims '0' must be a JSON integer, got 1.7"),
+        ({"dims": {"1": "2"}}, 'dims \'1\' must be a JSON integer, got "2"'),
+        ({"dims": {"0": False}}, "dims '0' must be a JSON integer, got false"),
+        ({"dims": {"1_0": 1}}, "dims key '1_0' is not a canonical decimal integer"),
+        ({"dims": {" 1": 1}}, "dims key ' 1' is not a canonical decimal integer"),
+        ({"dims": {"+1": 1}}, "dims key '+1' is not a canonical decimal integer"),
+        ({"dims": {"01": 1}}, "dims key '01' is not a canonical decimal integer"),
+    ], ids=["trunc-float", "trunc-bool", "trunc-str", "trunc-and-dims", "dims-float",
+            "dims-str", "dims-bool", "key-underscore", "key-space", "key-plus", "key-zero"])
+    def test_non_integer_field_is_input_error(self, capsys, tmp_path, edit, says):
+        obj = json.loads(module_to_json(representable("ssimp", 1, 2)))
+        for field, value in edit.items():
+            if field == "dims":
+                obj["dims"].update(value)
+            else:
+                obj[field] = value
+        bad = tmp_path / "fields.json"
+        bad.write_text(json.dumps(obj))
+        status, out, err = run(capsys, "validate", "--in", bad)
+        assert status == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert says in err and "fields.json" in err
 
     def test_malformed_file_is_input_error(self, capsys, tmp_path):
         bad = tmp_path / "broken.json"
@@ -241,6 +277,34 @@ class TestMapCommands:
         assert json.loads(out)["weak_equivalence"] is False
 
 
+    @pytest.mark.parametrize("part, field, value, says", [
+        ("map", "truncation", True, "truncation must be a JSON integer, got true"),
+        ("source", "truncation", 2.9, "truncation must be a JSON integer, got 2.9"),
+        ("target", "truncation", "2", 'truncation must be a JSON integer, got "2"'),
+        ("source", "dims", {"0": 1.7}, "dims '0' must be a JSON integer, got 1.7"),
+        ("target", "dims", {"1": "2"}, 'dims \'1\' must be a JSON integer, got "2"'),
+        ("source", "dims", {"+1": 1}, "dims key '+1' is not a canonical decimal integer"),
+        ("map", "components", {"1_0": []}, "components key '1_0' is not a canonical decimal integer"),
+        ("map", "components", {" 1": []}, "components key ' 1' is not a canonical decimal integer"),
+    ], ids=["map-trunc-bool", "source-trunc-float", "target-trunc-str", "source-dims-float",
+            "target-dims-str", "source-key-plus", "components-key-underscore", "components-key-space"])
+    def test_non_integer_field_is_input_error(self, capsys, tmp_path, part, field, value, says):
+        obj = json.loads(map_to_json(yoneda_map("ssimp", delta(0, 1), 2)))
+        doc = obj if part == "map" else obj[part]
+        if isinstance(value, dict):
+            doc[field].update(value)
+        else:
+            doc[field] = value
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(obj))
+        status, out, err = run(capsys, "weq", "--in", path)
+        assert status == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert says in err and "map.json" in err
+
+
 # A 104-byte module document over truncation 500: building it, let alone
 # validating it, takes far longer than rejecting it.
 HUGE_MODULE = {"format": "semihomology-module/1", "kind": "ssimp", "truncation": 500,
@@ -281,6 +345,44 @@ class TestTruncationCapOnFiles:
         path = tmp_path / "nine.json"
         path.write_text(json.dumps({**HUGE_MODULE, "truncation": 9}))
         status, _, _ = run(capsys, "validate", "--in", path)
+        assert status == 0
+
+
+class TestCapVariable:
+    """SEMIHOMOLOGY_MAX_TRUNC is read on every call and must be a
+    non-negative integer; unset or empty means 8."""
+
+    @pytest.mark.parametrize("raw", ["abc", "1.5", "-5"])
+    @pytest.mark.parametrize("command", ["validate", "counterexample"])
+    def test_malformed_value_is_input_error(self, capsys, module_file, monkeypatch, raw, command):
+        monkeypatch.setenv("SEMIHOMOLOGY_MAX_TRUNC", raw)
+        argv = ["--in", module_file] if command == "validate" else ["--trunc", "2"]
+        status, out, err = run(capsys, command, *argv)
+        assert status == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert f"SEMIHOMOLOGY_MAX_TRUNC='{raw}'" in err
+
+    @pytest.mark.parametrize("raw", [None, ""], ids=["unset", "empty"])
+    def test_unset_or_empty_means_eight(self, capsys, tmp_path, monkeypatch, raw):
+        if raw is None:
+            monkeypatch.delenv("SEMIHOMOLOGY_MAX_TRUNC", raising=False)
+        else:
+            monkeypatch.setenv("SEMIHOMOLOGY_MAX_TRUNC", raw)
+        path = tmp_path / "nine.json"
+        path.write_text(json.dumps({**HUGE_MODULE, "truncation": 9}))
+        status, _, err = run(capsys, "validate", "--in", path)
+        assert status == 2
+        assert "truncation 9 exceeds the cap 8" in err
+
+    def test_read_on_every_call(self, capsys, module_file, monkeypatch):
+        monkeypatch.setenv("SEMIHOMOLOGY_MAX_TRUNC", "0")
+        status, _, err = run(capsys, "validate", "--in", module_file)
+        assert status == 2
+        assert "truncation 4 exceeds the cap 0" in err
+        monkeypatch.setenv("SEMIHOMOLOGY_MAX_TRUNC", "4")
+        status, _, _ = run(capsys, "validate", "--in", module_file)
         assert status == 0
 
 
@@ -358,6 +460,27 @@ class TestCorpusAndConvert:
         assert status == 0
         assert "obstruction.unit-not-weq" in out
 
+    @pytest.mark.parametrize("to, says", [("module-json", "zero denominator"), ("text", "zero denominator")])
+    def test_convert_malformed_module_is_input_error(self, capsys, tmp_path, to, says):
+        obj = json.loads(module_to_json(representable("ssimp", 1, 2)))
+        obj["actions"]["delta 0 1"][0][0] = "1/0"
+        bad = tmp_path / "entry.json"
+        bad.write_text(json.dumps(obj))
+        status, out, err = run(capsys, "convert", "--in", bad, "--to", to)
+        assert status == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err and says in err
+
+    def test_convert_applies_the_truncation_cap(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("SEMIHOMOLOGY_MAX_TRUNC", raising=False)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(HUGE_MODULE))
+        status, out, err = run(capsys, "convert", "--in", path, "--to", "text")
+        assert status == 2
+        assert out == ""
+        assert "truncation 500 exceeds the cap 8" in err
+
     def test_convert_unknown_format(self, capsys, tmp_path):
         path = tmp_path / "weird.json"
         path.write_text('{"format": "mystery/9"}')
@@ -372,3 +495,71 @@ class TestDeterminism:
         status2, out2, _ = run(capsys, "tor", "--in", aug_file, "--coeff", "k_constant_shifted",
                                "--format", "json")
         assert (status1, out1) == (status2, out2)
+
+
+def _subcommands(parser) -> list[str]:
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(action.choices)
+
+
+class TestParserReuse:
+    """One parser per process: every main(argv) parses with build_parser()'s
+    single parser and behaves as it would with a fresh one."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def _sequence(self, capsys, module_file, aug_file, tmp_path):
+        broken = tmp_path / "broken.json"
+        broken.write_text("{not json")
+        out_file = tmp_path / "induced.json"
+        results = []
+        for argv in (
+            ["validate", "--in", module_file],
+            ["validate", "--in", broken],
+            ["induce", "--in", aug_file],  # --functor is required
+            ["homology", "--in", module_file, "--format", "json"],
+            ["induce", "--in", aug_file, "--functor", "v", "--out", out_file],
+        ):
+            out_file.unlink(missing_ok=True)
+            status, out, err = run(capsys, *argv)
+            written = out_file.read_bytes() if out_file.exists() else None
+            results.append((status, out, err, written))
+        return results
+
+    def test_interleaved_requests_match_a_fresh_parser(self, capsys, monkeypatch, module_file,
+                                                        aug_file, tmp_path):
+        build_parser()
+        cached = self._sequence(capsys, module_file, aug_file, tmp_path)
+        monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        fresh = self._sequence(capsys, module_file, aug_file, tmp_path)
+        assert [r[0] for r in cached] == [0, 2, 2, 0, 0]
+        assert "--functor" in cached[2][2]
+        assert cached[4][3] is not None
+        assert cached == fresh
+
+    def test_no_flag_leaks_into_a_later_namespace(self):
+        parser = build_parser()
+        sequence = [
+            ["restrict", "--in", "x.json", "--out", "o.json", "--functor", "v", "--timing"],
+            ["restrict", "--in", "x.json"],
+            ["induce", "--in", "x.json", "--functor", "u_a", "--out", "o.json", "--window-strict"],
+            ["induce", "--in", "x.json", "--functor", "v"],
+            ["battery", "--timing", "--out", "r.json", "--seed", "3"],
+            ["battery"],
+            ["validate", "--in", "x.json"],
+        ]
+        for argv in sequence:
+            assert parser.parse_args(argv) == build_parser.__wrapped__().parse_args(argv), argv
+        later = parser.parse_args(["restrict", "--in", "x.json"])
+        assert (later.out, later.functor, later.timing) == (None, "auto", False)
+        assert not hasattr(parser.parse_args(["validate", "--in", "x.json"]), "out")
+
+    def test_help_is_identical_to_a_fresh_parser(self, capsys, monkeypatch):
+        commands = [[]] + [[name] for name in _subcommands(build_parser.__wrapped__())]
+        assert len(commands) == 16
+        cached = [run(capsys, *c, "--help") for c in commands]
+        monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        fresh = [run(capsys, *c, "--help") for c in commands]
+        assert all(status == 0 and out for status, out, _ in cached)
+        assert cached == fresh

@@ -1,4 +1,6 @@
 import dataclasses
+import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -7,14 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semihomology.diagmod import (
+    CHAIN_KINDS,
+    KINDS,
     DiagramModule,
     ModuleMap,
+    _relations,
     act,
     check_map,
     compose_maps,
     direct_sum,
     generators_for,
     identity_map,
+    kind_lower,
     make_module,
     map_from_json,
     map_to_json,
@@ -353,3 +359,87 @@ class TestSerialization:
         assert validate(x)
         text = module_to_json(x)
         assert module_to_json(module_from_json(text)) == text
+
+
+def _reference_checks(x):
+    """Every defining relation of x, as nested loops without a table:
+    (holds, message) in the order validate checks them."""
+    a = x.actions
+    if x.kind in ("ssimp", "aug_ssimp"):
+        for n in range(x.lower + 2, x.truncation + 1):
+            for j in range(n + 1):
+                for i in range(j):
+                    lhs = a[GeneratorId("delta", n - 1, index=i)] @ a[GeneratorId("delta", n, index=j)]
+                    rhs = a[GeneratorId("delta", n - 1, index=j - 1)] @ a[GeneratorId("delta", n, index=i)]
+                    yield lhs == rhs, f"coface relation fails at degree {n} for (i, j) = ({i}, {j})"
+    elif x.kind == "scube":
+        for n in range(2, x.truncation + 1):
+            for j in range(1, n + 1):
+                for i in range(1, j):
+                    for eps in (0, 1):
+                        for eta in (0, 1):
+                            lhs = a[GeneratorId("cube", n - 1, index=i, color=eps)] @ a[GeneratorId("cube", n, index=j, color=eta)]
+                            rhs = a[GeneratorId("cube", n - 1, index=j - 1, color=eta)] @ a[GeneratorId("cube", n, index=i, color=eps)]
+                            yield lhs == rhs, f"cube relation fails at degree {n} for (i, j, eps, eta) = ({i}, {j}, {eps}, {eta})"
+    else:
+        for n in range(x.lower + 2, x.truncation + 1):
+            yield (a[GeneratorId("d", n - 1)] @ a[GeneratorId("d", n)]).is_zero(), f"d o d != 0 at degree {n}"
+
+
+def _reference_validate(x) -> str | None:
+    """The message of x's first failing relation, or None."""
+    return next((message for holds, message in _reference_checks(x) if not holds), None)
+
+
+def _modules_of_every_kind(t: int):
+    """The representables at truncation t, and their restricted complexes
+    for the chain kinds."""
+    for kind in ("ssimp", "aug_ssimp", "scube"):
+        for c in range(kind_lower(kind), t + 1):
+            yield representable(kind, c, t)
+    for c in range(0, t + 1):
+        yield restrict("u_delta", representable("ssimp", c, t))
+    for c in range(-1, t + 1):
+        yield restrict("u_a", representable("aug_ssimp", c, t))
+
+
+class TestRelationTable:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_relations_per_degree(self, kind):
+        per_degree = {
+            "ssimp": lambda n: n * (n + 1) // 2,
+            "aug_ssimp": lambda n: n * (n + 1) // 2,
+            "scube": lambda n: 2 * n * (n - 1),
+        }.get(kind, lambda n: 1)
+        table = _relations(kind, 6)
+        assert all(len(rel) == (3 if kind in CHAIN_KINDS else 5) for rel in table)
+        counts = Counter(rel[1].degree for rel in table)
+        assert counts == {n: per_degree(n) for n in range(kind_lower(kind) + 2, 7)}
+        # the same relations in the same order as the nested loops
+        assert [rel[-1] for rel in table] == [m for _, m in _reference_checks(zero_module(kind, 6))]
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 5])
+    def test_perturbed_actions_fail_like_the_reference(self, t):
+        """Perturb one entry of each action in turn, then of each action
+        and one other (so that the order of the checks shows): validate
+        gives the reference's first failure."""
+        rng = random.Random(t)
+
+        def perturbed(m):
+            entries = m.row_major()
+            entries[rng.randrange(len(entries))] += rng.choice((1, -1, Fraction(1, 2)))
+            return RatMatrix(m.rows, m.cols, entries)
+
+        failed = Counter()
+        for x in _modules_of_every_kind(t):
+            live = [g for g, m in x.actions.items() if m.rows and m.cols]
+            for g in live:
+                for hit in ((g,), (g, rng.choice(live))):
+                    actions = {**x.actions, **{h: perturbed(x.actions[h]) for h in hit}}
+                    bad = DiagramModule(x.kind, x.truncation, x.dims, actions)
+                    expected = _reference_validate(_fresh(bad))
+                    report = validate(_fresh(bad))
+                    assert (report.ok, report.message) == (expected is None, expected or ""), (x.kind, hit)
+                    failed[x.kind] += not report.ok
+        # every kind has perturbations that some relation catches
+        assert set(failed) == set(KINDS) and all(failed.values()), failed
