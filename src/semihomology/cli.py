@@ -43,6 +43,7 @@ from .oracle import (
     run_counterexample,
 )
 from .transport import (
+    COEFFICIENTS,
     DETECTING_FUNCTOR,
     counit_map,
     induce,
@@ -427,8 +428,11 @@ def cmd_convert(args) -> int:
         raise CliError(f"cannot convert a map document to {args.to!r}")
     if fmt == REPORT_FORMAT:
         if args.to == "table":
+            checks = obj.get("checks", [])
+            if not isinstance(checks, list) or not all(isinstance(c, dict) for c in checks):
+                raise CliError(f"{args.infile}: report 'checks' must be a list of objects")
             lines = []
-            for c in obj.get("checks", []):
+            for c in checks:
                 mark = "pass" if c.get("verdict") == "pass" else "FAIL"
                 lines.append(f"{mark}  {c.get('name')}  {c.get('instance')}")
             _write(args.out, "\n".join(lines) + "\n")
@@ -511,8 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("tor", cmd_tor, "Tor against a named coefficient object")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--coeff", choices=("k_point", "k_constant", "k_constant_shifted", "k_point_neg1"),
-                   required=True)
+    p.add_argument("--coeff", choices=COEFFICIENTS, required=True)
 
     p = command("weq", cmd_weq, "weak-equivalence verdict for a map file")
     p.add_argument("--in", dest="infile", required=True)

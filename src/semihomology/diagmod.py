@@ -43,6 +43,8 @@ from typing import Any, Callable, Mapping
 
 from .exactlin import RatMatrix, block_diag, rational_from_str, rational_to_str
 from .simplexcat import (
+    CHAIN_KINDS,
+    KIND_LOWER,
     GeneratorId,
     LinComb,
     Morphism,
@@ -55,26 +57,16 @@ from .simplexcat import (
     hom_index,
 )
 
-KINDS = ("ssimp", "aug_ssimp", "scube", "chain0", "chain_neg1")
-CHAIN_KINDS = ("chain0", "chain_neg1")
-
-_LOWER = {"ssimp": 0, "aug_ssimp": -1, "scube": 0, "chain0": 0, "chain_neg1": -1}
-_HOM_KIND = {"ssimp": "ssimp", "aug_ssimp": "aug", "scube": "scube"}
+KINDS = tuple(KIND_LOWER)
 
 MODULE_FORMAT = "semihomology-module/1"
 MAP_FORMAT = "semihomology-map/1"
 
 
 def kind_lower(kind: str) -> int:
-    if kind not in _LOWER:
+    if kind not in KIND_LOWER:
         raise ValueError(f"unknown module kind {kind!r}")
-    return _LOWER[kind]
-
-
-def hom_kind(kind: str) -> str:
-    if kind not in _HOM_KIND:
-        raise ValueError(f"kind {kind!r} has no underlying index category")
-    return _HOM_KIND[kind]
+    return KIND_LOWER[kind]
 
 
 @lru_cache(maxsize=None)
@@ -175,20 +167,23 @@ def make_module(kind: str, truncation: int, dims: Mapping[int, int],
                 actions: Mapping[GeneratorId, RatMatrix]) -> DiagramModule:
     """Build a module, filling in missing dims/actions with zeros and
     checking shapes eagerly.  A dims key outside the truncation window or
-    an action that is not a generator of the kind inside it is an error."""
+    an action that is not a generator of the kind inside it is an error,
+    and so is a dimension whose type is not exactly int."""
     lower = kind_lower(kind)
     if truncation < lower:
         raise ValueError("truncation below the kind's lower bound")
     window = f"the truncation window [{lower}, {truncation}]"
-    for n in dims:
+    for n, d in dims.items():
         if not lower <= n <= truncation:
             raise ValueError(f"dims key '{n}' is outside {window}")
+        if type(d) is not int:
+            raise ValueError(f"dims '{n}' must be an int, got {d!r}")
     generators = generators_for(kind, truncation)
     known = set(generators)
     for g in actions:
         if g not in known:
             raise ValueError(f"action '{g.token()}' is not a generator of kind {kind} inside {window}")
-    full_dims = {n: int(dims.get(n, 0)) for n in range(lower, truncation + 1)}
+    full_dims = {n: dims.get(n, 0) for n in range(lower, truncation + 1)}
     if any(d < 0 for d in full_dims.values()):
         raise ValueError("negative dimension")
     full_actions: dict[GeneratorId, RatMatrix] = {}
@@ -280,19 +275,18 @@ def validate(x: DiagramModule) -> ValidationReport:
 def representable(kind: str, c: int, truncation: int) -> DiagramModule:
     """The hom-into-c module: degree n carries the hom basis n -> c, and
     generators act by precomposition in the canonical basis order."""
-    hk = hom_kind(kind)
     lower = kind_lower(kind)
     if not lower <= c <= truncation:
         raise ValueError(f"object degree {c} outside truncation")
-    dims = {n: len(hom_basis(hk, n, c)) for n in range(lower, truncation + 1)}
+    dims = {n: len(hom_basis(kind, n, c)) for n in range(lower, truncation + 1)}
     actions: dict[GeneratorId, RatMatrix] = {}
     for g in generators_for(kind, truncation):
         n = g.degree
-        target_index = hom_index(hk, n - 1, c)
+        target_index = hom_index(kind, n - 1, c)
         gm = g.as_morphism()
         # one 1 per column: row target_index[phi o g] of column phi
         rows: list[dict[int, int]] = [{} for _ in range(dims[n - 1])]
-        for j, phi in enumerate(hom_basis(hk, n, c)):
+        for j, phi in enumerate(hom_basis(kind, n, c)):
             rows[target_index[compose(phi, gm)]][j] = 1
         actions[g] = RatMatrix._trusted(dims[n], rows)
     return _trusted_module(kind, truncation, dims, actions)  # precomposition is functorial
@@ -366,9 +360,6 @@ class ModuleMap(_Memoized):
 
     def __post_init__(self):
         object.__setattr__(self, "components", MappingProxyType(dict(self.components)))
-
-    def component(self, n: int) -> RatMatrix:
-        return self.components[n]
 
     def require_checked(self) -> None:
         report = check_map(self)
@@ -461,14 +452,13 @@ def yoneda_map(kind: str, g: Morphism, truncation: int) -> ModuleMap:
 
     Covariant: yoneda_map(g o h) = yoneda_map(g) o yoneda_map(h).
     """
-    hk = hom_kind(kind)
     src = representable(kind, g.source, truncation)
     tgt = representable(kind, g.target, truncation)
     comps = {}
     for n in src.degrees():
-        tgt_index = hom_index(hk, n, g.target)
+        tgt_index = hom_index(kind, n, g.target)
         rows: list[dict[int, int]] = [{} for _ in range(tgt.dim(n))]
-        for j, phi in enumerate(hom_basis(hk, n, g.source)):
+        for j, phi in enumerate(hom_basis(kind, n, g.source)):
             rows[tgt_index[compose(g, phi)]][j] = 1
         comps[n] = RatMatrix._trusted(src.dim(n), rows)
     return ModuleMap(src, tgt, comps)

@@ -506,7 +506,7 @@ def _check_hom_dimensions(runner: _Runner, top: int) -> None:
     def injections():
         for n in range(-1, top + 1):
             for m in range(-1, n + 1):
-                got = len(hom_basis("aug", m, n))
+                got = len(hom_basis("aug_ssimp", m, n))
                 _require(got == comb(n + 1, m + 1), {"m": m, "n": n, "got": got})
                 if m >= 0:
                     _require(len(hom_basis("ssimp", m, n)) == got, {"m": m, "n": n})
@@ -529,11 +529,10 @@ def decreasing_basis_matrix(kind: str, m: int, n: int):
     ordered by their descending complement word.  The triangularity of this
     matrix, with diagonal (-1)^(sum of indices), is the freeness statement."""
     words = strictly_decreasing_basis(kind, m, n)
-    hk = kind if kind == "ssimp" else "aug"
-    basis = hom_basis(hk, m, n)
+    basis = hom_basis(kind, m, n)
     order = sorted(range(len(basis)), key=lambda j: tuple(sorted(basis[j].complement(), reverse=True)))
     col_of = {j: k for k, j in enumerate(order)}
-    index = hom_index(hk, m, n)
+    index = hom_index(kind, m, n)
     rows = []
     for word in words:
         row = [0] * len(basis)
@@ -545,7 +544,7 @@ def decreasing_basis_matrix(kind: str, m: int, n: int):
 
 def _check_decreasing_basis(runner: _Runner, top: int) -> None:
     def run_all():
-        for kind, low in (("ssimp", 0), ("aug", -1)):
+        for kind, low in (("ssimp", 0), ("aug_ssimp", -1)):
             for m in range(low, top + 1):
                 for n in range(m, top + 1):
                     words, matrix = decreasing_basis_matrix(kind, m, n)
@@ -578,15 +577,15 @@ def cubical_family_matrix(m: int, n: int, first_family: bool):
     index = hom_index("scube", m + 1, n + 1)
 
     def column_key(j: int):
-        ones = sum(1 for tok in basis[j].assignment if tok == "1")
+        ones = basis[j].pattern.count(1)
         return (-ones, basis[j].sort_key())
 
     order = sorted(range(len(basis)), key=column_key)
     col_of = {j: k for k, j in enumerate(order)}
     entries = []
     for q in range(m, n + 1):
-        for inner in hom_basis("aug", m, q):
-            for outer in hom_basis("aug", q, n):
+        for inner in hom_basis("aug_ssimp", m, q):
+            for outer in hom_basis("aug_ssimp", q, n):
                 if first_family:
                     element = apply_functor("v", outer).compose(apply_functor("j0", inner))
                     lead = compose(

@@ -1,21 +1,25 @@
 """Normal forms and k-linear spans for the injective indexing categories.
 
-Three kinds of morphisms appear:
+The module kinds are named once, in ``KIND_LOWER`` with the lowest degree of
+each: the index kinds ``ssimp``, ``aug_ssimp`` and ``scube``, and the chain
+kinds ``chain0`` and ``chain_neg1``.  ``hom_basis`` and the strictly
+decreasing basis take these names.  Three kinds of morphisms appear:
 
 * ``InjMap`` -- order-preserving injections between the ordinals [m] =
   {0 < ... < m}, with [-1] the empty ordinal; stored by image subset, which
   is a unique normal form.
 * ``CubeMap`` -- injective cube morphisms between the cubes of dimension m
-  and n, stored as an assignment vector: output coordinate j carries either
-  an input coordinate ("x1".."xm", each exactly once, in increasing order)
-  or a constant "0"/"1".
+  and n, stored as a pattern: output coordinate j holds a constant 0 or 1,
+  or the marker ``X`` for the next input coordinate in order.  Patterns of
+  one shape sort in the canonical basis order, since 0 < 1 < X.
 * ``GeneratorId`` -- the one-step generators: simplicial cofaces delta(i, n),
   cubical cofaces cube(i, eps, n), and the chain-algebra differentials d(n).
 
 On top of the normal forms sit the k-linear combinations (``LinComb``) and
-the comparison functors: the alternating-sum differentials carried into each
-index category, the two monochromatic cube embeddings j0/j1, the signed cube
-embedding v, and the color-forgetting quotient q back to injections.
+the functors of ``FUNCTORS``, the one table of their names: the
+alternating-sum differentials carried into each index category, the two
+monochromatic cube embeddings j0/j1, the signed cube embedding v, and the
+color-forgetting quotient q back to injections.
 
 Composition order is fixed repo-wide: in any factor list the leftmost factor
 is outermost and the rightmost acts first, so ``compose(words[0], ...,
@@ -27,11 +31,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from types import MappingProxyType
 from typing import Mapping
 
 from .exactlin import exact
+
+# Each module kind with its lowest degree.
+KIND_LOWER = {"ssimp": 0, "aug_ssimp": -1, "scube": 0, "chain0": 0, "chain_neg1": -1}
+CHAIN_KINDS = ("chain0", "chain_neg1")
+
+# The pattern entry of a cube coordinate; it sorts after the constants 0 and 1.
+X = 2
+_CUBE_ENTRIES = frozenset((0, 1, X))
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,12 +64,6 @@ class InjMap:
         if self.image and not (0 <= self.image[0] and self.image[-1] <= self.target):
             raise ValueError("image out of range")
 
-    def __call__(self, t: int) -> int:
-        return self.image[t]
-
-    def is_identity(self) -> bool:
-        return self.source == self.target
-
     def complement(self) -> tuple[int, ...]:
         im = set(self.image)
         return tuple(j for j in range(self.target + 1) if j not in im)
@@ -71,50 +77,35 @@ class InjMap:
 
 @dataclass(frozen=True, slots=True)
 class CubeMap:
-    """Injective cube morphism, stored as its assignment vector."""
+    """Injective cube morphism, stored as its pattern of 0, 1 and X entries."""
 
     source: int
     target: int
-    assignment: tuple[str, ...]
+    pattern: tuple[int, ...]
 
     def __post_init__(self):
         if self.source < 0 or self.target < 0 or self.source > self.target:
             raise ValueError(f"illegal cube degrees {self.source} -> {self.target}")
-        if len(self.assignment) != self.target:
-            raise ValueError("assignment length must equal target degree")
-        coords = [tok for tok in self.assignment if tok not in ("0", "1")]
-        expected = [f"x{i}" for i in range(1, self.source + 1)]
-        if coords != expected:
-            raise ValueError(
-                f"coordinates must be x1..x{self.source} in increasing order, got {coords}"
-            )
-
-    def is_identity(self) -> bool:
-        return self.source == self.target
+        if len(self.pattern) != self.target:
+            raise ValueError("pattern length must equal target degree")
+        if self.pattern.count(X) != self.source or not _CUBE_ENTRIES.issuperset(self.pattern):
+            raise ValueError(f"pattern must hold {self.source} X entries and otherwise 0 or 1, got {self.pattern}")
 
     def constants(self) -> tuple[tuple[int, int], ...]:
         """The inserted positions as (1-based position, color) pairs, ascending."""
-        return tuple(
-            (j + 1, int(tok)) for j, tok in enumerate(self.assignment) if tok in ("0", "1")
-        )
+        return tuple((j + 1, e) for j, e in enumerate(self.pattern) if e != X)
 
     def coordinate_positions(self) -> tuple[int, ...]:
         """1-based output positions that carry an input coordinate."""
-        return tuple(j + 1 for j, tok in enumerate(self.assignment) if tok not in ("0", "1"))
+        return tuple(j + 1 for j, e in enumerate(self.pattern) if e == X)
 
     def text(self) -> str:
-        return f"cube {self.source}->{self.target} [{','.join(self.assignment)}]"
+        coords = iter(range(1, self.source + 1))
+        tokens = [f"x{next(coords)}" if e == X else str(e) for e in self.pattern]
+        return f"cube {self.source}->{self.target} [{','.join(tokens)}]"
 
     def sort_key(self):
-        # constants before coordinates, "0" before "1", coordinates by index
-        def tok_key(tok: str):
-            if tok == "0":
-                return (0, 0)
-            if tok == "1":
-                return (0, 1)
-            return (1, int(tok[1:]))
-
-        return (self.source, self.target, tuple(tok_key(t) for t in self.assignment))
+        return self.pattern
 
 
 Morphism = InjMap | CubeMap
@@ -126,7 +117,7 @@ def identity_inj(n: int) -> InjMap:
 
 @lru_cache(maxsize=None)
 def identity_cube(n: int) -> CubeMap:
-    return CubeMap(n, n, tuple(f"x{i}" for i in range(1, n + 1)))
+    return CubeMap(n, n, (X,) * n)
 
 @lru_cache(maxsize=None)
 def delta(i: int, n: int) -> InjMap:
@@ -142,8 +133,7 @@ def cube_delta(i: int, color: int, n: int) -> CubeMap:
         raise ValueError(f"cube coface index {i} out of range for degree {n}")
     if color not in (0, 1):
         raise ValueError("color must be 0 or 1")
-    tokens = [f"x{j}" for j in range(1, i)] + [str(color)] + [f"x{j}" for j in range(i, n)]
-    return CubeMap(n - 1, n, tuple(tokens))
+    return CubeMap(n - 1, n, (X,) * (i - 1) + (color,) + (X,) * (n - i))
 
 
 def compose_inj(g: InjMap, f: InjMap) -> InjMap:
@@ -154,16 +144,11 @@ def compose_inj(g: InjMap, f: InjMap) -> InjMap:
 
 
 def compose_cube(g: CubeMap, f: CubeMap) -> CubeMap:
-    """g o f by substituting f's assignment into g's coordinate tokens."""
+    """g o f by substituting f's pattern, in order, into g's X entries."""
     if f.target != g.source:
         raise ValueError(f"boundary mismatch: {f.text()} then {g.text()}")
-    tokens = []
-    for tok in g.assignment:
-        if tok in ("0", "1"):
-            tokens.append(tok)
-        else:
-            tokens.append(f.assignment[int(tok[1:]) - 1])
-    return CubeMap(f.source, g.target, tuple(tokens))
+    inner = iter(f.pattern)
+    return CubeMap(f.source, g.target, tuple([next(inner) if e == X else e for e in g.pattern]))
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
@@ -341,46 +326,23 @@ def compose_word(factors: list[LinComb]) -> LinComb:
 
 @lru_cache(maxsize=None)
 def hom_basis(kind: str, m: int, n: int) -> tuple[Morphism, ...]:
-    """All normal-form morphisms m -> n, duplicate-free, in canonical order.
+    """All normal-form morphisms m -> n of an index kind, duplicate-free, in
+    canonical order.
 
-    kind "ssimp": injections with m, n >= 0; "aug": injections with
-    m, n >= -1; "scube": cube morphisms.  Counts are C(n+1, m+1) and
-    C(n, m) * 2^(n-m) respectively.
+    Kinds "ssimp" and "aug_ssimp": injections, C(n+1, m+1) of them, by
+    image; "scube": cube morphisms, C(n, m) * 2^(n-m) of them, by pattern.
     """
-    if kind in ("ssimp", "aug"):
-        low = 0 if kind == "ssimp" else -1
-        if m < low or n < low:
-            raise ValueError(f"degrees below {low} are not objects of kind {kind}")
-        if m > n:
-            return ()
-        return tuple(
-            InjMap(m, n, image) for image in combinations(range(n + 1), m + 1)
-        )
+    if kind not in KIND_LOWER or kind in CHAIN_KINDS:
+        raise ValueError(f"kind {kind!r} has no underlying index category")
+    low = KIND_LOWER[kind]
+    if m < low or n < low:
+        raise ValueError(f"degrees below {low} are not objects of kind {kind}")
+    if m > n:
+        return ()
     if kind == "scube":
-        if m < 0 or n < 0:
-            raise ValueError("cube degrees must be >= 0")
-        if m > n:
-            return ()
-        out = []
-        for coord_positions in combinations(range(1, n + 1), m):
-            const_positions = [j for j in range(1, n + 1) if j not in coord_positions]
-            for colors in _all_colorings(len(const_positions)):
-                tokens: list[str] = [""] * n
-                for k, p in enumerate(coord_positions):
-                    tokens[p - 1] = f"x{k + 1}"
-                for p, col in zip(const_positions, colors):
-                    tokens[p - 1] = str(col)
-                out.append(CubeMap(m, n, tuple(tokens)))
-        out.sort(key=lambda f: f.sort_key())
-        return tuple(out)
-    raise ValueError(f"unknown hom kind {kind!r}")
-
-
-def _all_colorings(k: int) -> list[tuple[int, ...]]:
-    if k == 0:
-        return [()]
-    shorter = _all_colorings(k - 1)
-    return [t + (c,) for t in shorter for c in (0, 1)]
+        # product yields the patterns in sorted order
+        return tuple(CubeMap(m, n, p) for p in product((0, 1, X), repeat=n) if p.count(X) == m)
+    return tuple(InjMap(m, n, image) for image in combinations(range(n + 1), m + 1))
 
 
 @lru_cache(maxsize=None)
@@ -434,40 +396,30 @@ def monochromatic_factorization(f: CubeMap) -> tuple[InjMap, InjMap]:
 
 # -- comparison functors ------------------------------------------------------
 
-FUNCTORS = ("u_delta", "u_a", "u_square", "v", "j0", "j1", "q")
-
 
 def _monochromatic_embedding(f: InjMap, color: int) -> CubeMap:
     """j0/j1 on a general injection: insert constants of one color."""
-    n = f.target + 1
-    tokens: list[str] = [""] * n
-    count = 0
     im = set(f.image)
-    for p in range(1, n + 1):
-        if p - 1 in im:
-            count += 1
-            tokens[p - 1] = f"x{count}"
-        else:
-            tokens[p - 1] = str(color)
-    return CubeMap(f.source + 1, n, tuple(tokens))
+    return CubeMap(f.source + 1, f.target + 1, tuple(X if p in im else color for p in range(f.target + 1)))
 
 
 def _sign_embedding(f: InjMap) -> LinComb:
     """v on a general injection: each inserted position chooses color 1 with
     sign +1 or color 0 with sign -1, multiplicatively."""
     comp = f.complement()
-    base = _monochromatic_embedding(f, 1)
+    pattern = list(_monochromatic_embedding(f, 1).pattern)
     terms: dict[Morphism, int] = {}
-    for colors in _all_colorings(len(comp)):
-        tokens = list(base.assignment)
-        sign = 1
+    for colors in product((0, 1), repeat=len(comp)):
         for c, col in zip(comp, colors):
-            tokens[c] = str(col)  # inserted position c+1 (1-based)
-            if col == 0:
-                sign = -sign
-        g = CubeMap(base.source, base.target, tuple(tokens))
-        terms[g] = sign
-    return LinComb(base.source, base.target, terms)
+            pattern[c] = col
+        terms[CubeMap(f.source + 1, f.target + 1, tuple(pattern))] = (-1) ** colors.count(0)
+    return LinComb(f.source + 1, f.target + 1, terms)
+
+
+def _forget_colors(f: CubeMap) -> LinComb:
+    """q on a cube morphism: keep the coordinate positions, one degree down."""
+    image = tuple(p - 1 for p in f.coordinate_positions())
+    return LinComb.of(InjMap(f.source - 1, f.target - 1, image))
 
 
 @lru_cache(maxsize=None)
@@ -486,8 +438,23 @@ def _cube_alternating_sum(n: int) -> LinComb:
     return LinComb(n - 1, n, terms)
 
 
+# which -> (source kind, target kind, degree shift, image): the functor goes
+# from the source kind's algebra to the target kind's, raises degrees by the
+# shift, and sends a generator d(n) of a chain kind, or a normal form of an
+# index kind, to image(it).
+FUNCTORS = {
+    "u_delta": ("chain0", "ssimp", 0, lambda d: _alternating_sum(d.degree)),
+    "u_a": ("chain_neg1", "aug_ssimp", 0, lambda d: _alternating_sum(d.degree)),
+    "u_square": ("chain0", "scube", 0, lambda d: _cube_alternating_sum(d.degree)),
+    "v": ("aug_ssimp", "scube", 1, _sign_embedding),
+    "j0": ("aug_ssimp", "scube", 1, lambda f: LinComb.of(_monochromatic_embedding(f, 0))),
+    "j1": ("aug_ssimp", "scube", 1, lambda f: LinComb.of(_monochromatic_embedding(f, 1))),
+    "q": ("scube", "aug_ssimp", -1, _forget_colors),
+}
+
+
 def apply_functor(which: str, g) -> LinComb:
-    """Apply a comparison functor to a generator, normal form, or LinComb.
+    """Apply a functor of ``FUNCTORS`` to a generator, normal form, or LinComb.
 
     * u_delta / u_a / u_square take the chain generator d(n) to the signed
       coface sum in the respective index category (u_delta needs n >= 1).
@@ -501,60 +468,33 @@ def apply_functor(which: str, g) -> LinComb:
     if which not in FUNCTORS:
         raise ValueError(f"unknown functor {which!r}")
     if isinstance(g, LinComb):
-        out = None
+        shift = FUNCTORS[which][2]
+        out = LinComb.zero(g.source + shift, g.target + shift)
         for f, c in g.terms.items():
-            piece = apply_functor(which, f).scale(c)
-            out = piece if out is None else out + piece
-        if out is None:
-            return _zero_image(which, g.source, g.target)
+            out = out + _image(which, f).scale(c)
         return out
     if isinstance(g, GeneratorId):
         return _generator_image(which, g)
-    return _morphism_image(which, g)
+    return _image(which, g)
 
 
 @lru_cache(maxsize=None)
 def _generator_image(which: str, g: GeneratorId) -> LinComb:
     """apply_functor on one generator; cached, so callers share the image."""
-    if which in ("u_delta", "u_a", "u_square"):
-        if g.kind != "d":
-            raise ValueError(f"{which} is defined on chain generators d(n), got {g.token()}")
-        n = g.degree
-        if which == "u_delta":
-            if n < 1:
-                raise ValueError("d(0) is not a generator of the nonaugmented chain algebra")
-            return _alternating_sum(n)
-        if which == "u_a":
-            if n < 0:
-                raise ValueError("d(n) needs n >= 0")
-            return _alternating_sum(n)
-        if n < 1:
-            raise ValueError("d(0) is not a generator of the nonaugmented chain algebra")
-        return _cube_alternating_sum(n)
-    return _morphism_image(which, g.as_morphism())
+    src = FUNCTORS[which][0]
+    if g.degree <= KIND_LOWER[src]:
+        raise ValueError(f"{g.token()} is not a generator of kind {src}")
+    return _image(which, g if g.kind == "d" else g.as_morphism())
 
 
-def _morphism_image(which: str, g: Morphism) -> LinComb:
-    if which in ("v", "j0", "j1"):
-        if not isinstance(g, InjMap):
-            raise ValueError(f"{which} is defined on injections")
-        if which == "v":
-            return _sign_embedding(g)
-        return LinComb.of(_monochromatic_embedding(g, 0 if which == "j0" else 1))
-    if which == "q":
-        if not isinstance(g, CubeMap):
-            raise ValueError("q is defined on cube morphisms")
-        image = tuple(p - 1 for p in g.coordinate_positions())
-        return LinComb.of(InjMap(g.source - 1, g.target - 1, image))
-    raise ValueError(f"{which} is not defined on {g!r}")
-
-
-def _zero_image(which: str, source: int, target: int) -> LinComb:
-    if which in ("v", "j0", "j1"):
-        return LinComb.zero(source + 1, target + 1)
-    if which == "q":
-        return LinComb.zero(source - 1, target - 1)
-    return LinComb.zero(source, target)
+def _image(which: str, g) -> LinComb:
+    """image(g) from the table, for g a generator d(n) of a chain source kind
+    or a normal form of an index source kind."""
+    src, _, _, image = FUNCTORS[which]
+    expected = GeneratorId if src in CHAIN_KINDS else CubeMap if src == "scube" else InjMap
+    if not isinstance(g, expected):
+        raise ValueError(f"{which} is not defined on {g!r}")
+    return image(g)
 
 
 def d_lower(i: int, n: int, kind: str = "ssimp") -> LinComb:
@@ -566,10 +506,10 @@ def d_lower(i: int, n: int, kind: str = "ssimp") -> LinComb:
     """
     if not 0 <= i <= n:
         raise ValueError(f"d_lower index {i} out of range for degree {n}")
-    if kind == "ssimp" and n < 1:
-        raise ValueError("nonaugmented tails need n >= 1")
-    if kind not in ("ssimp", "aug"):
+    if kind not in ("ssimp", "aug_ssimp"):
         raise ValueError(f"unknown kind {kind!r}")
+    if n <= KIND_LOWER[kind]:
+        raise ValueError(f"tails of kind {kind} need n >= {KIND_LOWER[kind] + 1}")
     terms: dict[Morphism, int] = {delta(j, n): (-1) ** j for j in range(i, n + 1)}
     return LinComb(n - 1, n, terms)
 
@@ -612,9 +552,9 @@ def strictly_decreasing_basis(kind: str, m: int, n: int) -> list[DWord]:
     expands to a basis of the injection hom-space, triangularly with respect
     to the coface normal forms.
     """
-    low = 0 if kind == "ssimp" else -1
-    if kind not in ("ssimp", "aug"):
+    if kind not in ("ssimp", "aug_ssimp"):
         raise ValueError(f"unknown kind {kind!r}")
+    low = KIND_LOWER[kind]
     if m < low or n < low:
         raise ValueError(f"degrees below {low} are not objects of kind {kind}")
     if m > n:

@@ -1,8 +1,8 @@
 """Restriction, induction, units and counits, Tor, and the sign shadow.
 
-One private table names the four comparison functors u_delta, u_a,
-u_square and v with their source kind, target kind and degree shift, and
-``restrict`` is the one restriction along all of them: degree n of the
+``simplexcat.FUNCTORS`` gives each functor its source kind, target kind and
+degree shift, and ``restrict`` is the one restriction along the four
+comparison functors u_delta, u_a, u_square and v: degree n of the
 result is degree n + shift of the module, and each source generator g acts
 by X(F(g)).  Along u_delta, u_a and u_square the result is a chain complex,
 that is a chain-kind module whose differential in degree n is the action of
@@ -55,12 +55,12 @@ from .diagmod import (
     _trusted_module,
     act,
     generators_for,
-    hom_kind,
     kind_lower,
     truncate_module,
 )
 from .exactlin import RatMatrix, quotient_with_section, rank
 from .simplexcat import (
+    FUNCTORS,
     LinComb,
     Morphism,
     apply_functor,
@@ -110,18 +110,13 @@ def k_point_to_bullet(truncation: int) -> ModuleMap:
 
 # -- the comparison functors -------------------------------------------------------
 
-# which -> (source kind, target kind, degree shift): the functor goes from the
-# source kind's algebra to the target kind's and raises degrees by the shift.
-_FUNCTORS = {
-    "u_delta": ("chain0", "ssimp", 0),
-    "u_a": ("chain_neg1", "aug_ssimp", 0),
-    "u_square": ("chain0", "scube", 0),
-    "v": ("aug_ssimp", "scube", 1),
-}
+# Modules restrict along the paper's comparison functors, and induce along
+# all of them but u_square; j0, j1 and q only relate the index categories.
+_COMPARISON = ("u_delta", "u_a", "u_square", "v")
 
 # The functor whose restriction detects weak equivalences of each index kind.
 DETECTING_FUNCTOR = {
-    tgt: which for which, (src, tgt, _) in _FUNCTORS.items() if src in CHAIN_KINDS
+    tgt: which for which, (src, tgt, _, _) in FUNCTORS.items() if src in CHAIN_KINDS
 }
 
 
@@ -135,9 +130,9 @@ def restrict(which: str, x: DiagramModule) -> DiagramModule:
     sum; along v it is the sign shadow, whose cofaces act by the signed
     difference of the color-1 and color-0 cube cofaces.  The result is
     memoized on x, so every caller shares one restricted module."""
-    if which not in _FUNCTORS:
+    if which not in _COMPARISON:
         raise ValueError(f"unknown restriction {which!r}")
-    src, tgt, shift = _FUNCTORS[which]
+    src, tgt, shift, _ = FUNCTORS[which]
     if x.kind != tgt:
         raise ValueError(f"{which} restricts modules of kind {tgt}, got {x.kind}")
 
@@ -158,7 +153,7 @@ def restrict_map(which: str, f: ModuleMap) -> ModuleMap:
 
     def compute() -> ModuleMap:
         source, target = restrict(which, f.source), restrict(which, f.target)
-        shift = _FUNCTORS[which][2]
+        shift = FUNCTORS[which][2]
         return ModuleMap(source, target, {n: f.components[n + shift] for n in source.degrees()})
 
     return f._memoized(("restrict", which), compute)
@@ -236,11 +231,10 @@ class _RawInduction:
     """
 
     def __init__(self, which: str, m: DiagramModule, src_cap: int):
-        _, self.tgt_kind, self.shift = _FUNCTORS[which]
+        _, self.tgt_kind, self.shift, _ = FUNCTORS[which]
         self.which = which
         self.tgt_lower = kind_lower(self.tgt_kind)
         self.tgt_trunc = m.truncation + self.shift
-        self.hom = hom_kind(self.tgt_kind)
         self.m = m
         self.src_cap = src_cap
         self.labels: dict[int, list[_Label]] = {}
@@ -255,7 +249,7 @@ class _RawInduction:
             self.actions[g] = self._build_action(g)
 
     def _hom(self, a: int, q: int) -> tuple[Morphism, ...]:
-        return hom_basis(self.hom, a, q + self.shift)
+        return hom_basis(self.tgt_kind, a, q + self.shift)
 
     def _build_degree(self, a: int) -> None:
         labels, index, proj, kept = _coend(
@@ -283,7 +277,7 @@ class _RawInduction:
         """Degree-n component of the unit: basis vector i to the class of
         i (x) identity."""
         a = n + self.shift
-        ident: Morphism = identity_cube(a) if self.hom == "scube" else identity_inj(a)
+        ident: Morphism = identity_cube(a) if self.tgt_kind == "scube" else identity_inj(a)
         cols = [self.index[a][(n, ident, i)] for i in range(self.m.dim(n))]
         if not cols:
             return RatMatrix.zeros(self.dims[a], 0)
@@ -291,9 +285,9 @@ class _RawInduction:
 
 
 def _induce_full(which: str, m: DiagramModule) -> tuple[InductionResult, _RawInduction]:
-    if which not in _FUNCTORS or which == "u_square":
+    if which not in _COMPARISON or which == "u_square":
         raise ValueError(f"unknown induction {which!r}")
-    src = _FUNCTORS[which][0]
+    src = FUNCTORS[which][0]
     if m.kind != src:
         raise ValueError(f"{which} induces from kind {src}, got {m.kind}")
     m.require_valid()
@@ -444,20 +438,19 @@ def resolution_complex(kind: str, c: int, truncation: int) -> DiagramModule:
     (k, except at the initial augmented object, where everything vanishes).
     Exactness is the contractibility of the standard simplex or cube.
     """
-    hk = hom_kind(kind)
     lower = kind_lower(kind)
     if not lower <= c <= truncation:
         raise ValueError(f"evaluation object {c} outside truncation")
+    dims = {p: len(hom_basis(kind, p, c)) for p in range(0, truncation + 1)}
     which = DETECTING_FUNCTOR[kind]
-    dims = {p: len(hom_basis(hk, p, c)) for p in range(0, truncation + 1)}
     dims[-1] = 0 if (kind == "aug_ssimp" and c == -1) else 1
     diff: dict[int, RatMatrix] = {}
     for p in range(1, truncation + 1):
-        index_low = hom_index(hk, p - 1, c)
+        index_low = hom_index(kind, p - 1, c)
         sign_sum = apply_functor(which, omega_d(p))
         # column phi holds the distinct terms of phi o (signed coface sum)
         rows: list[dict[int, int | Fraction]] = [{} for _ in range(dims[p - 1])]
-        for j, phi in enumerate(hom_basis(hk, p, c)):
+        for j, phi in enumerate(hom_basis(kind, p, c)):
             for w, coeff in LinComb.of(phi).compose(sign_sum).terms.items():
                 rows[index_low[w]][j] = coeff
         diff[p] = RatMatrix._trusted(dims[p], rows)
@@ -470,10 +463,9 @@ def tensor_with_representable(
 ) -> tuple[list[_Label], RatMatrix, list[int]]:
     """The coend X (x)_A A(p, -) as a literal quotient: labels, projection,
     kept coordinates.  Co-Yoneda says the result is X(p); tests compare."""
-    hk = hom_kind(x.kind)
     x.require_valid()
     labels, _, proj, kept = _coend(
-        x, x.truncation, lambda q: hom_basis(hk, p, q), lambda g: LinComb.of(g.as_morphism())
+        x, x.truncation, lambda q: hom_basis(x.kind, p, q), lambda g: LinComb.of(g.as_morphism())
     )
     return labels, proj, kept
 
@@ -481,11 +473,10 @@ def tensor_with_representable(
 def tensor_resolution_complex(x: DiagramModule, truncation: int | None = None) -> DiagramModule:
     """Tensor X against the whole representable resolution, without co-Yoneda:
     an independent route to the Tor complex."""
-    hk = hom_kind(x.kind)
-    which = DETECTING_FUNCTOR[x.kind]
     if truncation is None:
         truncation = x.truncation
     data = {p: tensor_with_representable(x, p) for p in range(0, truncation + 1)}
+    which = DETECTING_FUNCTOR[x.kind]
     dims = {p: data[p][1].rows for p in data}
     diff: dict[int, RatMatrix] = {}
     for p in range(1, truncation + 1):

@@ -128,7 +128,7 @@ def test_criterion_02_hom_dimension_oracles():
 
 
 def test_criterion_03_freeness_bases():
-    for kind, low in (("ssimp", 0), ("aug", -1)):
+    for kind, low in (("ssimp", 0), ("aug_ssimp", -1)):
         for m in range(low, N + 1):
             for n in range(m, N + 1):
                 words, matrix = decreasing_basis_matrix(kind, m, n)

@@ -472,6 +472,22 @@ class TestCorpusAndConvert:
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err and says in err
 
+    @pytest.mark.parametrize("checks", [
+        ["x"],
+        {"a": 1},
+        "pass",
+        None,
+        [{"name": "hom-dims.cubes", "verdict": "pass"}, 3],
+    ])
+    def test_convert_malformed_report_is_input_error(self, capsys, tmp_path, checks):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"format": "semihomology-report/1", "checks": checks}))
+        status, out, err = run(capsys, "convert", "--in", path, "--to", "table")
+        assert status == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err and "'checks' must be a list of objects" in err
+
     def test_convert_applies_the_truncation_cap(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("SEMIHOMOLOGY_MAX_TRUNC", raising=False)
         path = tmp_path / "huge.json"

@@ -41,6 +41,7 @@ from semihomology.simplexcat import (
     apply_functor,
     CubeMap,
     InjMap,
+    X,
     compose,
     cube_delta,
     delta,
@@ -105,6 +106,17 @@ class TestMakeModuleWindow:
     def test_foreign_generator_is_named(self):
         with pytest.raises(ValueError, match=r"action 'd 1' is not a generator of kind ssimp"):
             make_module("ssimp", 1, {0: 1}, {GeneratorId("d", 1): RatMatrix(1, 0)})
+
+    @pytest.mark.parametrize("dims, key", [
+        ({0: 1.7, 1: True}, 0),
+        ({0: 1, 1: True}, 1),
+        ({0: "2"}, 0),
+        ({0: 1, 1: 2.0}, 1),
+        ({0: Fraction(1)}, 0),
+    ])
+    def test_non_int_dimension_is_named(self, dims, key):
+        with pytest.raises(ValueError, match=rf"dims '{key}' must be an int"):
+            make_module("ssimp", 1, dims, {})
 
 
 def _fresh(x):
@@ -195,7 +207,7 @@ class TestMemo:
         assert apply_functor("u_a", omega_d(2)) == LinComb(1, 2, {delta(i, 2): (-1) ** i for i in range(3)})
         assert delta(1, 3) is delta(1, 3)
         assert delta(1, 3) == InjMap(2, 3, (0, 2, 3))
-        assert cube_delta(2, 1, 2) == CubeMap(1, 2, ("x1", "1"))
+        assert cube_delta(2, 1, 2) == CubeMap(1, 2, (X, 1))
 
 
 class TestRepresentable:

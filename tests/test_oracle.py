@@ -99,7 +99,7 @@ class TestVerdicts:
 
 class TestBasisMatrices:
     def test_decreasing_matrix_shape(self):
-        words, matrix = decreasing_basis_matrix("aug", -1, 3)
+        words, matrix = decreasing_basis_matrix("aug_ssimp", -1, 3)
         assert matrix.rows == matrix.cols == 1  # C(4, 0)
         words, matrix = decreasing_basis_matrix("ssimp", 0, 3)
         assert matrix.rows == matrix.cols == 4
@@ -114,7 +114,7 @@ class TestBasisMatrices:
         # triangular with unit diagonal implies invertibility, so no rank call
         from semihomology.exactlin import rank
 
-        for kind, low in (("ssimp", 0), ("aug", -1)):
+        for kind, low in (("ssimp", 0), ("aug_ssimp", -1)):
             for m in range(low, 7):
                 words, matrix = decreasing_basis_matrix(kind, m, 6)
                 assert rank(matrix) == matrix.rows

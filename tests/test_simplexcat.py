@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semihomology.simplexcat import (
+    FUNCTORS,
     CubeMap,
     GeneratorId,
     InjMap,
     LinComb,
+    X,
     apply_functor,
     coface_factorization,
     compose,
@@ -68,7 +70,7 @@ class TestCompose:
     def test_cube_example(self):
         lhs = compose_cube(cube_delta(2, 1, 2), cube_delta(1, 0, 1))
         rhs = compose_cube(cube_delta(1, 0, 2), cube_delta(1, 1, 1))
-        assert lhs == rhs == CubeMap(0, 2, ("0", "1"))
+        assert lhs == rhs == CubeMap(0, 2, (0, 1))
 
     def test_injectivity_preserved(self):
         f = compose_cube(cube_delta(3, 0, 3), cube_delta(1, 1, 2))
@@ -87,7 +89,7 @@ class TestHomBasis:
                 assert len(hom_basis("scube", m, n)) == comb(n, m) * 2 ** (n - m)
         for n in range(-1, 7):
             for m in range(-1, n + 1):
-                assert len(hom_basis("aug", m, n)) == comb(n + 1, m + 1)
+                assert len(hom_basis("aug_ssimp", m, n)) == comb(n + 1, m + 1)
 
     def test_counts_against_brute_force(self):
         # independent route: filter all functions / all token vectors
@@ -113,13 +115,47 @@ class TestHomBasis:
         assert len(hom_basis("ssimp", 0, 1)) == 2
         assert hom_basis("scube", 0, 1) == (cube_delta(1, 0, 1), cube_delta(1, 1, 1))
         assert hom_basis("scube", 3, 3) == (identity_cube(3),)
-        assert hom_basis("aug", -1, -1) == (identity_inj(-1),)
+        assert hom_basis("aug_ssimp", -1, -1) == (identity_inj(-1),)
 
     def test_duplicate_free(self):
         for m in range(0, 4):
             for n in range(m, 5):
                 basis = hom_basis("scube", m, n)
                 assert len(set(basis)) == len(basis)
+
+    def test_cube_basis_follows_the_token_order(self):
+        # reference: the order of the token spelling "cube m->n [1,x1,0]",
+        # constants before coordinates, "0" before "1", coordinates by index
+        def token_key(text: str):
+            tokens = [t for t in text[text.index("[") + 1:-1].split(",") if t]
+            return [(0, int(t)) if t in ("0", "1") else (1, int(t[1:])) for t in tokens]
+
+        for n in range(0, 7):
+            for m in range(0, n + 1):
+                texts = [f.text() for f in hom_basis("scube", m, n)]
+                assert texts == sorted(set(texts), key=token_key)
+                assert len(texts) == comb(n, m) * 2 ** (n - m)
+
+
+class TestCubePatterns:
+    @pytest.mark.parametrize("source, target, pattern", [
+        (1, 2, (X, X)),
+        (1, 2, (0, 1)),
+        (2, 2, (X,)),
+        (1, 2, (X, 3)),
+        (1, 2, (-1, X)),
+        (0, 1, ("0",)),
+        (1, 1, ("x1",)),
+    ])
+    def test_rejects_bad_patterns(self, source, target, pattern):
+        with pytest.raises(ValueError):
+            CubeMap(source, target, pattern)
+
+    def test_compose_substitutes_in_order(self):
+        g = CubeMap(2, 4, (X, 1, 0, X))
+        f = CubeMap(1, 2, (0, X))
+        assert compose_cube(g, f) == CubeMap(1, 4, (0, 1, 0, X))
+        assert compose_cube(g, f).text() == "cube 1->4 [0,1,0,x1]"
 
 
 class TestFactorizations:
@@ -134,7 +170,7 @@ class TestFactorizations:
         assert [(g.index, g.degree) for g in word] == [(1, 2), (0, 1)]
 
     def test_round_trip_all_injections(self):
-        for kind, m0 in (("ssimp", 0), ("aug", -1)):
+        for kind, m0 in (("ssimp", 0), ("aug_ssimp", -1)):
             for m in range(m0, 6):
                 for n in range(m, 7):
                     for f in hom_basis(kind, m, n):
@@ -166,7 +202,7 @@ class TestMonochromatic:
         assert a == identity_inj(1) and b == identity_inj(1)
 
     def test_mixed_assignment(self):
-        f = CubeMap(1, 3, ("1", "x1", "0"))
+        f = CubeMap(1, 3, (1, X, 0))
         a, b = monochromatic_factorization(f)
         assert a == InjMap(1, 2, (1, 2))  # inserts position 0 with color 1
         assert b == InjMap(0, 1, (0,))  # inserts position 1 of the intermediate
@@ -205,6 +241,14 @@ class TestFunctors:
                     got = apply_functor("q", cube_delta(i, eps, n))
                     assert got == LinComb.of(delta(i - 1, n - 1))
 
+    def test_zero_goes_to_zero_between_shifted_endpoints(self):
+        shifts = {"u_delta": 0, "u_a": 0, "u_square": 0, "v": 1, "j0": 1, "j1": 1, "q": -1}
+        assert set(FUNCTORS) == set(shifts)
+        for which, shift in shifts.items():
+            for a, b in ((1, 2), (0, 3)):
+                got = apply_functor(which, LinComb.zero(a, b))
+                assert got == LinComb.zero(a + shift, b + shift) and got.is_zero()
+
     def test_d0_not_in_nonaugmented_source(self):
         with pytest.raises(ValueError):
             apply_functor("u_delta", omega_d(0))
@@ -224,8 +268,8 @@ class TestFunctors:
         for m in range(-1, 3):
             for q in range(m, 4):
                 for n in range(q, 4):
-                    for f in hom_basis("aug", m, q):
-                        for g in hom_basis("aug", q, n):
+                    for f in hom_basis("aug_ssimp", m, q):
+                        for g in hom_basis("aug_ssimp", q, n):
                             gf = compose_inj(g, f)
                             for which in ("j0", "j1", "v"):
                                 lhs = apply_functor(which, gf)
@@ -266,7 +310,7 @@ class TestDLower:
                 assert d_lower(i, n + 1).compose(d_lower(i, n)).is_zero()
 
     def test_augmented_range(self):
-        assert d_lower(0, 0, "aug") == LinComb.of(delta(0, 0))
+        assert d_lower(0, 0, "aug_ssimp") == LinComb.of(delta(0, 0))
         with pytest.raises(ValueError):
             d_lower(0, 0, "ssimp")
         with pytest.raises(ValueError):
@@ -284,12 +328,12 @@ class TestDecreasingBasis:
         assert [w.indices for w in words] == [(0,), (1,)]
 
     def test_augmentation_generator(self):
-        words = strictly_decreasing_basis("aug", -1, 0)
+        words = strictly_decreasing_basis("aug_ssimp", -1, 0)
         assert len(words) == 1
         assert words[0].expand() == apply_functor("u_a", omega_d(0))
 
     def test_counts_match_hom_dimension(self):
-        for kind, m0 in (("ssimp", 0), ("aug", -1)):
+        for kind, m0 in (("ssimp", 0), ("aug_ssimp", -1)):
             for m in range(m0, N_MAX + 1):
                 for n in range(m, N_MAX + 1):
                     words = strictly_decreasing_basis(kind, m, n)
@@ -305,8 +349,8 @@ def composable_injections(draw):
     m = draw(st.integers(min_value=-1, max_value=3))
     q = draw(st.integers(min_value=m, max_value=4))
     n = draw(st.integers(min_value=q, max_value=5))
-    f = draw(st.sampled_from(hom_basis("aug", m, q)))
-    g = draw(st.sampled_from(hom_basis("aug", q, n)))
+    f = draw(st.sampled_from(hom_basis("aug_ssimp", m, q)))
+    g = draw(st.sampled_from(hom_basis("aug_ssimp", q, n)))
     return g, f
 
 
@@ -325,4 +369,4 @@ class TestLinComb:
 
     def test_text_forms(self):
         assert InjMap(1, 3, (0, 2)).text() == "inj 1->3 {0,2}"
-        assert CubeMap(1, 2, ("0", "x1")).text() == "cube 1->2 [0,x1]"
+        assert CubeMap(1, 2, (0, X)).text() == "cube 1->2 [0,x1]"

@@ -71,6 +71,16 @@ class TestRestrict:
         with pytest.raises(ValueError):
             restrict("u_delta", representable("scube", 1, N))
 
+    @pytest.mark.parametrize("call, which, kind, message", [
+        (restrict, "j0", "scube", "unknown restriction 'j0'"),
+        (restrict, "q", "aug_ssimp", "unknown restriction 'q'"),
+        (induce, "u_square", "chain0", "unknown induction 'u_square'"),
+    ])
+    def test_only_comparison_functors(self, call, which, kind, message):
+        # j0, j1 and q are in the functor table, but modules do not move along them
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(which, zero_module(kind, N))
+
 
 class TestAugmentedChain:
     def test_representable_point(self):
