@@ -260,13 +260,20 @@ def validate(x: DiagramModule) -> ValidationReport:
         if m is None or (m.rows, m.cols) != (x.dim(g.degree - 1), x.dim(g.degree)):
             return ValidationReport(False, f"missing or misshaped action {g.token()}")
     a = x.actions
+    # a relation at degree n compares dims[n-2] x dims[n] products through
+    # dims[n-1]; with any of the three dims 0 both sides are the same zero
+    # matrix, so it can neither fail nor change which relation fails first
+    trivial = {
+        n for n in range(x.lower + 2, x.truncation + 1)
+        if not (x.dim(n - 2) and x.dim(n - 1) and x.dim(n))
+    }
     if x.kind in CHAIN_KINDS:
         for g1, g2, message in _relations(x.kind, x.truncation):
-            if not (a[g1] @ a[g2]).is_zero():
+            if g2.degree not in trivial and not (a[g1] @ a[g2]).is_zero():
                 return ValidationReport(False, message)
     else:
         for g1, g2, h1, h2, message in _relations(x.kind, x.truncation):
-            if a[g1] @ a[g2] != a[h1] @ a[h2]:
+            if g2.degree not in trivial and a[g1] @ a[g2] != a[h1] @ a[h2]:
                 return ValidationReport(False, message)
     x._memo[_VALID] = True
     return ValidationReport(True)
@@ -315,6 +322,9 @@ def act(x: DiagramModule, phi) -> RatMatrix:
     if isinstance(phi, LinComb):
         # the +1 terms and the -1 terms are summed apart and subtracted once,
         # so a signed sum like v(delta) costs one subtraction
+        rows, cols = x.dim(phi.source), x.dim(phi.target)
+        if not rows or not cols:
+            return RatMatrix.zeros(rows, cols)
         plus = minus = None
         for f, c in phi.terms.items():
             m = _act_normal_form(x, f)
@@ -325,7 +335,7 @@ def act(x: DiagramModule, phi) -> RatMatrix:
                     m = m.scale(c)
                 plus = m if plus is None else plus + m
         if minus is None:
-            return plus if plus is not None else RatMatrix.zeros(x.dim(phi.source), x.dim(phi.target))
+            return plus if plus is not None else RatMatrix.zeros(rows, cols)
         return -minus if plus is None else plus - minus
     raise TypeError(f"cannot act by {phi!r}")
 
@@ -336,10 +346,14 @@ def _act_normal_form(x: DiagramModule, f: Morphism) -> RatMatrix:
 
 
 def _act_word(x: DiagramModule, f: Morphism) -> RatMatrix:
-    """X(f) through the canonical coface word of f."""
+    """X(f) through the canonical coface word of f; the zero matrix, with
+    no products, when either side is the zero space."""
+    rows, cols = x.dim(f.source), x.dim(f.target)
+    if not rows or not cols:
+        return RatMatrix.zeros(rows, cols)
     word = coface_factorization(f) if isinstance(f, InjMap) else cube_coface_factorization(f)
     if not word:
-        return RatMatrix.identity(x.dim(f.target))
+        return RatMatrix.identity(cols)
     out = x.action(word[0])
     for g in word[1:]:  # outermost first; X(f) = X(inner) @ ... @ X(outer)
         out = x.action(g) @ out
@@ -383,6 +397,8 @@ def _check_map(f: ModuleMap) -> ValidationReport:
             return ValidationReport(False, f"missing or misshaped component at degree {n}")
     for g in generators_for(x.kind, x.truncation):
         n = g.degree
+        if not y.dim(n - 1) or not x.dim(n):
+            continue  # both sides are the same empty matrix
         lhs = f.components[n - 1] @ x.actions[g]
         rhs = y.actions[g] @ f.components[n]
         if lhs != rhs:
@@ -481,10 +497,10 @@ def _matrix_to_json(m: RatMatrix) -> list[list[str]]:
 
 
 def _matrix_from_json(rows: list[list[str]], shape: tuple[int, int]) -> RatMatrix:
-    entries = [rational_from_str(e) for r in rows for e in r]
+    parsed = [[rational_from_str(e) for e in r] for r in rows]
     if len(rows) != shape[0] or any(len(r) != shape[1] for r in rows):
         raise ValueError(f"matrix shape mismatch: expected {shape[0]}x{shape[1]}")
-    return RatMatrix(shape[0], shape[1], entries)
+    return RatMatrix.from_rows(parsed, cols=shape[1])
 
 
 def json_int(value, name: str) -> int:

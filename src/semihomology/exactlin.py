@@ -9,7 +9,14 @@ once a denominator does.  Equality and hashing do not see the difference
 (``3 == Fraction(3)`` and ``hash(3) == hash(Fraction(3))``).
 
 Every rank, kernel, image, quotient, and solve is computed by Gaussian
-elimination with no rounding anywhere.
+elimination with no rounding anywhere.  Elimination runs over the integers:
+each working row is a copy of a stored row scaled to integer entries, and
+every update is in place.  Under a pivot whose lead is 1 a row loses a
+multiple of the pivot row; under a larger lead it becomes an integer
+combination of the two with its content divided out.  Every entry is divided
+by its pivot's lead once, at the end.  Each working row stays a nonzero
+multiple of the row that rational elimination would hold, so the pivots and
+the reduced row echelon form are the same.
 
 Matrices are immutable and stored as sparse rows: one ``{column: value}``
 dict per row, with ascending columns, no zeros and canonical scalars.  The
@@ -29,6 +36,8 @@ from the zero space; graded computations hit empty degrees all the time.
 
 from __future__ import annotations
 
+import math
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -55,13 +64,20 @@ def rational_to_str(x: int | Fraction) -> str:
     return str(x)
 
 
+# The grammar of a serialized entry: an ASCII integer, optionally over an
+# ASCII natural number.  No decimals, exponents, underscores or other digits.
+_ENTRY = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def rational_from_str(s: str) -> int | Fraction:
-    """Parse a rational string such as "p" or "p/q"; a bad entry is a
-    ValueError that names it."""
-    if not isinstance(s, str):
+    """Parse a rational string "p" or "p/q" (ASCII digits, an optional sign
+    on p, whitespace around); a bad entry is a ValueError that names it."""
+    match = _ENTRY.fullmatch(s.strip()) if isinstance(s, str) else None
+    if match is None:
         raise ValueError(f"matrix entry {s!r} is not a string of the form 'p' or 'p/q'")
+    p, q = match.groups()
     try:
-        return exact(s.strip())
+        return int(p) if q is None else exact(Fraction(int(p), int(q)))
     except ZeroDivisionError:
         raise ValueError(f"matrix entry {s!r} has a zero denominator") from None
     except ValueError:
@@ -331,25 +347,60 @@ def block_diag(*mats: RatMatrix) -> RatMatrix:
 # canonical, so this is a performance rule, not a semantic one.
 
 
-def _axpy(target: dict[int, int | Fraction], source: dict[int, int | Fraction],
-          coeff: int | Fraction) -> None:
-    for c, v in source.items():
-        nv = target.get(c, 0) + coeff * v
+def _integer_row(row: dict[int, int | Fraction]) -> dict[int, int]:
+    """A copy of a stored row scaled by a positive number to integer entries
+    with no common factor."""
+    denominators = [v.denominator for v in row.values() if type(v) is not int]
+    if denominators:
+        scale = math.lcm(*denominators)
+        row = {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
+    else:
+        row = dict(row)
+    content = math.gcd(*row.values())
+    if content > 1:
+        for c, v in row.items():
+            row[c] = v // content
+    return row
+
+
+def _cancel(target: dict[int, int], pivot: dict[int, int], col: int, lead: int) -> None:
+    """Clear column col of the integer working row target, in place, with the
+    integer pivot row whose entry there is lead > 0.  target stays a positive
+    multiple of target - (target[col] / lead) * pivot.
+
+    With lead 1 that is the difference itself.  Otherwise target becomes
+    (lead/g) * target - (factor/g) * pivot, g = gcd(lead, factor), with its
+    content divided out.
+    """
+    factor = target[col]
+    if lead != 1:
+        g = math.gcd(lead, factor)
+        scale, factor = lead // g, factor // g
+        if scale != 1:
+            for c, v in target.items():
+                target[c] = scale * v
+    for c, v in pivot.items():
+        nv = target.get(c, 0) - factor * v
         if nv:
-            target[c] = nv if type(nv) is int else exact(nv)
+            target[c] = nv
         else:
-            target.pop(c, None)
+            del target[c]
+    if lead != 1:
+        content = math.gcd(*target.values())
+        if content > 1:
+            for c, v in target.items():
+                target[c] = v // content
 
 
 def _eliminate(m: RatMatrix) -> tuple[list[int], list[dict[int, int | Fraction]]]:
-    """Run full reduced elimination on copies of the stored rows; returns
-    (pivot columns, pivot rows), the rows unordered."""
+    """Run full reduced elimination on integer copies of the stored rows;
+    returns (pivot columns, pivot rows), the rows unordered."""
     if not m.rows or not m.cols:
         return [], []
-    work = [dict(r) for r in m._sparse]
+    work = [_integer_row(r) for r in m._sparse]
     free_rows = list(range(m.rows))
     pivots: list[int] = []
-    pivot_rows: list[dict[int, int | Fraction]] = []
+    pivot_rows: list[dict[int, int]] = []
     for col in range(m.cols):
         sel = None
         for pos, ridx in enumerate(free_rows):
@@ -361,15 +412,13 @@ def _eliminate(m: RatMatrix) -> tuple[list[int], list[dict[int, int | Fraction]]
         ridx = free_rows.pop(sel)
         row = work[ridx]
         lead = row[col]
-        if lead == -1:
-            row = {c: -v for c, v in row.items()}
-        elif lead != 1:
-            inv = Fraction(1, lead)
-            row = {c: exact(v * inv) for c, v in row.items()}
+        if lead < 0:
+            for c, v in row.items():
+                row[c] = -v
+            lead = -lead
         for other in free_rows:
-            factor = work[other].get(col)
-            if factor:
-                _axpy(work[other], row, -factor)
+            if col in work[other]:
+                _cancel(work[other], row, col, lead)
         pivots.append(col)
         pivot_rows.append(row)
         if not free_rows:
@@ -378,10 +427,16 @@ def _eliminate(m: RatMatrix) -> tuple[list[int], list[dict[int, int | Fraction]]
     for k in range(len(pivot_rows) - 1, 0, -1):
         col = pivots[k]
         row = pivot_rows[k]
+        lead = row[col]
         for j in range(k):
-            factor = pivot_rows[j].get(col)
-            if factor:
-                _axpy(pivot_rows[j], row, -factor)
+            if col in pivot_rows[j]:
+                _cancel(pivot_rows[j], row, col, lead)
+    # one division per entry: each pivot row by its lead
+    for k, (col, row) in enumerate(zip(pivots, pivot_rows)):
+        lead = row[col]
+        if lead != 1:
+            pivot_rows[k] = {c: v // lead if v % lead == 0 else Fraction(v, lead)
+                             for c, v in row.items()}
     return pivots, pivot_rows
 
 

@@ -79,6 +79,13 @@ class TestValidate:
         (1.5, "1.5"),
         (3, "3"),
         ("1/0", "zero denominator"),
+        # strings outside the "p" / "p/q" grammar, ASCII digits only
+        ("1.5", "'1.5'"),
+        ("1e3", "'1e3'"),
+        ("3_000", "'3_000'"),
+        ("\u0663", "'\u0663'"),
+        ("\u0661/\u0662", "'\u0661/\u0662'"),
+        ("1e2000000", "'1e2000000'"),
     ])
     def test_bad_entry_is_input_error(self, capsys, tmp_path, entry, says):
         obj = json.loads(module_to_json(representable("ssimp", 1, 2)))

@@ -455,3 +455,150 @@ class TestRelationTable:
                     failed[x.kind] += not report.ok
         # every kind has perturbations that some relation catches
         assert set(failed) == set(KINDS) and all(failed.values()), failed
+
+
+# -- empty degrees ----------------------------------------------------------------
+#
+# validate, check_map and act do no products where a degree is empty.  The
+# modules below are valid modules with some degrees emptied: hand-built, so
+# their dims omit those keys.  Their answers, valid or perturbed, must be
+# those of loops that multiply everything.
+
+
+def _emptied(x, empty):
+    """x with the degrees in empty made zero: every relation that keeps its
+    three degrees is one of x's, and every other one compares zero matrices,
+    so the result is valid when x is."""
+    dims = {n: d for n, d in x.dims.items() if n not in empty}
+
+    def dim(n):
+        return dims.get(n, 0)
+
+    actions = {
+        g: m if dim(g.degree - 1) and dim(g.degree) else RatMatrix.zeros(dim(g.degree - 1), dim(g.degree))
+        for g, m in x.actions.items()
+    }
+    return DiagramModule(x.kind, x.truncation, dims, actions)
+
+
+def _emptied_modules(t: int):
+    """The modules of every kind at truncation t with one degree emptied, and
+    with every other degree emptied."""
+    for x in _modules_of_every_kind(t):
+        for n in x.degrees():
+            yield _emptied(x, {n})
+        yield _emptied(x, set(x.degrees()[::2]))
+
+
+def _perturbed(m, rng):
+    entries = m.row_major()
+    entries[rng.randrange(len(entries))] += rng.choice((1, -1, Fraction(1, 2)))
+    return RatMatrix(m.rows, m.cols, entries)
+
+
+def _reference_check_map(f) -> str | None:
+    """The message of f's first generator that does not commute, multiplying
+    every generator, or None."""
+    x, y = f.source, f.target
+    for g in generators_for(x.kind, x.truncation):
+        n = g.degree
+        if f.components[n - 1] @ x.actions[g] != y.actions[g] @ f.components[n]:
+            return f"component does not commute with {g.token()}"
+    return None
+
+
+def _restricted_map(f, source, target):
+    """f's components between emptied copies of its source and target: the
+    same matrix where both sides keep their degree, zero otherwise."""
+    comps = {
+        n: m if source.dim(n) and target.dim(n) else RatMatrix.zeros(target.dim(n), source.dim(n))
+        for n, m in f.components.items()
+    }
+    return ModuleMap(source, target, comps)
+
+
+class TestEmptyDegrees:
+    def test_empty_middle_degree(self):
+        # dims {0: 2, 1: 0, 2: 3, 3: 2, 4: 1}, degree 1 omitted: the relations
+        # at degrees 2 and 3 factor through it, so only degree 4 can fail
+        dims = {0: 2, 2: 3, 3: 2, 4: 1}
+        rng = random.Random(0)
+        for _ in range(20):
+            actions = {}
+            for g in generators_for("ssimp", 4):
+                rows, cols = dims.get(g.degree - 1, 0), dims.get(g.degree, 0)
+                actions[g] = RatMatrix(rows, cols, [rng.choice((0, 0, 1, -1)) for _ in range(rows * cols)])
+            x = DiagramModule("ssimp", 4, dims, actions)
+            report = validate(x)
+            expected = _reference_validate(x)
+            assert (report.ok, report.message) == (expected is None, expected or "")
+            assert report.ok or "degree 4" in report.message
+
+    @pytest.mark.parametrize("t", [3, 4])
+    def test_perturbed_actions_fail_like_the_reference(self, t):
+        """One perturbed entry in each nonempty action, at every degree, then
+        in it and one other: validate gives the reference's first failure."""
+        rng = random.Random(t)
+        failed = Counter()
+        for x in _emptied_modules(t):
+            assert validate(x) and _reference_validate(x) is None
+            live = [g for g, m in x.actions.items() if m.rows and m.cols]
+            for g in live:
+                for hit in ((g,), (g, rng.choice(live))):
+                    actions = {**x.actions, **{h: _perturbed(x.actions[h], rng) for h in hit}}
+                    bad = DiagramModule(x.kind, x.truncation, x.dims, actions)
+                    expected = _reference_validate(bad)
+                    report = validate(bad)
+                    assert (report.ok, report.message) == (expected is None, expected or ""), (x.dims, hit)
+                    failed[x.kind] += not report.ok
+        assert set(failed) == set(KINDS) and all(failed.values()), failed
+
+    def test_check_map_verdicts_equal_the_reference(self):
+        """Identity and Yoneda maps between emptied modules, as they are and
+        with one component perturbed at each degree."""
+        rng = random.Random(1)
+        maps = []
+        for x in _modules_of_every_kind(3):
+            for n in x.degrees():
+                for source, target in ((_emptied(x, {n}), x), (x, _emptied(x, {n})),
+                                       (_emptied(x, {n}), _emptied(x, {n}))):
+                    maps.append(_restricted_map(identity_map(x), source, target))
+        for g in (delta(0, 1), delta(1, 2), cube_delta(1, 1, 2)):
+            f = yoneda_map("scube" if isinstance(g, CubeMap) else "ssimp", g, 3)
+            for n in f.source.degrees():
+                maps.append(_restricted_map(f, _emptied(f.source, {n}), _emptied(f.target, {n})))
+        verdicts = Counter()
+        for f in maps:
+            variants = [f] + [
+                ModuleMap(f.source, f.target, {**f.components, n: _perturbed(m, rng)})
+                for n, m in f.components.items() if m.rows and m.cols
+            ]
+            for h in variants:
+                expected = _reference_check_map(h)
+                report = check_map(h)
+                assert (report.ok, report.message) == (expected is None, expected or "")
+                verdicts[report.ok] += 1
+        assert verdicts[True] and verdicts[False], verdicts
+
+    def test_act_with_an_empty_side_is_a_shared_zero(self):
+        checked = 0
+        for kind in ("ssimp", "aug_ssimp", "scube"):
+            for c in range(kind_lower(kind), N + 1):
+                x = representable(kind, c, N)
+                for empty in x.degrees():
+                    z = _emptied(x, {empty})
+                    for a in z.degrees():
+                        for b in range(a, N + 1):
+                            rows, cols = z.dim(a), z.dim(b)
+                            basis = hom_basis(kind, a, b)
+                            if (rows and cols) or not basis:
+                                continue
+                            zero = RatMatrix.zeros(rows, cols)
+                            for f in basis:
+                                assert act(z, f) is act(z, f)
+                                assert act(z, f) == zero
+                                checked += 1
+                            lc = LinComb(a, b, {basis[0]: 2, basis[-1]: Fraction(-1, 3)})
+                            assert act(z, lc) == zero
+                            assert act(z, LinComb.zero(a, b)) == zero
+        assert checked

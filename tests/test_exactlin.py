@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from semihomology.exactlin import (
     RatMatrix,
+    _integer_row,
     block_diag,
     hstack,
     image_basis,
@@ -125,7 +126,21 @@ class TestCanonicalScalars:
         assert type(rational_from_str("4/2")) is int
         assert rational_from_str("-3/4") == Fraction(-3, 4)
 
-    @pytest.mark.parametrize("entry", [1.5, 3, None, "1/0", "one", "1//2"])
+    @pytest.mark.parametrize("entry, value", [
+        ("0", 0), ("-7", -7), ("+7", 7), (" 12 ", 12), ("007", 7), ("-0", 0),
+        ("6/4", Fraction(3, 2)), ("+1/3", Fraction(1, 3)), ("\t-10/5\n", -2),
+    ])
+    def test_entry_grammar_accepts_signed_integers_over_naturals(self, entry, value):
+        got = rational_from_str(entry)
+        assert got == value and is_canonical(got)
+
+    @pytest.mark.parametrize("entry", [
+        1.5, 3, None, "1/0", "one", "1//2",
+        # decimals, exponents, underscores, non-ASCII digits and signed or
+        # missing parts that Fraction would take or that the grammar omits
+        "2.5", "1e3", "1E3", "3_000", "\u0663", "\u0661/\u0662", "1e2000000",
+        "1/-2", "1/+2", "/2", "1/", "", " ", "+", "--1", "1 / 2", "0x10", "inf", "nan",
+    ])
     def test_bad_string_entries_are_value_errors(self, entry):
         with pytest.raises(ValueError, match="entry"):
             rational_from_str(entry)
@@ -537,3 +552,82 @@ class TestSparseAgainstDense:
             x - x
             x.scale(s)
         assert [snapshot(x) for x in made] == before
+
+
+# -- integer elimination --------------------------------------------------------
+#
+# Elimination runs on integer multiples of the rows.  Shapes up to 7 x 7, with
+# integer entries that are never +-1 (so leads other than 1 are the rule) or
+# with denominators up to 10^6, must give exactly what the Fraction reference
+# gives.
+
+non_unit_ints = st.sampled_from([0, 0, 0, 2, -2, 3, -3, 4, -4, 6, -6, 9, 10, -15])
+wide_rationals = st.builds(
+    Fraction, st.integers(min_value=-(10**6), max_value=10**6), st.integers(min_value=1, max_value=10**6)
+)
+elimination_scalars = st.one_of(st.just(0), st.sampled_from([1, -1]), non_unit_ints, wide_rationals)
+
+
+@st.composite
+def elimination_systems(draw):
+    """Dense A (r x k) and B (r x c), with r, k <= 7: either every entry a
+    non-unit integer or zero, or a mix with denominators up to 10^6."""
+    r, k = (draw(st.integers(min_value=0, max_value=7)) for _ in range(2))
+    c = draw(st.integers(min_value=0, max_value=3))
+    entries = draw(st.sampled_from([non_unit_ints, elimination_scalars]))
+    a = [[Fraction(draw(entries)) for _ in range(k)] for _ in range(r)]
+    b = [[Fraction(draw(entries)) for _ in range(c)] for _ in range(r)]
+    return (r, k, c), a, b
+
+
+def assert_eliminations_match_the_reference(a, b, r, k, c):
+    ma, mb = build(a, k), build(b, c)
+    reduced, pivots, rk = rref(ma)
+    want = reference_rref(ma)
+    assert dense(reduced) == (r, k, want)
+    assert pivots == ref_pivots(want) and rk == len(pivots) == rank(ma)
+    assert dense(kernel_basis(ma)) == (k, k - rk, ref_kernel(a, k))
+    assert dense(image_basis(ma)) == (r, rk, [[p[j] for j in pivots] for p in a])
+    want_x = ref_solve(a, b, k, c)
+    got = solve(ma, mb)
+    assert (got is None) == (want_x is None)
+    if got is not None:
+        assert dense(got) == (k, c, want_x)
+    q, kept = quotient_with_section(r, ma)
+    want_q, want_kept = ref_quotient(a, r, k)
+    assert kept == want_kept
+    assert dense(q) == (len(kept), r, want_q)
+
+
+class TestIntegerElimination:
+    @given(elimination_systems(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_every_elimination_matches_the_reference(self, system, data):
+        (r, k, c), a, b = system
+        assert_eliminations_match_the_reference(a, b, r, k, c)
+        # a consistent system too: b = a @ w
+        w = [[Fraction(data.draw(non_unit_ints)) for _ in range(c)] for _ in range(k)]
+        assert_eliminations_match_the_reference(a, ref_matmul(a, w, c), r, k, c)
+
+    def test_negative_non_unit_lead(self):
+        # lead -2: the pivot row is negated, then its lead 2 clears the row
+        # below by 2 * [1, 3, 0] - 1 * [2, -4, -1]
+        r, pivots, rk = rref(M([[-2, 4, 1], [1, 3, 0]]))
+        assert pivots == [0, 1] and rk == 2
+        assert r == M([[1, 0, Fraction(-3, 10)], [0, 1, Fraction(1, 10)]])
+        assert_canonical(r)
+        assert kernel_basis(M([[-2, 4, 1], [1, 3, 0]])) == M([[Fraction(3, 10)], [Fraction(-1, 10)], [1]])
+
+    def test_content_is_divided_out(self):
+        assert _integer_row({0: 4, 1: 6}) == {0: 2, 1: 3}
+        assert _integer_row({0: Fraction(1, 2), 2: Fraction(-1, 3)}) == {0: 3, 2: -2}
+        assert _integer_row({1: Fraction(2, 3), 2: Fraction(4, 3)}) == {1: 1, 2: 2}
+        # [4, 6] is taken as [2, 3]; the pivot 2 clears [3, 5] to 2 * [3, 5] -
+        # 3 * [2, 3] = [0, 1]
+        r, pivots, rk = rref(M([[4, 6], [3, 5]]))
+        assert (pivots, rk) == ([0, 1], 2)
+        assert r == RatMatrix.identity(2)
+        r, pivots, rk = rref(M([[4, 6], [6, 9]]))
+        assert (pivots, rk) == ([0], 1)
+        assert r == M([[1, Fraction(3, 2)], [0, 0]])
+        assert_canonical(r)
