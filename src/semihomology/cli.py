@@ -6,16 +6,17 @@ produce byte-identical output.  All numbers are exact rational strings.
 
 Exit codes: 0 success or verified; 1 mathematical failure (violated
 invariant, failed check other than the expected obstruction); 2 input error
-(malformed file, illegal flags, window exhaustion under --window-strict).
+(malformed file, illegal flags, truncation over the cap, empty validity
+window).
 Stdout carries reports; stderr carries diagnostics.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -37,10 +38,12 @@ from .oracle import (
     REPORT_FORMAT,
     CorpusSpec,
     check_fibration,
+    check_truncation,
     check_weak_equivalence,
     generate_corpus,
     run_battery,
     run_counterexample,
+    truncation_cap,
 )
 from .transport import (
     COEFFICIENTS,
@@ -53,8 +56,6 @@ from .transport import (
 )
 
 OK, MATH_FAILURE, INPUT_ERROR = 0, 1, 2
-MAX_TRUNC_ENV = "SEMIHOMOLOGY_MAX_TRUNC"
-DEFAULT_MAX_TRUNC = 8
 
 
 class CliError(Exception):
@@ -63,25 +64,12 @@ class CliError(Exception):
         self.status = status
 
 
-def _max_trunc() -> int:
-    """The truncation cap, read from the environment on every call."""
-    raw = os.environ.get(MAX_TRUNC_ENV, "")
-    if not raw:
-        return DEFAULT_MAX_TRUNC
-    if raw.isascii() and raw.isdigit():
-        return int(raw)
-    raise CliError(f"{MAX_TRUNC_ENV}={raw!r} is not a non-negative integer")
-
-
-def _over_cap(n: int, cap: int) -> str:
-    return f"truncation {n} exceeds the cap {cap} (set {MAX_TRUNC_ENV} to raise it)"
-
-
-def _check_trunc(n: int) -> int:
-    cap = _max_trunc()
-    if n > cap:
-        raise CliError(_over_cap(n, cap))
-    return n
+def _call(fn, *args):
+    """fn(*args), with a ValueError an input error."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 def _load_json(path: str) -> dict:
@@ -102,14 +90,13 @@ def _parse(path: str, obj: dict, build, *parts: str):
     """build(obj), with a malformed document an input error.  The truncation
     cap is checked first on obj and on its named parts (a map's source and
     target), before anything is built: a module over a huge truncation costs
-    time before it can fail."""
-    cap = _max_trunc()
+    time before it can fail.  A malformed cap is an error of its own, not of
+    the file."""
+    _call(truncation_cap)
     try:
         for doc in (obj, *(obj.get(part) for part in parts)):
             if isinstance(doc, dict) and "truncation" in doc:
-                n = json_int(doc["truncation"], "truncation")
-                if n > cap:
-                    raise CliError(f"{path}: {_over_cap(n, cap)}")
+                check_truncation(json_int(doc["truncation"], "truncation"))
         return build(obj)
     except (ValueError, KeyError, TypeError) as exc:
         raise CliError(f"{path}: {exc}") from None
@@ -207,11 +194,7 @@ def cmd_restrict(args) -> int:
         functor = DETECTING_FUNCTOR.get(module.kind) if module.kind != "aug_ssimp" else None
         if functor is None:
             raise CliError(f"no default restriction for kind {module.kind}; pass --functor")
-    try:
-        out = restrict(functor, module)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    _write(args.out, module_to_json(out))
+    _write(args.out, module_to_json(_call(restrict, functor, module)))
     return OK
 
 
@@ -231,22 +214,11 @@ def cmd_truncate(args) -> int:
     return OK
 
 
-def _window_guard(args, window, wanted_top: int) -> None:
-    if window is None:
-        raise CliError("the validity window is empty: nothing can be certified")
-    if args.window_strict and window[1] < wanted_top:
-        raise CliError(
-            f"window exhausted: certified up to degree {window[1]}, needed {wanted_top}"
-        )
-
-
 def cmd_induce(args) -> int:
     module = _load_module(args.infile)
-    try:
-        result = induce(args.functor, module)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    _window_guard(args, result.valid_window, result.module.truncation)
+    result = _call(induce, args.functor, module)
+    if result.valid_window is None:
+        raise CliError("the validity window is empty: nothing can be certified")
     if args.out:
         Path(args.out).write_text(module_to_json(result.module))
     obj = {
@@ -265,7 +237,11 @@ def cmd_induce(args) -> int:
     return OK
 
 
-def _adjunction_report(args, adj, label: str) -> int:
+def cmd_adjunction(args) -> int:
+    """unit or counit, as the subcommand's default ``adjunction`` says."""
+    module = _load_module(args.infile)
+    adj = _call(args.adjunction, args.functor, module)
+    label = f"{args.command} along {args.functor}"
     verdict = check_weak_equivalence(adj.arrow)
     obj = {
         "map": label,
@@ -278,38 +254,9 @@ def _adjunction_report(args, adj, label: str) -> int:
     return OK
 
 
-def cmd_unit(args) -> int:
-    module = _load_module(args.infile)
-    try:
-        adj = unit_map(args.functor, module)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    if args.window_strict and adj.window[1] < module.truncation:
-        raise CliError(
-            f"window exhausted: unit certified up to degree {adj.window[1]}"
-        )
-    return _adjunction_report(args, adj, f"unit along {args.functor}")
-
-
-def cmd_counit(args) -> int:
-    module = _load_module(args.infile)
-    try:
-        adj = counit_map(args.functor, module)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    if args.window_strict and adj.window[1] < module.truncation:
-        raise CliError(
-            f"window exhausted: counit certified up to degree {adj.window[1]}"
-        )
-    return _adjunction_report(args, adj, f"counit along {args.functor}")
-
-
 def cmd_tor(args) -> int:
     module = _load_module(args.infile)
-    try:
-        report = tor(module, args.coeff)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    report = _call(tor, module, args.coeff)
     _emit(args, _homology_obj(report), _homology_table(report, f"Tor against {args.coeff}"))
     return OK
 
@@ -336,7 +283,7 @@ def cmd_fib(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    report = run_counterexample(_check_trunc(args.trunc))
+    report = _call(run_counterexample, args.trunc)
     if args.format == "json":
         sys.stdout.write(report.to_json(include_timing=args.timing))
     else:
@@ -345,19 +292,8 @@ def cmd_counterexample(args) -> int:
 
 
 def _spec_from_args(args) -> CorpusSpec:
-    spec = CorpusSpec(
-        seed=args.seed,
-        truncation=_check_trunc(args.trunc),
-        max_dim=args.max_dim,
-        representables=args.representables,
-        induced=args.induced,
-        sums=args.sums,
-        yoneda_maps=args.yoneda_maps,
-    )
-    try:
-        spec.check()
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    spec = CorpusSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(CorpusSpec)})
+    _call(spec.check)
     return spec
 
 
@@ -444,21 +380,17 @@ def cmd_convert(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--window-strict", action="store_true",
-                   help="fail instead of shrinking when a window is exceeded")
+def _add_timing(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timing", action="store_true", help="include timing in JSON reports")
 
 
 def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trunc", type=int, default=5)
-    p.add_argument("--max-dim", type=int, default=6)
-    p.add_argument("--representables", type=int, default=10)
-    p.add_argument("--induced", type=int, default=6)
-    p.add_argument("--sums", type=int, default=3)
-    p.add_argument("--yoneda-maps", type=int, default=8)
+    """One integer flag per CorpusSpec field, named after it; the truncation
+    keeps the short name --trunc."""
+    for f in dataclasses.fields(CorpusSpec):
+        flag = "trunc" if f.name == "truncation" else f.name.replace("_", "-")
+        p.add_argument(f"--{flag}", dest=f.name, metavar=flag.replace("-", "_").upper(),
+                       type=int, default=f.default)
 
 
 @functools.cache
@@ -473,10 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, fn, help_: str) -> argparse.ArgumentParser:
+    def command(name: str, fn, help_: str, report: bool = True) -> argparse.ArgumentParser:
+        """A subcommand; a report command takes --format."""
         p = sub.add_parser(name, help=help_)
         p.set_defaults(fn=fn)
-        _add_common(p)
+        if report:
+            p.add_argument("--format", choices=("table", "json"), default="table")
         return p
 
     p = command("validate", cmd_validate, "check the defining identities of a module file")
@@ -487,16 +421,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("restrict", cmd_restrict,
                 "restriction along a comparison functor: the chain complex along "
-                "u_delta or u_square, the sign shadow along v")
+                "u_delta or u_square, the sign shadow along v", report=False)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--functor", choices=("auto", "u_delta", "u_square", "v"), default="auto")
 
-    p = command("augment", cmd_augment, "full augmented complex of an aug_ssimp module")
+    p = command("augment", cmd_augment, "full augmented complex of an aug_ssimp module",
+                report=False)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default=None)
 
-    p = command("truncate", cmd_truncate, "good truncation of a chain_neg1 module")
+    p = command("truncate", cmd_truncate, "good truncation of a chain_neg1 module", report=False)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default=None)
 
@@ -505,13 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--functor", choices=("u_delta", "u_a", "v"), required=True)
 
-    p = command("unit", cmd_unit, "adjunction unit and its weak-equivalence verdict")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--functor", choices=("u_delta", "u_a", "v"), required=True)
-
-    p = command("counit", cmd_counit, "adjunction counit and its weak-equivalence verdict")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--functor", choices=("u_delta", "u_a", "v"), required=True)
+    for name, adjunction in (("unit", unit_map), ("counit", counit_map)):
+        p = command(name, cmd_adjunction, f"adjunction {name} and its weak-equivalence verdict")
+        p.set_defaults(adjunction=adjunction)
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--functor", choices=("u_delta", "u_a", "v"), required=True)
 
     p = command("tor", cmd_tor, "Tor against a named coefficient object")
     p.add_argument("--in", dest="infile", required=True)
@@ -524,9 +457,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
 
     p = command("counterexample", cmd_counterexample, "reproduce the degree -1 obstruction")
+    _add_timing(p)
     p.add_argument("--trunc", type=int, default=5)
 
     p = command("battery", cmd_battery, "run the full verification battery")
+    _add_timing(p)
     _add_corpus_flags(p)
     p.add_argument("--out", default=None, help="also write the JSON report here")
 
@@ -534,7 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(p)
     p.add_argument("--out-dir", required=True)
 
-    p = command("convert", cmd_convert, "convert between the JSON formats and text dumps")
+    p = command("convert", cmd_convert, "convert between the JSON formats and text dumps",
+                report=False)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--to", choices=("module-json", "map-json", "text", "table"), required=True)

@@ -19,9 +19,10 @@ JSON so that a fixed seed yields a byte-identical report.
 
 from __future__ import annotations
 
+import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import comb
 
 from .chainkit import (
@@ -81,7 +82,30 @@ from .transport import (
 )
 
 REPORT_FORMAT = "semihomology-report/1"
-HARD_TRUNCATION_CAP = 8
+MAX_TRUNC_ENV = "SEMIHOMOLOGY_MAX_TRUNC"
+
+
+def truncation_cap() -> int:
+    """The one truncation cap, for generated corpora and file inputs alike
+    (cube hom-sets grow as 2^n): $SEMIHOMOLOGY_MAX_TRUNC, read on every call,
+    or 8 when it is unset or empty.  A value that is not ASCII digits is a
+    ValueError."""
+    raw = os.environ.get(MAX_TRUNC_ENV, "")
+    if not raw:
+        return 8
+    if raw.isascii() and raw.isdigit():
+        return int(raw)
+    raise ValueError(f"{MAX_TRUNC_ENV}={raw!r} is not a non-negative integer")
+
+
+def check_truncation(n: int, lowest: int | None = None) -> int:
+    """n, or a ValueError when it exceeds the cap or lies below lowest."""
+    cap = truncation_cap()
+    if n > cap:
+        raise ValueError(f"truncation {n} exceeds the cap {cap} (set {MAX_TRUNC_ENV} to raise it)")
+    if lowest is not None and n < lowest:
+        raise ValueError(f"truncation must be in {lowest}..{cap}")
+    return n
 
 
 @dataclass
@@ -98,8 +122,7 @@ class CorpusSpec:
     yoneda_maps: int = 8
 
     def check(self) -> None:
-        if self.truncation < 2 or self.truncation > HARD_TRUNCATION_CAP:
-            raise ValueError(f"truncation must be in 2..{HARD_TRUNCATION_CAP}")
+        check_truncation(self.truncation, 2)
         if self.max_dim < 1:
             raise ValueError("max dimension must be positive")
         for name in ("representables", "induced", "sums", "yoneda_maps"):
@@ -107,15 +130,7 @@ class CorpusSpec:
                 raise ValueError(f"count {name} must be nonnegative")
 
     def to_obj(self) -> dict:
-        return {
-            "seed": self.seed,
-            "truncation": self.truncation,
-            "max_dim": self.max_dim,
-            "representables": self.representables,
-            "induced": self.induced,
-            "sums": self.sums,
-            "yoneda_maps": self.yoneda_maps,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -445,9 +460,9 @@ def run_counterexample(truncation: int = 5) -> VerificationReport:
     The checks assert that the failure is present: the unit of the sign
     embedding at the augmented point representable must NOT be a weak
     equivalence, with the one-dimensional degree -1 defect and no other
-    homology change inside the window.
+    homology change inside the window.  The truncation must lie in 1..cap.
     """
-    spec = CorpusSpec(seed=0, truncation=truncation)
+    spec = CorpusSpec(seed=0, truncation=check_truncation(truncation, 1))
     runner = _Runner(spec)
     m = representable("aug_ssimp", 0, truncation)
 

@@ -231,15 +231,15 @@ class TestPipelines:
         ]
         assert obj["presentation"]["1"] == [[0, "cube 1->1 [x1]", 0]]
 
-    def test_window_strict_rejects_top_supported_module(self, capsys, tmp_path):
+    def test_empty_window_rejects_top_supported_module(self, capsys, tmp_path):
         # a complex supported at the truncation edge cannot certify induction
         sphere_top = disk_sphere_complex([("sphere", 4)], 4)
         path = tmp_path / "top.json"
         path.write_text(module_to_json(sphere_top))
-        status, _, err = run(capsys, "induce", "--in", path, "--functor", "u_delta",
-                             "--window-strict")
+        status, out, err = run(capsys, "induce", "--in", path, "--functor", "u_delta")
         assert status == 2
-        assert "window" in err
+        assert out == ""
+        assert err == "semihomology: the validity window is empty: nothing can be certified\n"
 
     def test_counit_u_a_is_weq(self, capsys, aug_file):
         status, out, _ = run(capsys, "counit", "--in", aug_file, "--functor", "u_a", "--format", "json")
@@ -408,6 +408,43 @@ class TestCounterexample:
         assert status == 2
         assert "cap" in err
 
+    @pytest.mark.parametrize("n", [0, -1, -3])
+    def test_truncation_below_one_is_input_error(self, capsys, monkeypatch, n):
+        monkeypatch.delenv("SEMIHOMOLOGY_MAX_TRUNC", raising=False)
+        status, out, err = run(capsys, "counterexample", "--trunc", n)
+        assert (status, out) == (2, "")
+        assert err == "semihomology: truncation must be in 1..8\n"
+
+    def test_truncation_one_reproduces(self, capsys):
+        status, _, _ = run(capsys, "counterexample", "--trunc", "1")
+        assert status == 0
+
+
+class TestOneCap:
+    """battery, corpus and counterexample share the cap of the file inputs."""
+
+    @pytest.mark.parametrize("command", ["battery", "corpus"])
+    def test_default_cap_is_eight(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.delenv("SEMIHOMOLOGY_MAX_TRUNC", raising=False)
+        out_dir = ["--out-dir", tmp_path / "c"] if command == "corpus" else []
+        status, out, err = run(capsys, command, "--trunc", "9", *out_dir)
+        assert (status, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert "truncation 9 exceeds the cap 8" in err
+        assert not (tmp_path / "c").exists()
+
+    def test_raised_cap_admits_the_corpus(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("SEMIHOMOLOGY_MAX_TRUNC", "9")
+        status, _, err = run(capsys, "corpus", "--trunc", "9", "--out-dir", tmp_path)
+        assert (status, err) == (0, "")
+        assert json.loads((tmp_path / "index.json").read_text())["entries"]
+
+    def test_battery_below_two_is_input_error(self, capsys, monkeypatch):
+        monkeypatch.delenv("SEMIHOMOLOGY_MAX_TRUNC", raising=False)
+        status, out, err = run(capsys, "battery", "--trunc", "1")
+        assert (status, out) == (2, "")
+        assert err == "semihomology: truncation must be in 2..8\n"
+
 
 class TestBattery:
     ARGS = ["battery", "--trunc", "4", "--seed", "1", "--representables", "5",
@@ -564,9 +601,9 @@ class TestParserReuse:
     def test_no_flag_leaks_into_a_later_namespace(self):
         parser = build_parser()
         sequence = [
-            ["restrict", "--in", "x.json", "--out", "o.json", "--functor", "v", "--timing"],
+            ["restrict", "--in", "x.json", "--out", "o.json", "--functor", "v"],
             ["restrict", "--in", "x.json"],
-            ["induce", "--in", "x.json", "--functor", "u_a", "--out", "o.json", "--window-strict"],
+            ["induce", "--in", "x.json", "--functor", "u_a", "--out", "o.json", "--format", "json"],
             ["induce", "--in", "x.json", "--functor", "v"],
             ["battery", "--timing", "--out", "r.json", "--seed", "3"],
             ["battery"],
@@ -575,7 +612,11 @@ class TestParserReuse:
         for argv in sequence:
             assert parser.parse_args(argv) == build_parser.__wrapped__().parse_args(argv), argv
         later = parser.parse_args(["restrict", "--in", "x.json"])
-        assert (later.out, later.functor, later.timing) == (None, "auto", False)
+        assert (later.out, later.functor) == (None, "auto")
+        later = parser.parse_args(["induce", "--in", "x.json", "--functor", "v"])
+        assert (later.out, later.format) == (None, "table")
+        later = parser.parse_args(["battery"])
+        assert (later.timing, later.out, later.seed) == (False, None, 0)
         assert not hasattr(parser.parse_args(["validate", "--in", "x.json"]), "out")
 
     def test_help_is_identical_to_a_fresh_parser(self, capsys, monkeypatch):

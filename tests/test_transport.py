@@ -20,7 +20,10 @@ from semihomology.diagmod import (
     zero_module,
 )
 from semihomology.exactlin import RatMatrix, rank
+from semihomology.oracle import CorpusSpec, generate_corpus
+from semihomology.simplexcat import FUNCTORS, KIND_LOWER
 from semihomology.transport import (
+    WindowError,
     counit_map,
     induce,
     k_bullet_complex,
@@ -183,6 +186,65 @@ class TestInduce:
                 comb(q + 1, a) * m.dim(q) for q in range(-1, m.truncation + 1)
             )
             assert result.module.dim(a) == expected
+
+
+def _predicted_window(which: str, m):
+    """The whole target range when M vanishes in its top degree (and has a
+    degree below it), else None."""
+    _, tgt_kind, shift, _ = FUNCTORS[which]
+    if m.truncation > m.lower and m.dim(m.truncation) == 0:
+        return (KIND_LOWER[tgt_kind], m.truncation + shift)
+    return None
+
+
+def _check_windows(modules) -> set[tuple[str, bool]]:
+    """Assert the window of every induction from each module, and from its
+    restriction (the induction a counit makes); return the (adjunction,
+    window empty) pairs reached."""
+    reached = set()
+    for x in modules:
+        for which in ("u_delta", "u_a", "v"):
+            src, tgt, _, _ = FUNCTORS[which]
+            for adjunction, kind in ((unit_map, src), (counit_map, tgt)):
+                if x.kind != kind:
+                    continue
+                m = x if adjunction is unit_map else restrict(which, x)
+                window = _predicted_window(which, m)
+                assert induce(which, m).valid_window == window, (which, x.kind, x.dims)
+                reached.add((adjunction.__name__, window is None))
+                if window is None:
+                    with pytest.raises(WindowError):
+                        adjunction(which, x)
+                else:
+                    assert adjunction(which, x).window == (x.lower, x.truncation)
+    return reached
+
+
+class TestWindowInvariant:
+    """Every induction's validity window is the whole target range or empty,
+    as _predicted_window says, and every unit and counit that exists is
+    certified on all of its source's degrees."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_corpus_inductions(self, seed):
+        corpus = generate_corpus(CorpusSpec(seed=seed, truncation=5))
+        # corpus modules vanish in their top degree: every window is full
+        assert _check_windows(m for _, m in corpus.modules) == {
+            ("unit_map", False), ("counit_map", False)
+        }
+
+    def test_top_supported_and_single_degree_modules(self):
+        n = 4
+        modules = [
+            disk_sphere_complex(pieces, n, lower=lower)
+            for lower in (0, -1)
+            for pieces in ([("sphere", n)], [("disk", n)], [("sphere", 1), ("disk", n)],
+                           [("disk", n - 1)])
+        ]
+        modules += [representable(kind, n, n) for kind in ("ssimp", "aug_ssimp", "scube")]
+        modules += [zero_module("chain0", 0), zero_module("chain_neg1", -1),
+                    zero_module("aug_ssimp", -1)]
+        assert {("unit_map", True), ("counit_map", True)} <= _check_windows(modules)
 
 
 class TestUnitCounit:
