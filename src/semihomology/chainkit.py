@@ -55,7 +55,6 @@ class HomologyReport:
     lower: int
     window: tuple[int, int]
     dims: dict[int, int]
-    cycles: dict[int, RatMatrix]
     boundaries: dict[int, RatMatrix]
     representatives: dict[int, RatMatrix]
 
@@ -80,7 +79,6 @@ def homology(c: DiagramModule) -> HomologyReport:
     lo, hi = c.lower, c.truncation - 1
     d = c.diff
     dims: dict[int, int] = {}
-    cycles: dict[int, RatMatrix] = {}
     boundaries: dict[int, RatMatrix] = {}
     reps: dict[int, RatMatrix] = {}
     for n in range(lo, hi + 1):
@@ -88,10 +86,9 @@ def homology(c: DiagramModule) -> HomologyReport:
         b = image_basis(d[n + 1])
         picked = _complete_boundaries(b, z)
         dims[n] = picked.cols
-        cycles[n] = z
         boundaries[n] = b
         reps[n] = picked
-    return HomologyReport(c.lower, (lo, hi), dims, cycles, boundaries, reps)
+    return HomologyReport(c.lower, (lo, hi), dims, boundaries, reps)
 
 
 def _complete_boundaries(b: RatMatrix, z: RatMatrix) -> RatMatrix:

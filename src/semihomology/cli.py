@@ -393,12 +393,20 @@ def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
                        type=int, default=f.default)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are one stderr line and exit 2, like
+    every other input error; the subparsers share the class."""
+
+    def error(self, message: str):
+        self.exit(INPUT_ERROR, f"semihomology: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process: building it costs far more than a
     parse, and a parse leaves no state on it (every default is immutable,
     and argparse looks up sys.stdout and sys.stderr only when it prints)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="semihomology",
         description="Exact homology and comparison functors for semisimplicial, "
         "augmented semisimplicial, and semicubical modules.",

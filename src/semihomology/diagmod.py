@@ -85,6 +85,19 @@ def generators_for(kind: str, truncation: int) -> tuple[GeneratorId, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _generator_tokens(kind: str, truncation: int) -> Mapping[str, GeneratorId]:
+    """The generators of generators_for, keyed by their canonical token."""
+    return MappingProxyType({g.token(): g for g in generators_for(kind, truncation)})
+
+
+def _not_a_generator(token: str, kind: str, truncation: int) -> ValueError:
+    return ValueError(
+        f"action '{token}' is not a generator of kind {kind} inside "
+        f"the truncation window [{kind_lower(kind)}, {truncation}]"
+    )
+
+
 @dataclass
 class ValidationReport:
     ok: bool
@@ -182,7 +195,7 @@ def make_module(kind: str, truncation: int, dims: Mapping[int, int],
     known = set(generators)
     for g in actions:
         if g not in known:
-            raise ValueError(f"action '{g.token()}' is not a generator of kind {kind} inside {window}")
+            raise _not_a_generator(g.token(), kind, truncation)
     full_dims = {n: dims.get(n, 0) for n in range(lower, truncation + 1)}
     if any(d < 0 for d in full_dims.values()):
         raise ValueError("negative dimension")
@@ -542,10 +555,13 @@ def module_from_obj(obj: dict) -> DiagramModule:
         _degree_key(key, "dims"): json_int(value, f"dims '{key}'")
         for key, value in obj.get("dims", {}).items()
     }
+    generators = _generator_tokens(kind, truncation)
     actions: dict[GeneratorId, RatMatrix] = {}
     for token, rows in obj.get("actions", {}).items():
-        g = GeneratorId.from_token(token)
-        # the rows give the shape; make_module checks the window, then the shape
+        g = generators.get(token)
+        if g is None:  # only the canonical token of a generator names it
+            raise _not_a_generator(token, kind, truncation)
+        # the rows give the shape, which make_module checks
         shape = (len(rows), len(rows[0]) if rows else dims.get(g.degree, 0))
         actions[g] = _matrix_from_json(rows, shape)
     return make_module(kind, truncation, dims, actions)

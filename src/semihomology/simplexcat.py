@@ -198,17 +198,6 @@ class GeneratorId:
             return f"cube {self.index} {self.color} {self.degree}"
         return f"d {self.degree}"
 
-    @classmethod
-    def from_token(cls, token: str) -> "GeneratorId":
-        parts = token.split()
-        if parts[0] == "delta" and len(parts) == 3:
-            return cls("delta", int(parts[2]), index=int(parts[1]))
-        if parts[0] == "cube" and len(parts) == 4:
-            return cls("cube", int(parts[3]), index=int(parts[1]), color=int(parts[2]))
-        if parts[0] == "d" and len(parts) == 2:
-            return cls("d", int(parts[1]))
-        raise ValueError(f"bad generator token {token!r}")
-
 
 def omega_d(n: int) -> GeneratorId:
     return GeneratorId("d", n)
@@ -423,12 +412,6 @@ def _forget_colors(f: CubeMap) -> LinComb:
 
 
 @lru_cache(maxsize=None)
-def _alternating_sum(n: int) -> LinComb:
-    terms: dict[Morphism, int] = {delta(i, n): (-1) ** i for i in range(n + 1)}
-    return LinComb(n - 1, n, terms)
-
-
-@lru_cache(maxsize=None)
 def _cube_alternating_sum(n: int) -> LinComb:
     terms: dict[Morphism, int] = {}
     for i in range(1, n + 1):
@@ -443,8 +426,8 @@ def _cube_alternating_sum(n: int) -> LinComb:
 # shift, and sends a generator d(n) of a chain kind, or a normal form of an
 # index kind, to image(it).
 FUNCTORS = {
-    "u_delta": ("chain0", "ssimp", 0, lambda d: _alternating_sum(d.degree)),
-    "u_a": ("chain_neg1", "aug_ssimp", 0, lambda d: _alternating_sum(d.degree)),
+    "u_delta": ("chain0", "ssimp", 0, lambda d: d_lower(0, d.degree, "ssimp")),
+    "u_a": ("chain_neg1", "aug_ssimp", 0, lambda d: d_lower(0, d.degree, "aug_ssimp")),
     "u_square": ("chain0", "scube", 0, lambda d: _cube_alternating_sum(d.degree)),
     "v": ("aug_ssimp", "scube", 1, _sign_embedding),
     "j0": ("aug_ssimp", "scube", 1, lambda f: LinComb.of(_monochromatic_embedding(f, 0))),

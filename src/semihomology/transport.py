@@ -14,12 +14,15 @@ two cube coface families.
 
 One private builder, ``_coend``, computes every coend as a literal quotient:
 the direct sum of (source space) x (hom into the image object), divided by the
-bilinearity relations.  Induction (the left adjoint of restriction) is that
-coend along u_delta, u_a or v, for each target object, with generator
-actions induced by precomposition; ``tensor_with_representable`` is the same
-coend along the identity functor.  Because the source module is only known up
-to its truncation, every induction carries a validity window: a target degree
-is certified when recomputing with one fewer source layer changes nothing.
+bilinearity relations.  It returns one ``Coend`` record: the labels, their
+index, the projection and the kept coordinates.  Induction (the left adjoint
+of restriction) is that coend along u_delta, u_a or v, for each target object,
+with generator actions induced by precomposition; ``tensor_with_representable``
+is the same coend along the identity functor.  Because the source module is
+only known up to its truncation, every induction carries a validity window: a
+target degree is certified when recomputing with one fewer source layer
+changes nothing.  A unit or counit exists only when that window is the whole
+target range.
 
 Tor with the four named coefficient objects is realized through the explicit
 representable resolutions; after the co-Yoneda collapse these are the
@@ -30,9 +33,10 @@ routes available so the collapse itself is testable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping
 
 from .chainkit import (
     HomologyReport,
@@ -56,7 +60,6 @@ from .diagmod import (
     act,
     generators_for,
     kind_lower,
-    truncate_module,
 )
 from .exactlin import RatMatrix, quotient_with_section, rank
 from .simplexcat import (
@@ -162,14 +165,30 @@ def restrict_map(which: str, f: ModuleMap) -> ModuleMap:
 # -- induction ---------------------------------------------------------------------
 
 
-@dataclass
-class InductionResult:
-    module: DiagramModule
-    valid_window: tuple[int, int] | None
-    presentation: dict[int, list[tuple[int, str, int]]]
-
-
 _Label = tuple[int, Morphism, int]  # (source degree q, hom element phi, basis index i)
+
+
+@dataclass(frozen=True)
+class Coend:
+    """One coend as a literal quotient of its ambient space.
+
+    ``labels`` names the ambient coordinates (q, phi, i) in order and
+    ``index`` gives each one's position; ``proj`` maps the ambient space
+    onto the quotient, and ``kept`` lists the ambient coordinates that
+    survive as its basis, so the kept labels are its presentation.
+    """
+
+    labels: tuple[_Label, ...]
+    index: Mapping[_Label, int]
+    proj: RatMatrix
+    kept: tuple[int, ...]
+
+    def kept_labels(self) -> list[_Label]:
+        return [self.labels[k] for k in self.kept]
+
+    def classes(self, labels: Iterable[_Label]) -> RatMatrix:
+        """The quotient classes of the given labels, one column each."""
+        return self.proj.column_select([self.index[lab] for lab in labels])
 
 
 def _coend(
@@ -177,7 +196,7 @@ def _coend(
     top: int,
     hom: Callable[[int], tuple[Morphism, ...]],
     image: Callable[[GeneratorId], LinComb],
-) -> tuple[list[_Label], dict[_Label, int], RatMatrix, list[int]]:
+) -> Coend:
     """The coend of M against hom(-) over source degrees <= top, as a quotient.
 
     ``hom(q)`` is the hom basis into the image of the source object q and
@@ -186,8 +205,7 @@ def _coend(
     in hom(q - 1) and each basis index i of M_q give the relation column
     M(g) e_i (x) phi - e_i (x) (image(g) o phi).  Labels and relations are
     ordered by degree, generator, phi and index, which pins the kept
-    coordinates of the quotient.  Returns the labels, their positions, the
-    projection onto the quotient and its kept coordinates.
+    coordinates of the quotient.
     """
     labels: list[_Label] = []
     for q in range(m.lower, top + 1):
@@ -218,102 +236,51 @@ def _coend(
                 r += 1
     sub = RatMatrix._trusted(r, rel_rows)
     proj, kept = quotient_with_section(len(labels), sub)
-    return labels, index, proj, kept
+    return Coend(tuple(labels), MappingProxyType(index), proj, tuple(kept))
 
 
-class _RawInduction:
-    """One coend computation at a fixed source cap, all target degrees.
+@dataclass(frozen=True)
+class InductionResult:
+    """An induced module, the target degrees it is certified on, and the
+    coend of each target degree."""
 
-    Per target degree a the ambient space has one coordinate per label
-    (source degree q, hom element phi: a -> image(q), source basis index i);
-    the bilinearity relations span the subspace divided out, and the
-    surviving coordinates are the presentation of the quotient.
-    """
+    module: DiagramModule
+    valid_window: tuple[int, int] | None
+    coends: Mapping[int, Coend]
 
-    def __init__(self, which: str, m: DiagramModule, src_cap: int):
-        _, self.tgt_kind, self.shift, _ = FUNCTORS[which]
-        self.which = which
-        self.tgt_lower = kind_lower(self.tgt_kind)
-        self.tgt_trunc = m.truncation + self.shift
-        self.m = m
-        self.src_cap = src_cap
-        self.labels: dict[int, list[_Label]] = {}
-        self.index: dict[int, dict[_Label, int]] = {}
-        self.proj: dict[int, RatMatrix] = {}
-        self.kept: dict[int, list[int]] = {}
-        self.dims: dict[int, int] = {}
-        for a in range(self.tgt_lower, self.tgt_trunc + 1):
-            self._build_degree(a)
-        self.actions: dict[GeneratorId, RatMatrix] = {}
-        for g in generators_for(self.tgt_kind, self.tgt_trunc):
-            self.actions[g] = self._build_action(g)
+    @property
+    def presentation(self) -> dict[int, list[tuple[int, str, int]]]:
+        """The kept labels of each target degree, with phi as text."""
+        return {
+            a: [(q, phi.text(), i) for q, phi, i in c.kept_labels()]
+            for a, c in self.coends.items()
+        }
 
-    def _hom(self, a: int, q: int) -> tuple[Morphism, ...]:
-        return hom_basis(self.tgt_kind, a, q + self.shift)
 
-    def _build_degree(self, a: int) -> None:
-        labels, index, proj, kept = _coend(
-            self.m, self.src_cap, lambda q: self._hom(a, q),
-            lambda g: apply_functor(self.which, g),
+def _induction(which: str, m: DiagramModule, src_cap: int) -> InductionResult:
+    """The coends along a comparison functor F over the source degrees
+    <= src_cap, one per target degree a with labels (q, phi: a -> F(q), i),
+    and the module they present, with no window certified yet.  A generator
+    h: a - 1 -> a sends the class of (q, phi, i) to that of (q, phi o h, i)."""
+    _, kind, shift, _ = FUNCTORS[which]
+    truncation = m.truncation + shift
+    coends = {
+        a: _coend(
+            m, src_cap, lambda q: hom_basis(kind, a, q + shift),
+            lambda g: apply_functor(which, g),
         )
-        self.labels[a] = labels
-        self.index[a] = index
-        self.proj[a] = proj
-        self.kept[a] = kept
-        self.dims[a] = proj.rows
-
-    def _build_action(self, h: GeneratorId) -> RatMatrix:
-        a = h.degree  # h raises degree a-1 -> a in the target category
-        hm = h.as_morphism()
-        cols = []
-        for k in self.kept[a]:
-            q, phi, i = self.labels[a][k]
-            cols.append(self.index[a - 1][(q, compose(phi, hm), i)])
-        if not cols:
-            return RatMatrix.zeros(self.dims[a - 1], 0)
-        return self.proj[a - 1].column_select(cols)
-
-    def unit_block(self, n: int) -> RatMatrix:
-        """Degree-n component of the unit: basis vector i to the class of
-        i (x) identity."""
-        a = n + self.shift
-        ident: Morphism = identity_cube(a) if self.tgt_kind == "scube" else identity_inj(a)
-        cols = [self.index[a][(n, ident, i)] for i in range(self.m.dim(n))]
-        if not cols:
-            return RatMatrix.zeros(self.dims[a], 0)
-        return self.proj[a].column_select(cols)
-
-
-def _induce_full(which: str, m: DiagramModule) -> tuple[InductionResult, _RawInduction]:
-    if which not in _COMPARISON or which == "u_square":
-        raise ValueError(f"unknown induction {which!r}")
-    src = FUNCTORS[which][0]
-    if m.kind != src:
-        raise ValueError(f"{which} induces from kind {src}, got {m.kind}")
-    m.require_valid()
-    full = _RawInduction(which, m, m.truncation)
-    shallow = (
-        _RawInduction(which, m, m.truncation - 1) if m.truncation - 1 >= m.lower else None
-    )
-    window_top = None
-    for a in range(full.tgt_lower, full.tgt_trunc + 1):
-        stable = shallow is not None and full.labels[a] == shallow.labels[a]
-        if stable:
-            for g in generators_for(full.tgt_kind, a):
-                if full.actions[g] != shallow.actions[g]:
-                    stable = False
-                    break
-        if not stable:
-            break
-        window_top = a
-    # precomposition is functorial on the quotient
-    module = _trusted_module(full.tgt_kind, full.tgt_trunc, full.dims, full.actions)
-    window = (full.tgt_lower, window_top) if window_top is not None else None
-    presentation = {
-        a: [(q, phi.text(), i) for (q, phi, i) in (full.labels[a][k] for k in full.kept[a])]
-        for a in range(full.tgt_lower, full.tgt_trunc + 1)
+        for a in range(kind_lower(kind), truncation + 1)
     }
-    return InductionResult(module, window, presentation), full
+    actions = {}
+    for h in generators_for(kind, truncation):
+        hm = h.as_morphism()
+        actions[h] = coends[h.degree - 1].classes(
+            (q, compose(phi, hm), i) for q, phi, i in coends[h.degree].kept_labels()
+        )
+    dims = {a: c.proj.rows for a, c in coends.items()}
+    # precomposition is functorial on the quotient
+    module = _trusted_module(kind, truncation, dims, actions)
+    return InductionResult(module, None, MappingProxyType(coends))
 
 
 def induce(which: str, m: DiagramModule) -> InductionResult:
@@ -324,59 +291,76 @@ def induce(which: str, m: DiagramModule) -> InductionResult:
     to that degree.  Modules supported strictly below their truncation get
     the full window; the window is empty when nothing can be certified.
     """
-    return _induce_full(which, m)[0]
+    if which not in _COMPARISON or which == "u_square":
+        raise ValueError(f"unknown induction {which!r}")
+    src = FUNCTORS[which][0]
+    if m.kind != src:
+        raise ValueError(f"{which} induces from kind {src}, got {m.kind}")
+    m.require_valid()
+    full = _induction(which, m, m.truncation)
+    shallow = _induction(which, m, m.truncation - 1) if m.truncation - 1 >= m.lower else None
+    induced = full.module
+    window_top = None
+    for a in induced.degrees():
+        if shallow is None or full.coends[a].labels != shallow.coends[a].labels or any(
+            induced.actions[g] != shallow.module.actions[g]
+            for g in generators_for(induced.kind, a)
+        ):
+            break
+        window_top = a
+    window = (induced.lower, window_top) if window_top is not None else None
+    return replace(full, valid_window=window)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdjunctionMap:
-    """A unit or counit together with the window it is certified on."""
+    """A unit or counit.  It exists only when its induction is certified on
+    the whole target range, so it covers every degree of its source."""
 
     arrow: ModuleMap
-    window: tuple[int, int]
-    induction: InductionResult
+
+    @property
+    def window(self) -> tuple[int, int]:
+        return (self.arrow.source.lower, self.arrow.source.truncation)
+
+
+def _certified_induction(which: str, m: DiagramModule) -> InductionResult:
+    """induce(which, m), refused unless its window is the whole target range.
+    A window is either that or empty, so the message names the empty one."""
+    result = induce(which, m)
+    if result.valid_window != (result.module.lower, result.module.truncation):
+        raise WindowError(f"induction along {which} has an empty validity window")
+    return result
 
 
 def unit_map(which: str, m: DiagramModule) -> AdjunctionMap:
-    """The adjunction unit M -> restrict(induce(M)), truncated to its window.
+    """The adjunction unit M -> restrict(induce(M)).
 
     A chain map for the chain-to-simplicial inductions; a map of augmented
     modules for the sign embedding.  The unit sends a basis vector to the
     class of (vector tensor identity).
     """
-    result, raw = _induce_full(which, m)
-    lower = m.lower
-    if result.valid_window is None:
-        raise WindowError(f"induction along {which} has an empty validity window")
-    window_top = min(m.truncation, result.valid_window[1] - raw.shift)
-    if window_top < lower:
-        raise WindowError(f"window too small to express the unit along {which}")
-    comps = {n: raw.unit_block(n) for n in range(lower, window_top + 1)}
-    target = restrict(which, result.module)
-    arrow = ModuleMap(truncate_module(m, window_top), truncate_module(target, window_top), comps)
-    return AdjunctionMap(arrow, (lower, window_top), result)
+    result = _certified_induction(which, m)
+    _, tgt_kind, shift, _ = FUNCTORS[which]
+    identity = identity_cube if tgt_kind == "scube" else identity_inj
+    comps = {
+        n: result.coends[n + shift].classes((n, identity(n + shift), i) for i in range(m.dim(n)))
+        for n in m.degrees()
+    }
+    return AdjunctionMap(ModuleMap(m, restrict(which, result.module), comps))
 
 
 def counit_map(which: str, x: DiagramModule) -> AdjunctionMap:
     """The adjunction counit induce(restrict(X)) -> X: a presentation label
     (q, phi, i) is evaluated by acting with phi on the i-th basis vector."""
-    result, raw = _induce_full(which, restrict(which, x))
-    if result.valid_window is None:
-        raise WindowError(f"induction along {which} has an empty validity window")
-    window_top = min(x.truncation, result.valid_window[1])
-    lower = x.lower
-    if window_top < lower:
-        raise WindowError(f"window too small to express the counit along {which}")
-    comps = {}
-    for a in range(lower, window_top + 1):
-        cols = []
-        for k in raw.kept[a]:
-            q, phi, i = raw.labels[a][k]
-            cols.append(act(x, phi).column(i))
-        comps[a] = RatMatrix.from_columns(cols, rows=x.dim(a))
-    arrow = ModuleMap(
-        truncate_module(result.module, window_top), truncate_module(x, window_top), comps
-    )
-    return AdjunctionMap(arrow, (lower, window_top), result)
+    result = _certified_induction(which, restrict(which, x))
+    comps = {
+        a: RatMatrix.from_columns(
+            [act(x, phi).column(i) for _, phi, i in c.kept_labels()], rows=x.dim(a)
+        )
+        for a, c in result.coends.items()
+    }
+    return AdjunctionMap(ModuleMap(result.module, x, comps))
 
 
 # -- Tor ------------------------------------------------------------------------
@@ -458,16 +442,13 @@ def resolution_complex(kind: str, c: int, truncation: int) -> DiagramModule:
     return make_complex(-1, truncation, dims, diff)
 
 
-def tensor_with_representable(
-    x: DiagramModule, p: int
-) -> tuple[list[_Label], RatMatrix, list[int]]:
-    """The coend X (x)_A A(p, -) as a literal quotient: labels, projection,
-    kept coordinates.  Co-Yoneda says the result is X(p); tests compare."""
+def tensor_with_representable(x: DiagramModule, p: int) -> Coend:
+    """The coend X (x)_A A(p, -) as a literal quotient.  Co-Yoneda says the
+    quotient is X(p); tests compare."""
     x.require_valid()
-    labels, _, proj, kept = _coend(
+    return _coend(
         x, x.truncation, lambda q: hom_basis(x.kind, p, q), lambda g: LinComb.of(g.as_morphism())
     )
-    return labels, proj, kept
 
 
 def tensor_resolution_complex(x: DiagramModule, truncation: int | None = None) -> DiagramModule:
@@ -475,24 +456,21 @@ def tensor_resolution_complex(x: DiagramModule, truncation: int | None = None) -
     an independent route to the Tor complex."""
     if truncation is None:
         truncation = x.truncation
-    data = {p: tensor_with_representable(x, p) for p in range(0, truncation + 1)}
+    coends = {p: tensor_with_representable(x, p) for p in range(0, truncation + 1)}
     which = DETECTING_FUNCTOR[x.kind]
-    dims = {p: data[p][1].rows for p in data}
+    dims = {p: c.proj.rows for p, c in coends.items()}
     diff: dict[int, RatMatrix] = {}
     for p in range(1, truncation + 1):
-        labels_p, _, kept_p = data[p]
-        labels_low, proj_low, _ = data[p - 1]
-        index_low = {lab: k for k, lab in enumerate(labels_low)}
+        low = coends[p - 1]
         sign_sum = apply_functor(which, omega_d(p))
         cols = []
-        for k in kept_p:
-            cdeg, phi, i = labels_p[k]
-            col = [0] * len(labels_low)
+        for cdeg, phi, i in coends[p].kept_labels():
+            col = [0] * len(low.labels)
             for w, coeff in LinComb.of(phi).compose(sign_sum).terms.items():
-                col[index_low[(cdeg, w, i)]] += coeff
+                col[low.index[(cdeg, w, i)]] += coeff
             cols.append(col)
-        at_ambient_level = RatMatrix.from_columns(cols, rows=len(labels_low))
-        diff[p] = proj_low @ at_ambient_level
+        at_ambient_level = RatMatrix.from_columns(cols, rows=len(low.labels))
+        diff[p] = low.proj @ at_ambient_level
     return make_complex(0, truncation, dims, diff)
 
 

@@ -104,6 +104,13 @@ class TestValidate:
         ("actions", "d 1", [["1"]], "action 'd 1'"),
         ("dims", "3", 1, "dims key '3'"),
         ("dims", "-1", 1, "dims key '-1'"),
+        # an action key is exactly the canonical token of a generator
+        ("actions", "", [["1"]], "action ''"),
+        ("actions", "delta +0 1", [["1"], ["0"]], "action 'delta +0 1'"),
+        ("actions", "delta 1 0_1", [["0"], ["1"]], "action 'delta 1 0_1'"),
+        ("actions", "delta 0 01", [["1"], ["0"]], "action 'delta 0 01'"),
+        ("actions", "delta  0 1", [["1"], ["0"]], "action 'delta  0 1'"),
+        ("actions", "delta \u0660 1", [["1"], ["0"]], "action 'delta \u0660 1'"),
     ])
     def test_out_of_window_entry_is_input_error(self, capsys, tmp_path, section, key, value, says):
         obj = json.loads(module_to_json(representable("ssimp", 1, 2)))
@@ -627,3 +634,21 @@ class TestParserReuse:
         fresh = [run(capsys, *c, "--help") for c in commands]
         assert all(status == 0 and out for status, out, _ in cached)
         assert cached == fresh
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["tor", "--in", "X.json", "--coeff", "k_bullet"],
+        ["validate"],
+        ["nosuch"],
+        ["battery", "--trunc", "x"],
+        [],
+        ["validate", "--in", "X.json", "--bogus"],
+    ], ids=["bad-choice", "missing-required", "unknown-command", "bad-int", "no-command",
+            "unrecognized"])
+    def test_usage_error_is_one_line(self, capsys, argv):
+        status, out, err = run(capsys, *argv)
+        assert status == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("semihomology: ")

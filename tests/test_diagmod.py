@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from semihomology.diagmod import (
     CHAIN_KINDS,
     KINDS,
+    MODULE_FORMAT,
     DiagramModule,
     ModuleMap,
     _relations,
@@ -25,6 +27,7 @@ from semihomology.diagmod import (
     map_from_json,
     map_to_json,
     module_from_json,
+    module_from_obj,
     module_to_json,
     representable,
     sum_inclusion,
@@ -106,6 +109,17 @@ class TestMakeModuleWindow:
     def test_foreign_generator_is_named(self):
         with pytest.raises(ValueError, match=r"action 'd 1' is not a generator of kind ssimp"):
             make_module("ssimp", 1, {0: 1}, {GeneratorId("d", 1): RatMatrix(1, 0)})
+
+    @pytest.mark.parametrize("token", [
+        "", "d 01", "d +1", "d 1_0", "d \u0663", " d 1", "d 1 ", "d  1", "delta 0 1",
+    ])
+    def test_non_canonical_action_key_is_named(self, token):
+        # the canonical "d 1" comes first, so an alias of it would overwrite it
+        obj = {"format": MODULE_FORMAT, "kind": "chain0", "truncation": 3, "dims": {"0": 1, "1": 1},
+               "actions": {"d 1": [["1"]], token: [["0"]]}}
+        says = f"action '{token}' is not a generator of kind chain0 inside the truncation window [0, 3]"
+        with pytest.raises(ValueError, match=re.escape(says)):
+            module_from_obj(obj)
 
     @pytest.mark.parametrize("dims, key", [
         ({0: 1.7, 1: True}, 0),
