@@ -122,9 +122,12 @@ def _load_map(path: str):
     return f
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | Path | None, text: str) -> None:
     if path:
-        Path(path).write_text(text)
+        try:
+            Path(path).write_text(text)
+        except OSError as exc:
+            raise CliError(f"{path}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -220,7 +223,7 @@ def cmd_induce(args) -> int:
     if result.valid_window is None:
         raise CliError("the validity window is empty: nothing can be certified")
     if args.out:
-        Path(args.out).write_text(module_to_json(result.module))
+        _write(args.out, module_to_json(result.module))
     obj = {
         "functor": args.functor,
         "valid_window": list(result.valid_window),
@@ -301,7 +304,7 @@ def cmd_battery(args) -> int:
     report = run_battery(_spec_from_args(args))
     text = report.to_json(include_timing=args.timing)
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
     if args.format == "json":
         sys.stdout.write(text)
     else:
@@ -314,17 +317,20 @@ def cmd_battery(args) -> int:
 def cmd_corpus(args) -> int:
     corpus = generate_corpus(_spec_from_args(args))
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"{out_dir}: {exc.strerror or exc}") from None
     index = []
     for name, module in corpus.modules:
         fname = name.replace(":", "_").replace("+", "_") + ".json"
-        (out_dir / fname).write_text(module_to_json(module))
+        _write(out_dir / fname, module_to_json(module))
         index.append({"name": name, "file": fname, "kind": module.kind})
     for name, f in corpus.maps:
         fname = "map_" + name.replace(":", "_").replace("->", "_to_").replace("+", "_") + ".json"
-        (out_dir / fname).write_text(map_to_json(f))
+        _write(out_dir / fname, map_to_json(f))
         index.append({"name": name, "file": fname, "kind": f.source.kind, "map": True})
-    (out_dir / "index.json").write_text(canonical_json({"entries": index}))
+    _write(out_dir / "index.json", canonical_json({"entries": index}))
     _emit(
         args,
         {"modules": len(corpus.modules), "maps": len(corpus.maps), "dir": str(out_dir)},

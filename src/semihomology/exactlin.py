@@ -16,7 +16,8 @@ multiple of the pivot row; under a larger lead it becomes an integer
 combination of the two with its content divided out.  Every entry is divided
 by its pivot's lead once, at the end.  Each working row stays a nonzero
 multiple of the row that rational elimination would hold, so the pivots and
-the reduced row echelon form are the same.
+the reduced row echelon form are the same.  The forward pass alone fixes the
+pivots, so `rank` stops there; everything else also clears above them.
 
 Matrices are immutable and stored as sparse rows: one ``{column: value}``
 dict per row, with ascending columns, no zeros and canonical scalars.  The
@@ -28,7 +29,8 @@ and ``from_columns`` coerce every entry with `exact`; everything else, from
 the private ``RatMatrix._trusted`` from rows it already knows to be
 canonical, and never checks an entry again.  No stored row is ever mutated,
 so matrices share rows freely; elimination works on copies.  ``row``,
-``column`` and ``__getitem__`` read the matrix densely.
+``column`` and ``__getitem__`` read the matrix densely; ``leading_column``
+reads a row's first nonzero column straight from its sparse row.
 
 Zero-dimensional matrices (0 x n and n x 0) are legal and denote maps to or
 from the zero space; graded computations hit empty degrees all the time.
@@ -163,6 +165,10 @@ class RatMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> int | Fraction:
         i, j = ij
         return self._sparse[i].get(self._column_index(j), 0)
+
+    def leading_column(self, i: int) -> int | None:
+        """The first nonzero column of row i, or None for a zero row."""
+        return next(iter(self._sparse[i]), None)
 
     def row(self, i: int) -> tuple[int | Fraction, ...]:
         out = [0] * self.cols
@@ -392,9 +398,9 @@ def _cancel(target: dict[int, int], pivot: dict[int, int], col: int, lead: int) 
                 target[c] = v // content
 
 
-def _eliminate(m: RatMatrix) -> tuple[list[int], list[dict[int, int | Fraction]]]:
-    """Run full reduced elimination on integer copies of the stored rows;
-    returns (pivot columns, pivot rows), the rows unordered."""
+def _forward(m: RatMatrix) -> tuple[list[int], list[dict[int, int]]]:
+    """Forward elimination on integer copies of the stored rows; returns
+    (pivot columns, integer pivot rows), each row with a positive lead."""
     if not m.rows or not m.cols:
         return [], []
     work = [_integer_row(r) for r in m._sparse]
@@ -423,6 +429,13 @@ def _eliminate(m: RatMatrix) -> tuple[list[int], list[dict[int, int | Fraction]]
         pivot_rows.append(row)
         if not free_rows:
             break
+    return pivots, pivot_rows
+
+
+def _eliminate(m: RatMatrix) -> tuple[list[int], list[dict[int, int | Fraction]]]:
+    """`_forward`, back-substitution, and one division per entry; returns
+    (pivot columns, pivot rows of the reduced form), the rows unordered."""
+    pivots, pivot_rows = _forward(m)
     # clear above the pivots so the form is fully reduced
     for k in range(len(pivot_rows) - 1, 0, -1):
         col = pivots[k]
@@ -453,7 +466,7 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, list[int], int]:
 
 
 def rank(m: RatMatrix) -> int:
-    return len(_eliminate(m)[0])
+    return len(_forward(m)[0])
 
 
 def kernel_basis(m: RatMatrix) -> RatMatrix:

@@ -60,7 +60,6 @@ from .simplexcat import (
     cube_delta,
     delta,
     hom_basis,
-    hom_index,
     strictly_decreasing_basis,
 )
 from .transport import (
@@ -539,22 +538,30 @@ def _check_hom_dimensions(runner: _Runner, top: int) -> None:
     runner.run("hom-dims.cubes", f"all m <= n <= {top}", cubes)
 
 
+def _sparse_row(element, column: dict) -> dict:
+    """The sparse row of a combination of normal forms, f's coefficient at column[f]."""
+    return dict(sorted((column[f], c) for f, c in element.terms.items()))
+
+
+def _check_triangular(matrix: RatMatrix, diagonal, where: dict) -> None:
+    """Require matrix[r, r] == diagonal[r], a unit, and no nonzero entry left
+    of it, row by row; the first failure is the witness."""
+    for r, diag in enumerate(diagonal):
+        _require(matrix[r, r] == diag, {**where, "row": r, "diag": str(matrix[r, r])})
+        k = matrix.leading_column(r)
+        _require(k >= r, {**where, "below_diagonal": [r, k]})
+
+
 def decreasing_basis_matrix(kind: str, m: int, n: int):
     """Rows: monomials ordered by index word; columns: coface normal forms
     ordered by their descending complement word.  The triangularity of this
     matrix, with diagonal (-1)^(sum of indices), is the freeness statement."""
     words = strictly_decreasing_basis(kind, m, n)
     basis = hom_basis(kind, m, n)
-    order = sorted(range(len(basis)), key=lambda j: tuple(sorted(basis[j].complement(), reverse=True)))
-    col_of = {j: k for k, j in enumerate(order)}
-    index = hom_index(kind, m, n)
-    rows = []
-    for word in words:
-        row = [0] * len(basis)
-        for f, coeff in word.expand().terms.items():
-            row[col_of[index[f]]] = coeff
-        rows.append(row)
-    return words, RatMatrix.from_rows(rows, cols=len(basis))
+    order = sorted(basis, key=lambda f: tuple(sorted(f.complement(), reverse=True)))
+    column = {f: k for k, f in enumerate(order)}
+    rows = [_sparse_row(word.expand(), column) for word in words]
+    return words, RatMatrix._trusted(len(basis), rows)
 
 
 def _check_decreasing_basis(runner: _Runner, top: int) -> None:
@@ -563,22 +570,13 @@ def _check_decreasing_basis(runner: _Runner, top: int) -> None:
             for m in range(low, top + 1):
                 for n in range(m, top + 1):
                     words, matrix = decreasing_basis_matrix(kind, m, n)
+                    where = {"kind": kind, "m": m, "n": n}
                     _require(
                         matrix.rows == matrix.cols == comb(n + 1, m + 1),
-                        {"kind": kind, "m": m, "n": n, "size": [matrix.rows, matrix.cols]},
+                        {**where, "size": [matrix.rows, matrix.cols]},
                     )
-                    for r, word in enumerate(words):
-                        diag = (-1) ** word.index_sum()
-                        _require(
-                            matrix[r, r] == diag,
-                            {"kind": kind, "m": m, "n": n, "row": r, "diag": str(matrix[r, r])},
-                        )
-                        for k in range(r):
-                            _require(
-                                not matrix[r, k],
-                                {"kind": kind, "m": m, "n": n, "below_diagonal": [r, k]},
-                            )
-                    _require(rank(matrix) == matrix.rows, {"kind": kind, "m": m, "n": n})
+                    _check_triangular(matrix, [(-1) ** w.index_sum() for w in words], where)
+                    _require(rank(matrix) == matrix.rows, where)
         return {"top": top}
 
     runner.run("freeness.decreasing-monomials", f"triangular, signed unit diagonal, n <= {top}", run_all)
@@ -589,14 +587,8 @@ def cubical_family_matrix(m: int, n: int, first_family: bool):
     monochromatic cube basis ordered by descending count of color-1
     insertions.  Unitriangular with diagonal exactly 1."""
     basis = hom_basis("scube", m + 1, n + 1)
-    index = hom_index("scube", m + 1, n + 1)
-
-    def column_key(j: int):
-        ones = basis[j].pattern.count(1)
-        return (-ones, basis[j].sort_key())
-
-    order = sorted(range(len(basis)), key=column_key)
-    col_of = {j: k for k, j in enumerate(order)}
+    order = sorted(basis, key=lambda f: (-f.pattern.count(1), f.sort_key()))
+    column = {f: k for k, f in enumerate(order)}
     entries = []
     for q in range(m, n + 1):
         for inner in hom_basis("aug_ssimp", m, q):
@@ -611,16 +603,11 @@ def cubical_family_matrix(m: int, n: int, first_family: bool):
                     lead = compose(
                         apply_functor("j0", outer).single(), apply_functor("j1", inner).single()
                     )
-                entries.append((col_of[index[lead]], element))
+                entries.append((column[lead], element))
     entries.sort(key=lambda t: t[0])
-    rows = []
-    for _, element in entries:
-        row = [0] * len(basis)
-        for f, coeff in element.terms.items():
-            row[col_of[index[f]]] = coeff
-        rows.append(row)
+    rows = [_sparse_row(element, column) for _, element in entries]
     leading = [pos for pos, _ in entries]
-    return leading, RatMatrix.from_rows(rows, cols=len(basis))
+    return leading, RatMatrix._trusted(len(basis), rows)
 
 
 def _check_cubical_basis(runner: _Runner, top: int) -> None:
@@ -629,23 +616,14 @@ def _check_cubical_basis(runner: _Runner, top: int) -> None:
             for n in range(m, top + 1):
                 for first in (True, False):
                     leading, matrix = cubical_family_matrix(m, n, first)
-                    family = "v(a) j0(b)" if first else "j0(b) v(a)"
-                    _require(
-                        leading == list(range(matrix.rows)),
-                        {"family": family, "m": m, "n": n, "leading": leading[:8]},
-                    )
+                    where = {"family": "v(a) j0(b)" if first else "j0(b) v(a)", "m": m, "n": n}
+                    _require(leading == list(range(matrix.rows)), {**where, "leading": leading[:8]})
                     _require(
                         matrix.rows == matrix.cols == comb(n + 1, m + 1) * 2 ** (n - m),
-                        {"family": family, "m": m, "n": n, "size": [matrix.rows, matrix.cols]},
+                        {**where, "size": [matrix.rows, matrix.cols]},
                     )
-                    for r in range(matrix.rows):
-                        _require(matrix[r, r] == 1, {"family": family, "m": m, "n": n, "row": r})
-                        for k in range(r):
-                            _require(
-                                not matrix[r, k],
-                                {"family": family, "m": m, "n": n, "below_diagonal": [r, k]},
-                            )
-                    _require(rank(matrix) == matrix.rows, {"family": family, "m": m, "n": n})
+                    _check_triangular(matrix, [1] * matrix.rows, where)
+                    _require(rank(matrix) == matrix.rows, where)
         return {"top": top}
 
     runner.run("freeness.cubical-families", f"unitriangular, n <= {top}", run_all)

@@ -652,3 +652,32 @@ class TestUsageErrors:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("semihomology: ")
+
+
+class TestUnwritableOutput:
+    # {missing} is a directory that does not exist, {file} an existing file
+    @pytest.mark.parametrize("argv, target", [
+        (["battery", "--trunc", "3", "--representables", "1", "--induced", "0", "--sums", "0",
+          "--yoneda-maps", "0", "--out", "{missing}/r.json"], "{missing}/r.json"),
+        (["battery", "--trunc", "3", "--representables", "1", "--induced", "0", "--sums", "0",
+          "--yoneda-maps", "0", "--out", "{tmp}"], "{tmp}"),
+        (["restrict", "--in", "{module}", "--out", "{missing}/y.json"], "{missing}/y.json"),
+        (["augment", "--in", "{aug}", "--out", "{missing}/c.json"], "{missing}/c.json"),
+        (["induce", "--in", "{aug}", "--functor", "v", "--out", "{missing}/y.json"],
+         "{missing}/y.json"),
+        (["convert", "--in", "{module}", "--to", "text", "--out", "{missing}/t.txt"],
+         "{missing}/t.txt"),
+        (["corpus", "--trunc", "3", "--out-dir", "{file}"], "{file}"),
+        (["corpus", "--trunc", "3", "--out-dir", "{file}/sub"], "{file}/sub"),
+    ], ids=["battery-missing-dir", "battery-directory", "restrict", "augment", "induce",
+            "convert", "corpus-over-file", "corpus-under-file"])
+    def test_is_input_error_naming_the_path(self, capsys, tmp_path, module_file, aug_file,
+                                            argv, target):
+        names = {"missing": tmp_path / "missing", "file": module_file, "tmp": tmp_path,
+                 "module": module_file, "aug": aug_file}
+        status, out, err = run(capsys, *(a.format(**names) for a in argv))
+        assert status == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"semihomology: {target.format(**names)}: ")

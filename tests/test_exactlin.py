@@ -394,12 +394,16 @@ def build(rows, cols):
 
 def dense(m):
     """Shape and rows of m, read through its public dense accessors, after
-    checking that its entries are canonical and that m equals and hashes
-    like its rebuild from those rows."""
+    checking that its entries are canonical, that m equals and hashes like
+    its rebuild from those rows, and that each row's leading column is the
+    first nonzero index of the row."""
     assert_canonical(m)
     rebuilt = RatMatrix(m.rows, m.cols, m.row_major())
     assert m == rebuilt and hash(m) == hash(rebuilt)
-    return (m.rows, m.cols, [list(m.row(i)) for i in range(m.rows)])
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    for i, row in enumerate(rows):
+        assert m.leading_column(i) == next((j for j, x in enumerate(row) if x), None)
+    return (m.rows, m.cols, rows)
 
 
 def ref_matmul(a, b, cols):

@@ -17,9 +17,15 @@ from semihomology.diagmod import (
     zero_map,
     zero_module,
 )
+from semihomology.exactlin import RatMatrix
 from semihomology.oracle import (
     Corpus,
     CorpusSpec,
+    _CheckFailure,
+    _Runner,
+    _check_cubical_basis,
+    _check_decreasing_basis,
+    _check_triangular,
     check_fibration,
     check_weak_equivalence,
     cubical_family_matrix,
@@ -111,7 +117,8 @@ class TestBasisMatrices:
 
     def test_basis_property_at_top_degree(self):
         # the widest window the property suite covers: target degree 6.
-        # triangular with unit diagonal implies invertibility, so no rank call
+        # the decreasing matrices by their rank; the cubical ones by their
+        # unit diagonal and zero lower triangle, which imply invertibility
         from semihomology.exactlin import rank
 
         for kind, low in (("ssimp", 0), ("aug_ssimp", -1)):
@@ -126,6 +133,47 @@ class TestBasisMatrices:
                     assert matrix[r, r] == 1
                     row = matrix.row(r)
                     assert not any(row[k] for k in range(r))
+
+
+    def test_both_freeness_checks_pass_to_six(self):
+        # the battery caps the cubical check at n <= 4; here both run to 6
+        runner = _Runner(CorpusSpec(truncation=6))
+        _check_decreasing_basis(runner, 6)
+        _check_cubical_basis(runner, 6)
+        assert [(c.name, c.passed, c.witness) for c in runner.report.checks] == [
+            ("freeness.decreasing-monomials", True, {"top": 6}),
+            ("freeness.cubical-families", True, {"top": 6}),
+        ]
+
+
+class TestCheckTriangular:
+    WHERE = {"kind": "ssimp", "m": 0, "n": 2}
+
+    def witness(self, rows, diagonal):
+        try:
+            _check_triangular(RatMatrix.from_rows(rows), diagonal, self.WHERE)
+        except _CheckFailure as exc:
+            return exc.witness
+        return None
+
+    def test_signed_triangular_matrix_passes(self):
+        assert self.witness([[1, 3, 0], [0, -1, 2], [0, 0, 1]], [1, -1, 1]) is None
+
+    @pytest.mark.parametrize("rows, witness", [
+        # a wrong diagonal entry names its row and the entry found
+        ([[1, 0, 0], [0, 2, 0], [0, 0, 1]], {"row": 1, "diag": "2"}),
+        # an entry below the diagonal names the first nonzero column
+        ([[1, 0, 0], [0, 1, 0], [0, 5, 1]], {"below_diagonal": [2, 1]}),
+        ([[1, 0, 0], [0, 1, 0], [3, 5, 1]], {"below_diagonal": [2, 0]}),
+        # both faults in one row: the diagonal is checked first
+        ([[1, 0, 0], [4, 2, 0], [0, 0, 1]], {"row": 1, "diag": "2"}),
+        # the first faulty row wins over a later one
+        ([[1, 0, 0], [7, 1, 0], [0, 0, 3]], {"below_diagonal": [1, 0]}),
+        # a zero row fails its diagonal rather than raising
+        ([[1, 0, 0], [0, 0, 0], [0, 0, 1]], {"row": 1, "diag": "0"}),
+    ])
+    def test_first_failure_and_its_witness(self, rows, witness):
+        assert self.witness(rows, [1, 1, 1]) == {**self.WHERE, **witness}
 
 
 class TestCounterexample:
