@@ -143,11 +143,12 @@ class DiagramModule(_Memoized):
 
     @property
     def lower(self) -> int:
-        return kind_lower(self.kind)
+        return KIND_LOWER[self.kind]
 
     def dim(self, n: int) -> int:
-        if n < self.lower or n > self.truncation:
-            raise ValueError(f"degree {n} outside truncation window [{self.lower}, {self.truncation}]")
+        lower = KIND_LOWER[self.kind]
+        if n < lower or n > self.truncation:
+            raise ValueError(f"degree {n} outside truncation window [{lower}, {self.truncation}]")
         return self.dims.get(n, 0)
 
     def degrees(self) -> range:
@@ -268,17 +269,18 @@ def validate(x: DiagramModule) -> ValidationReport:
     Simplicial and cubical kinds: the contravariant form of the coface
     relations; chain kinds: d o d = 0.  Reports the first violating triple.
     """
-    for g in generators_for(x.kind, x.truncation):
-        m = x.actions.get(g)
-        if m is None or (m.rows, m.cols) != (x.dim(g.degree - 1), x.dim(g.degree)):
-            return ValidationReport(False, f"missing or misshaped action {g.token()}")
+    dims = {n: x.dims.get(n, 0) for n in x.degrees()}
     a = x.actions
+    for g in generators_for(x.kind, x.truncation):
+        m = a.get(g)
+        if m is None or (m.rows, m.cols) != (dims[g.degree - 1], dims[g.degree]):
+            return ValidationReport(False, f"missing or misshaped action {g.token()}")
     # a relation at degree n compares dims[n-2] x dims[n] products through
     # dims[n-1]; with any of the three dims 0 both sides are the same zero
     # matrix, so it can neither fail nor change which relation fails first
     trivial = {
         n for n in range(x.lower + 2, x.truncation + 1)
-        if not (x.dim(n - 2) and x.dim(n - 1) and x.dim(n))
+        if not (dims[n - 2] and dims[n - 1] and dims[n])
     }
     if x.kind in CHAIN_KINDS:
         for g1, g2, message in _relations(x.kind, x.truncation):

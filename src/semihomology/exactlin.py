@@ -19,6 +19,15 @@ multiple of the row that rational elimination would hold, so the pivots and
 the reduced row echelon form are the same.  The forward pass alone fixes the
 pivots, so `rank` stops there; everything else also clears above them.
 
+A matrix memoizes its elimination and its transpose, each computed at most
+once, in private slots, and so are its `kernel_basis` and `image_basis`.
+`rref`, `kernel_basis`, `image_basis`, `solve` and `quotient_with_section`
+(through the memoized transpose) read the one elimination and never mutate
+it; `rank` reads it when it is there and runs the forward pass alone
+otherwise.  A transpose keeps no reference back to its source, so the memo
+forms no reference cycle.  Equality and hashing read the entries only, never
+the memo.
+
 Matrices are immutable and stored as sparse rows: one ``{column: value}``
 dict per row, with ascending columns, no zeros and canonical scalars.  The
 face, coface and coend matrices of this package are mostly empty or +-1, so
@@ -92,9 +101,12 @@ class RatMatrix:
     ``RatMatrix(rows, cols, entries)`` takes the entries row-major and
     coerces each one with `exact`.  Every other constructor in this module
     goes through `_trusted`, which takes rows that are already canonical.
+    ``_elim``, ``_transposed``, ``_kernel`` and ``_image`` memoize the
+    elimination, the transpose, `kernel_basis` and `image_basis`; all start
+    empty.
     """
 
-    __slots__ = ("rows", "cols", "_sparse")
+    __slots__ = ("rows", "cols", "_sparse", "_elim", "_transposed", "_kernel", "_image")
 
     def __init__(self, rows: int, cols: int, entries: Iterable = ()):
         if rows < 0 or cols < 0:
@@ -113,6 +125,7 @@ class RatMatrix:
             )
         else:
             self._sparse = (_ZERO_ROW,) * rows
+        self._elim = self._transposed = self._kernel = self._image = None
 
     @classmethod
     def _trusted(cls, cols: int, rows: Sequence[dict[int, int | Fraction]]) -> "RatMatrix":
@@ -126,6 +139,7 @@ class RatMatrix:
         m.rows = len(rows)
         m.cols = cols
         m._sparse = tuple(rows)
+        m._elim = m._transposed = m._kernel = m._image = None
         return m
 
     @classmethod
@@ -184,11 +198,16 @@ class RatMatrix:
         return [e for i in range(self.rows) for e in self.row(i)]
 
     def transpose(self) -> "RatMatrix":
-        out: list[dict[int, int | Fraction]] = [{} for _ in range(self.cols)]
-        for i, r in enumerate(self._sparse):
-            for j, v in r.items():
-                out[j][i] = v
-        return RatMatrix._trusted(self.rows, out)
+        """The transpose, computed once and memoized on this matrix only (the
+        transpose keeps no reference back, so no reference cycle forms)."""
+        t = self._transposed
+        if t is None:
+            out: list[dict[int, int | Fraction]] = [{} for _ in range(self.cols)]
+            for i, r in enumerate(self._sparse):
+                for j, v in r.items():
+                    out[j][i] = v
+            t = self._transposed = RatMatrix._trusted(self.rows, out)
+        return t
 
     def is_zero(self) -> bool:
         return not any(self._sparse)
@@ -432,9 +451,13 @@ def _forward(m: RatMatrix) -> tuple[list[int], list[dict[int, int]]]:
     return pivots, pivot_rows
 
 
-def _eliminate(m: RatMatrix) -> tuple[list[int], list[dict[int, int | Fraction]]]:
-    """`_forward`, back-substitution, and one division per entry; returns
-    (pivot columns, pivot rows of the reduced form), the rows unordered."""
+def _eliminate(m: RatMatrix) -> tuple[tuple[int, ...], tuple[dict[int, int | Fraction], ...]]:
+    """(pivot columns, pivot rows of the reduced form, each with ascending
+    columns): `_forward`, back-substitution and one division per entry.
+    Computed once per matrix and memoized on it; callers only read it."""
+    done = m._elim
+    if done is not None:
+        return done
     pivots, pivot_rows = _forward(m)
     # clear above the pivots so the form is fully reduced
     for k in range(len(pivot_rows) - 1, 0, -1):
@@ -445,12 +468,16 @@ def _eliminate(m: RatMatrix) -> tuple[list[int], list[dict[int, int | Fraction]]
             if col in pivot_rows[j]:
                 _cancel(pivot_rows[j], row, col, lead)
     # one division per entry: each pivot row by its lead
-    for k, (col, row) in enumerate(zip(pivots, pivot_rows)):
+    reduced = []
+    for col, row in zip(pivots, pivot_rows):
         lead = row[col]
-        if lead != 1:
-            pivot_rows[k] = {c: v // lead if v % lead == 0 else Fraction(v, lead)
-                             for c, v in row.items()}
-    return pivots, pivot_rows
+        items = sorted(row.items())
+        if lead == 1:
+            reduced.append(dict(items))
+        else:
+            reduced.append({c: v // lead if v % lead == 0 else Fraction(v, lead) for c, v in items})
+    done = m._elim = (tuple(pivots), tuple(reduced))
+    return done
 
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, list[int], int]:
@@ -460,21 +487,26 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, list[int], int]:
     pivot columns are strictly increasing, and ``rank == len(pivots)``.
     """
     pivots, pivot_rows = _eliminate(m)
-    rows = [dict(sorted(r.items())) for r in pivot_rows]
+    rows = list(pivot_rows)
     rows.extend([_ZERO_ROW] * (m.rows - len(rows)))
-    return RatMatrix._trusted(m.cols, rows), pivots, len(pivots)
+    return RatMatrix._trusted(m.cols, rows), list(pivots), len(pivots)
 
 
 def rank(m: RatMatrix) -> int:
-    return len(_forward(m)[0])
+    """The rank: read from the memoized elimination when there is one,
+    otherwise from the forward pass alone."""
+    done = m._elim
+    return len(done[0]) if done is not None else len(_forward(m)[0])
 
 
 def kernel_basis(m: RatMatrix) -> RatMatrix:
     """Columns form a basis of ker(m); count = cols - rank.
 
     Bases are in rref order: one column per free coordinate, ascending, with
-    a unit in the free coordinate itself.
+    a unit in the free coordinate itself.  Memoized on ``m``.
     """
+    if m._kernel is not None:
+        return m._kernel
     pivots, pivot_rows = _eliminate(m)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
@@ -484,14 +516,17 @@ def kernel_basis(m: RatMatrix) -> RatMatrix:
         rows[f] = {k: 1}
     # a fully reduced pivot row is its pivot plus free coordinates only
     for p, row in zip(pivots, pivot_rows):
-        rows[p] = {position[c]: -v for c, v in sorted(row.items()) if c != p}
-    return RatMatrix._trusted(len(free), rows)
+        rows[p] = {position[c]: -v for c, v in row.items() if c != p}
+    m._kernel = RatMatrix._trusted(len(free), rows)
+    return m._kernel
 
 
 def image_basis(m: RatMatrix) -> RatMatrix:
-    """The pivot columns of ``m``: a basis of its column space."""
-    pivots, _ = _eliminate(m)
-    return m.column_select(pivots)
+    """The pivot columns of ``m``: a basis of its column space.  Memoized
+    on ``m``."""
+    if m._image is None:
+        m._image = m.column_select(_eliminate(m)[0])
+    return m._image
 
 
 def solve(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
@@ -507,7 +542,7 @@ def solve(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
         return None
     rows: list[dict[int, int | Fraction]] = [_ZERO_ROW] * a.cols
     for p, row in zip(pivots, pivot_rows):
-        rows[p] = {j - a.cols: v for j, v in sorted(row.items()) if j >= a.cols}
+        rows[p] = {j - a.cols: v for j, v in row.items() if j >= a.cols}
     return RatMatrix._trusted(b.cols, rows)
 
 

@@ -111,6 +111,27 @@ class CubeMap:
 Morphism = InjMap | CubeMap
 
 
+def _trusted_builder(cls):
+    """``cls._trusted(source, target, third)``: the frozen slots dataclass
+    with these three fields, set as they are without ``__post_init__``.  For
+    values built from valid ones only; the public constructor checks."""
+    new = object.__new__
+    set_source, set_target, set_third = (getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def trusted(source: int, target: int, third: tuple[int, ...]):
+        obj = new(cls)
+        set_source(obj, source)
+        set_target(obj, target)
+        set_third(obj, third)
+        return obj
+
+    return staticmethod(trusted)
+
+
+InjMap._trusted = _trusted_builder(InjMap)
+CubeMap._trusted = _trusted_builder(CubeMap)
+
+
 @lru_cache(maxsize=None)
 def identity_inj(n: int) -> InjMap:
     return InjMap(n, n, tuple(range(n + 1)))
@@ -140,7 +161,7 @@ def compose_inj(g: InjMap, f: InjMap) -> InjMap:
     """g o f; f acts first."""
     if f.target != g.source:
         raise ValueError(f"boundary mismatch: {f.text()} then {g.text()}")
-    return InjMap(f.source, g.target, tuple(g.image[j] for j in f.image))
+    return InjMap._trusted(f.source, g.target, tuple([g.image[j] for j in f.image]))
 
 
 def compose_cube(g: CubeMap, f: CubeMap) -> CubeMap:
@@ -148,7 +169,7 @@ def compose_cube(g: CubeMap, f: CubeMap) -> CubeMap:
     if f.target != g.source:
         raise ValueError(f"boundary mismatch: {f.text()} then {g.text()}")
     inner = iter(f.pattern)
-    return CubeMap(f.source, g.target, tuple([next(inner) if e == X else e for e in g.pattern]))
+    return CubeMap._trusted(f.source, g.target, tuple([next(inner) if e == X else e for e in g.pattern]))
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
@@ -231,6 +252,17 @@ class LinComb:
         self.terms: Mapping[Morphism, int | Fraction] = MappingProxyType(kept)
 
     @classmethod
+    def _trusted(cls, source: int, target: int, terms: dict[Morphism, int | Fraction]) -> "LinComb":
+        """The combination with these terms, taken as they are: nonzero
+        canonical coefficients on morphisms source -> target.  The dict
+        becomes the combination's own."""
+        comb = object.__new__(cls)
+        comb.source = source
+        comb.target = target
+        comb.terms = MappingProxyType(terms)
+        return comb
+
+    @classmethod
     def of(cls, f: Morphism, coeff=1) -> "LinComb":
         return cls(f.source, f.target, {f: exact(coeff)})
 
@@ -277,13 +309,12 @@ class LinComb:
         for g, cg in self.terms.items():
             for f, cf in other.terms.items():
                 h = compose(g, f)
-                c = cg * cf
-                nc = terms.get(h, 0) + c
+                nc = terms.get(h, 0) + cg * cf
                 if nc:
-                    terms[h] = nc
+                    terms[h] = nc if type(nc) is int else exact(nc)
                 else:
                     terms.pop(h, None)
-        return LinComb(other.source, self.target, terms)
+        return LinComb._trusted(other.source, self.target, terms)
 
     def __eq__(self, other) -> bool:
         return (
@@ -330,8 +361,8 @@ def hom_basis(kind: str, m: int, n: int) -> tuple[Morphism, ...]:
         return ()
     if kind == "scube":
         # product yields the patterns in sorted order
-        return tuple(CubeMap(m, n, p) for p in product((0, 1, X), repeat=n) if p.count(X) == m)
-    return tuple(InjMap(m, n, image) for image in combinations(range(n + 1), m + 1))
+        return tuple(CubeMap._trusted(m, n, p) for p in product((0, 1, X), repeat=n) if p.count(X) == m)
+    return tuple(InjMap._trusted(m, n, image) for image in combinations(range(n + 1), m + 1))
 
 
 @lru_cache(maxsize=None)
@@ -389,7 +420,7 @@ def monochromatic_factorization(f: CubeMap) -> tuple[InjMap, InjMap]:
 def _monochromatic_embedding(f: InjMap, color: int) -> CubeMap:
     """j0/j1 on a general injection: insert constants of one color."""
     im = set(f.image)
-    return CubeMap(f.source + 1, f.target + 1, tuple(X if p in im else color for p in range(f.target + 1)))
+    return CubeMap._trusted(f.source + 1, f.target + 1, tuple([X if p in im else color for p in range(f.target + 1)]))
 
 
 def _sign_embedding(f: InjMap) -> LinComb:
@@ -401,8 +432,8 @@ def _sign_embedding(f: InjMap) -> LinComb:
     for colors in product((0, 1), repeat=len(comp)):
         for c, col in zip(comp, colors):
             pattern[c] = col
-        terms[CubeMap(f.source + 1, f.target + 1, tuple(pattern))] = (-1) ** colors.count(0)
-    return LinComb(f.source + 1, f.target + 1, terms)
+        terms[CubeMap._trusted(f.source + 1, f.target + 1, tuple(pattern))] = (-1) ** colors.count(0)
+    return LinComb._trusted(f.source + 1, f.target + 1, terms)
 
 
 def _forget_colors(f: CubeMap) -> LinComb:
@@ -461,18 +492,19 @@ def apply_functor(which: str, g) -> LinComb:
     return _image(which, g)
 
 
-@lru_cache(maxsize=None)
 def _generator_image(which: str, g: GeneratorId) -> LinComb:
-    """apply_functor on one generator; cached, so callers share the image."""
+    """apply_functor on one generator, after checking its degree."""
     src = FUNCTORS[which][0]
     if g.degree <= KIND_LOWER[src]:
         raise ValueError(f"{g.token()} is not a generator of kind {src}")
     return _image(which, g if g.kind == "d" else g.as_morphism())
 
 
+@lru_cache(maxsize=None)
 def _image(which: str, g) -> LinComb:
     """image(g) from the table, for g a generator d(n) of a chain source kind
-    or a normal form of an index source kind."""
+    or a normal form of an index source kind; cached for the whole process,
+    so callers share the image."""
     src, _, _, image = FUNCTORS[which]
     expected = GeneratorId if src in CHAIN_KINDS else CubeMap if src == "scube" else InjMap
     if not isinstance(g, expected):

@@ -187,8 +187,16 @@ class Coend:
         return [self.labels[k] for k in self.kept]
 
     def classes(self, labels: Iterable[_Label]) -> RatMatrix:
-        """The quotient classes of the given labels, one column each."""
-        return self.proj.column_select([self.index[lab] for lab in labels])
+        """The quotient classes of the given labels, one column each: the
+        rows of the memoized ``proj.transpose()`` at their positions, so the
+        cost is the nonzeros of the selected columns."""
+        columns = self.proj.transpose()._sparse
+        positions = [self.index[lab] for lab in labels]
+        rows: list[dict[int, int | Fraction]] = [{} for _ in range(self.proj.rows)]
+        for p, k in enumerate(positions):
+            for i, v in columns[k].items():
+                rows[i][p] = v
+        return RatMatrix._trusted(len(positions), rows)
 
 
 def _coend(
@@ -207,9 +215,10 @@ def _coend(
     ordered by degree, generator, phi and index, which pins the kept
     coordinates of the quotient.
     """
+    dims = m.dims
     labels: list[_Label] = []
     for q in range(m.lower, top + 1):
-        dim_q = m.dim(q)
+        dim_q = dims.get(q, 0)
         if dim_q == 0:
             continue
         for phi in hom(q):
@@ -222,13 +231,14 @@ def _coend(
     r = 0
     for g in generators_for(m.kind, top):
         q = g.degree
-        if m.dim(q) == 0:
+        dim_q = dims.get(q, 0)
+        if dim_q == 0:
             continue
         mg_columns = m.actions[g].transpose()._sparse  # M(g): M_q -> M_{q-1}
         image_g = image(g)
         for phi in hom(q - 1):
             composed = image_g.compose(LinComb.of(phi))
-            for i in range(m.dim(q)):
+            for i in range(dim_q):
                 for t, coeff in mg_columns[i].items():
                     rel_rows[index[(q - 1, phi, t)]][r] = coeff
                 for w, c in composed.terms.items():
@@ -300,11 +310,15 @@ def induce(which: str, m: DiagramModule) -> InductionResult:
     full = _induction(which, m, m.truncation)
     shallow = _induction(which, m, m.truncation - 1) if m.truncation - 1 >= m.lower else None
     induced = full.module
+    by_degree: dict[int, list[GeneratorId]] = {}
+    for g in generators_for(induced.kind, induced.truncation):
+        by_degree.setdefault(g.degree, []).append(g)
     window_top = None
+    # degree a joins once every generator up to a agrees; the lower ones
+    # already did, so each generator is compared once, at its own degree
     for a in induced.degrees():
         if shallow is None or full.coends[a].labels != shallow.coends[a].labels or any(
-            induced.actions[g] != shallow.module.actions[g]
-            for g in generators_for(induced.kind, a)
+            induced.actions[g] != shallow.module.actions[g] for g in by_degree.get(a, ())
         ):
             break
         window_top = a

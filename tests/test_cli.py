@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -425,6 +429,17 @@ class TestCounterexample:
     def test_truncation_one_reproduces(self, capsys):
         status, _, _ = run(capsys, "counterexample", "--trunc", "1")
         assert status == 0
+
+    def test_runs_as_python_dash_m_from_the_source_tree(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        env.pop("SEMIHOMOLOGY_MAX_TRUNC", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "semihomology", "counterexample", "--trunc", "5"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "obstruction.h-minus1-shadow" in done.stdout
 
 
 class TestOneCap:

@@ -22,7 +22,9 @@ from semihomology.exactlin import (
     solve,
 )
 from semihomology.chainkit import euler_characteristic
-from semihomology.simplexcat import LinComb, apply_functor, delta, identity_inj, omega_d
+from semihomology.oracle import CorpusSpec, generate_corpus
+from semihomology.simplexcat import CHAIN_KINDS, LinComb, apply_functor, delta, identity_inj, omega_d
+from semihomology.transport import DETECTING_FUNCTOR, restrict
 
 
 def M(rows):
@@ -635,3 +637,88 @@ class TestIntegerElimination:
         assert (pivots, rk) == ([0], 1)
         assert r == M([[1, Fraction(3, 2)], [0, 0]])
         assert_canonical(r)
+
+
+def corpus_differentials() -> list[RatMatrix]:
+    """Every differential of the seed-0 truncation-5 corpus: the modules'
+    own for the chain kinds, their detecting restriction's otherwise."""
+    out = []
+    for _, x in generate_corpus(CorpusSpec(seed=0, truncation=5)).modules:
+        c = x if x.kind in CHAIN_KINDS else restrict(DETECTING_FUNCTOR[x.kind], x)
+        out.extend(c.diff.values())
+    return out
+
+
+def memo_free(m: RatMatrix) -> RatMatrix:
+    """The same entries in a new matrix whose memo is empty."""
+    return RatMatrix._trusted(m.cols, m._sparse)
+
+
+def eliminations(m: RatMatrix) -> dict:
+    """Every elimination-backed result on m, plus its transpose."""
+    return {
+        "rref": rref(m),
+        "rank": rank(m),
+        "kernel_basis": kernel_basis(m),
+        "image_basis": image_basis(m),
+        "solve": solve(m, m),
+        "solve_identity": solve(m, RatMatrix.identity(m.rows)),
+        "quotient_with_section": quotient_with_section(m.rows, m),
+        "transpose": m.transpose(),
+    }
+
+
+class TestMemo:
+    """A matrix memoizes its elimination, transpose, kernel and image; every
+    result read through the memo equals the same call on a memo-free copy."""
+
+    @pytest.fixture(scope="class")
+    def differentials(self):
+        found = corpus_differentials()
+        assert len(found) > 100 and any(not m.is_zero() for m in found)
+        return found
+
+    def test_memoized_results_equal_a_memo_free_copy(self, differentials):
+        for m in differentials:
+            first = eliminations(m)
+            second = eliminations(m)  # read from the memo
+            assert first == second == eliminations(memo_free(m))
+
+    def test_second_call_reuses_the_memo(self, differentials):
+        for m in differentials:
+            m = memo_free(m)
+            assert m.transpose() is m.transpose()
+            kernel_basis(m)
+            memo = m._elim
+            assert memo is not None
+            for call in (rref, rank, kernel_basis, image_basis):
+                call(m)
+                assert m._elim is memo, call.__name__
+            assert kernel_basis(m) is kernel_basis(m)
+            assert image_basis(m) is image_basis(m)
+            t = m.transpose()
+            quotient_with_section(m.rows, m)
+            transposed_memo = t._elim
+            quotient_with_section(m.rows, m)
+            assert m.transpose() is t and t._elim is transposed_memo
+
+    def test_rank_reads_the_memo_and_the_forward_pass_alike(self, differentials):
+        for m in differentials:
+            fresh = memo_free(m)
+            assert rank(fresh) == rank(m) == len(rref(fresh)[1])
+            assert fresh._elim is not None and rank(fresh) == len(fresh._elim[0])
+
+    def test_equality_and_hash_do_not_see_the_memo(self, differentials):
+        for m in differentials:
+            warm, cold = memo_free(m), memo_free(m)
+            eliminations(warm)
+            assert None not in (warm._elim, warm._transposed, warm._kernel, warm._image)
+            assert (cold._elim, cold._transposed, cold._kernel, cold._image) == (None,) * 4
+            assert warm == cold and hash(warm) == hash(cold)
+            assert warm.transpose() == cold.transpose()
+
+    def test_the_transpose_keeps_no_reference_back(self):
+        m = M([[1, 2, 0], [0, 0, 3]])
+        t = m.transpose()
+        assert t._transposed is None
+        assert t.transpose() == m and t.transpose() is not m

@@ -370,3 +370,67 @@ class TestLinComb:
     def test_text_forms(self):
         assert InjMap(1, 3, (0, 2)).text() == "inj 1->3 {0,2}"
         assert CubeMap(1, 2, (0, X)).text() == "cube 1->2 [0,x1]"
+
+
+def rebuilt(f):
+    """f through the public, validating constructor."""
+    if isinstance(f, InjMap):
+        return InjMap(f.source, f.target, f.image)
+    return CubeMap(f.source, f.target, f.pattern)
+
+
+def rebuilt_comb(c: LinComb) -> LinComb:
+    return LinComb(c.source, c.target, {rebuilt(f): v for f, v in c.terms.items()})
+
+
+class TestTrustedConstruction:
+    """Composites, hom bases and functor images are built without
+    re-validation; the public constructors accept every one of them."""
+
+    N = 4
+
+    def test_every_composite_up_to_four_passes_the_public_constructor(self):
+        checked = 0
+        for kind in ("ssimp", "aug_ssimp", "scube"):
+            low = -1 if kind == "aug_ssimp" else 0
+            for m in range(low, self.N + 1):
+                for q in range(m, self.N + 1):
+                    for n in range(q, self.N + 1):
+                        for f in hom_basis(kind, m, q):
+                            rebuilt(f)
+                            for g in hom_basis(kind, q, n):
+                                h = compose(g, f)
+                                assert type(h) is type(f)
+                                assert rebuilt(h) == h and hash(rebuilt(h)) == hash(h)
+                                lin = LinComb.of(g).compose(LinComb.of(f))
+                                assert rebuilt_comb(lin) == lin == LinComb.of(h)
+                                checked += 1
+        assert checked == 1446
+
+    def test_functor_images_pass_the_public_constructors(self):
+        for m in range(-1, self.N + 1):
+            for n in range(m, self.N + 1):
+                for f in hom_basis("aug_ssimp", m, n):
+                    for which in ("v", "j0", "j1"):
+                        image = apply_functor(which, f)
+                        assert rebuilt_comb(image) == image
+                        assert apply_functor(which, f) is image  # cached
+        for n in range(0, self.N + 1):
+            for m in range(0, n + 1):
+                for f in hom_basis("scube", m, n):
+                    if m:
+                        assert rebuilt_comb(apply_functor("q", f)) == apply_functor("q", f)
+
+    def test_public_constructors_still_check(self):
+        with pytest.raises(ValueError):
+            InjMap(1, 2, (1, 0))
+        with pytest.raises(ValueError):
+            CubeMap(1, 2, (X, X))
+        with pytest.raises(ValueError):
+            LinComb(0, 1, {delta(0, 2): 1})
+
+    def test_composite_coefficients_stay_canonical(self):
+        half = LinComb.of(delta(0, 1), Fraction(1, 2))
+        two = LinComb.of(identity_inj(0), 2)
+        ((_, c),) = half.compose(two).terms.items()
+        assert c == 1 and type(c) is int

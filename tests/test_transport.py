@@ -247,6 +247,41 @@ class TestWindowInvariant:
         assert {("unit_map", True), ("counit_map", True)} <= _check_windows(modules)
 
 
+class TestCoendClasses:
+    """Coend.classes reads the selected columns from the memoized transpose
+    of the projection; column_select on the projection is the independent
+    route."""
+
+    @staticmethod
+    def _inductions(modules):
+        for x in modules:
+            for which in ("u_delta", "u_a", "v"):
+                src, tgt, _, _ = FUNCTORS[which]
+                if x.kind == src:
+                    yield induce(which, x)
+                if x.kind == tgt:
+                    yield induce(which, restrict(which, x))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_classes_equal_column_select_on_every_corpus_induction(self, seed):
+        corpus = generate_corpus(CorpusSpec(seed=seed, truncation=5))
+        seen = 0
+        for result in self._inductions(m for _, m in corpus.modules):
+            for c in result.coends.values():
+                kept = c.kept_labels()
+                for labels in (c.labels, kept, kept[::-1] + kept[:2], []):
+                    got = c.classes(iter(labels))
+                    assert got == c.proj.column_select([c.index[lab] for lab in labels])
+                    assert (got.rows, got.cols) == (c.proj.rows, len(labels))
+                seen += 1
+        assert seen > 100
+
+    def test_kept_labels_classes_are_the_identity(self):
+        x = representable("aug_ssimp", 1, 3)
+        for c in induce("v", x).coends.values():
+            assert c.classes(c.kept_labels()) == RatMatrix.identity(c.proj.rows)
+
+
 class TestUnitCounit:
     def test_unit_point_sphere_quasi_iso(self):
         m = sphere_module(0, N)
