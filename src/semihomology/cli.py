@@ -48,6 +48,7 @@ from .oracle import (
 from .transport import (
     COEFFICIENTS,
     DETECTING_FUNCTOR,
+    WindowError,
     counit_map,
     induce,
     restrict,
@@ -219,21 +220,25 @@ def cmd_truncate(args) -> int:
 
 def cmd_induce(args) -> int:
     module = _load_module(args.infile)
-    result = _call(induce, args.functor, module)
-    if result.valid_window is None:
-        raise CliError("the validity window is empty: nothing can be certified")
+    try:
+        result = induce(args.functor, module)
+    except WindowError:
+        raise CliError("the validity window is empty: nothing can be certified") from None
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+    window = (result.module.lower, result.module.truncation)
     if args.out:
         _write(args.out, module_to_json(result.module))
     obj = {
         "functor": args.functor,
-        "valid_window": list(result.valid_window),
+        "valid_window": list(window),
         "dims": {str(n): result.module.dim(n) for n in result.module.degrees()},
         "presentation": {
             str(n): [[q, phi, i] for q, phi, i in labels]
             for n, labels in result.presentation.items()
         },
     }
-    lines = [f"induced along {args.functor}: window {result.valid_window}"]
+    lines = [f"induced along {args.functor}: window {window}"]
     for n in result.module.degrees():
         lines.append(f"  degree {n}: dim {result.module.dim(n)}")
     _emit(args, obj, "\n".join(lines))
@@ -419,74 +424,63 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, fn, help_: str, report: bool = True) -> argparse.ArgumentParser:
-        """A subcommand; a report command takes --format."""
+    def command(name: str, fn, help_: str, report: bool = True, infile: bool = True,
+                out: bool = False) -> argparse.ArgumentParser:
+        """A subcommand; a report command takes --format, a file command
+        --in, and a command that writes a file --out."""
         p = sub.add_parser(name, help=help_)
         p.set_defaults(fn=fn)
         if report:
             p.add_argument("--format", choices=("table", "json"), default="table")
+        if infile:
+            p.add_argument("--in", dest="infile", required=True)
+        if out:
+            p.add_argument("--out", default=None)
         return p
 
-    p = command("validate", cmd_validate, "check the defining identities of a module file")
-    p.add_argument("--in", dest="infile", required=True)
-
-    p = command("homology", cmd_homology, "detecting homology of a module, per kind")
-    p.add_argument("--in", dest="infile", required=True)
+    command("validate", cmd_validate, "check the defining identities of a module file")
+    command("homology", cmd_homology, "detecting homology of a module, per kind")
 
     p = command("restrict", cmd_restrict,
                 "restriction along a comparison functor: the chain complex along "
-                "u_delta or u_square, the sign shadow along v", report=False)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", default=None)
+                "u_delta or u_square, the sign shadow along v", report=False, out=True)
     p.add_argument("--functor", choices=("auto", "u_delta", "u_square", "v"), default="auto")
 
-    p = command("augment", cmd_augment, "full augmented complex of an aug_ssimp module",
-                report=False)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", default=None)
+    command("augment", cmd_augment, "full augmented complex of an aug_ssimp module",
+            report=False, out=True)
+    command("truncate", cmd_truncate, "good truncation of a chain_neg1 module", report=False,
+            out=True)
 
-    p = command("truncate", cmd_truncate, "good truncation of a chain_neg1 module", report=False)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", default=None)
-
-    p = command("induce", cmd_induce, "extension of scalars along a comparison functor")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", default=None)
+    p = command("induce", cmd_induce, "extension of scalars along a comparison functor", out=True)
     p.add_argument("--functor", choices=("u_delta", "u_a", "v"), required=True)
 
     for name, adjunction in (("unit", unit_map), ("counit", counit_map)):
         p = command(name, cmd_adjunction, f"adjunction {name} and its weak-equivalence verdict")
         p.set_defaults(adjunction=adjunction)
-        p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--functor", choices=("u_delta", "u_a", "v"), required=True)
 
     p = command("tor", cmd_tor, "Tor against a named coefficient object")
-    p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--coeff", choices=COEFFICIENTS, required=True)
 
-    p = command("weq", cmd_weq, "weak-equivalence verdict for a map file")
-    p.add_argument("--in", dest="infile", required=True)
+    command("weq", cmd_weq, "weak-equivalence verdict for a map file")
+    command("fib", cmd_fib, "fibration verdict for a map file")
 
-    p = command("fib", cmd_fib, "fibration verdict for a map file")
-    p.add_argument("--in", dest="infile", required=True)
-
-    p = command("counterexample", cmd_counterexample, "reproduce the degree -1 obstruction")
+    p = command("counterexample", cmd_counterexample, "reproduce the degree -1 obstruction",
+                infile=False)
     _add_timing(p)
     p.add_argument("--trunc", type=int, default=5)
 
-    p = command("battery", cmd_battery, "run the full verification battery")
+    p = command("battery", cmd_battery, "run the full verification battery", infile=False)
     _add_timing(p)
     _add_corpus_flags(p)
     p.add_argument("--out", default=None, help="also write the JSON report here")
 
-    p = command("corpus", cmd_corpus, "write a deterministic corpus to a directory")
+    p = command("corpus", cmd_corpus, "write a deterministic corpus to a directory", infile=False)
     _add_corpus_flags(p)
     p.add_argument("--out-dir", required=True)
 
     p = command("convert", cmd_convert, "convert between the JSON formats and text dumps",
-                report=False)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", default=None)
+                report=False, out=True)
     p.add_argument("--to", choices=("module-json", "map-json", "text", "table"), required=True)
 
     return parser

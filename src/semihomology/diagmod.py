@@ -41,7 +41,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
-from .exactlin import RatMatrix, block_diag, rational_from_str, rational_to_str
+from .exactlin import RatMatrix, block_diag, coordinate_section, rational_from_str, rational_to_str
 from .simplexcat import (
     CHAIN_KINDS,
     KIND_LOWER,
@@ -457,25 +457,16 @@ def sum_inclusion(x: DiagramModule, y: DiagramModule, which: int) -> ModuleMap:
     part = (x, y)[which]
     comps = {}
     for n in x.degrees():
-        m = [[0] * part.dim(n) for _ in range(total.dim(n))]
         off = 0 if which == 0 else x.dim(n)
-        for j in range(part.dim(n)):
-            m[off + j][j] = 1
-        comps[n] = RatMatrix.from_rows(m, cols=part.dim(n))
+        comps[n] = coordinate_section(total.dim(n), range(off, off + part.dim(n)))
     return ModuleMap(part, total, comps)
 
 
 def sum_projection(x: DiagramModule, y: DiagramModule, which: int) -> ModuleMap:
-    total = direct_sum(x, y)
-    part = (x, y)[which]
-    comps = {}
-    for n in x.degrees():
-        m = [[0] * total.dim(n) for _ in range(part.dim(n))]
-        off = 0 if which == 0 else x.dim(n)
-        for j in range(part.dim(n)):
-            m[j][off + j] = 1
-        comps[n] = RatMatrix.from_rows(m, cols=total.dim(n))
-    return ModuleMap(total, part, comps)
+    """Projection of x (+) y onto its first (which = 0) or second (which = 1) summand."""
+    inclusion = sum_inclusion(x, y, which)
+    comps = {n: c.transpose() for n, c in inclusion.components.items()}
+    return ModuleMap(inclusion.target, inclusion.source, comps)
 
 
 def yoneda_map(kind: str, g: Morphism, truncation: int) -> ModuleMap:
@@ -526,6 +517,22 @@ def json_int(value, name: str) -> int:
     return value
 
 
+def _json_object(value, name: str) -> dict:
+    """An object field of a JSON document; anything else is an error that
+    names the field."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {json.dumps(value)}")
+    return value
+
+
+def _json_rows(value, name: str) -> list[list]:
+    """A matrix field of a JSON document: a list of rows, each a list, never
+    a string read one character per entry."""
+    if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
+        raise ValueError(f"{name} must be a list of lists of entries, got {json.dumps(value)}")
+    return value
+
+
 def _degree_key(key: str, name: str) -> int:
     """A degree written as a JSON object key, in canonical decimal ("-1",
     "3"; not "+1", " 1" or "1_0")."""
@@ -555,14 +562,15 @@ def module_from_obj(obj: dict) -> DiagramModule:
     truncation = json_int(obj["truncation"], "truncation")
     dims = {
         _degree_key(key, "dims"): json_int(value, f"dims '{key}'")
-        for key, value in obj.get("dims", {}).items()
+        for key, value in _json_object(obj.get("dims", {}), "dims").items()
     }
     generators = _generator_tokens(kind, truncation)
     actions: dict[GeneratorId, RatMatrix] = {}
-    for token, rows in obj.get("actions", {}).items():
+    for token, rows in _json_object(obj.get("actions", {}), "actions").items():
         g = generators.get(token)
         if g is None:  # only the canonical token of a generator names it
             raise _not_a_generator(token, kind, truncation)
+        rows = _json_rows(rows, f"action '{token}'")
         # the rows give the shape, which make_module checks
         shape = (len(rows), len(rows[0]) if rows else dims.get(g.degree, 0))
         actions[g] = _matrix_from_json(rows, shape)
@@ -593,11 +601,12 @@ def map_to_obj(f: ModuleMap) -> dict:
 def map_from_obj(obj: dict) -> ModuleMap:
     if obj.get("format") != MAP_FORMAT:
         raise ValueError(f"not a {MAP_FORMAT} document")
-    source = module_from_obj(obj["source"])
-    target = module_from_obj(obj["target"])
+    source = module_from_obj(_json_object(obj["source"], "source"))
+    target = module_from_obj(_json_object(obj["target"], "target"))
     comps = {}
-    for key, rows in obj.get("components", {}).items():
+    for key, rows in _json_object(obj.get("components", {}), "components").items():
         n = _degree_key(key, "components")
+        rows = _json_rows(rows, f"component '{key}'")
         comps[n] = _matrix_from_json(rows, (target.dim(n), source.dim(n)))
     for n in source.degrees():
         comps.setdefault(n, RatMatrix.zeros(target.dim(n), source.dim(n)))

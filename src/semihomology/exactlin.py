@@ -546,25 +546,18 @@ def solve(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
     return RatMatrix._trusted(b.cols, rows)
 
 
-def quotient_map(ambient_dim: int, sub: RatMatrix) -> RatMatrix:
-    """Projection of k^ambient onto a complement of the column space of sub.
-
-    The retained coordinates are the non-pivot coordinates of the subspace,
-    so ``quotient_map(n, sub) @ sub == 0`` and the ranks add up to n.
-    """
-    return quotient_with_section(ambient_dim, sub)[0]
-
-
 def quotient_with_section(ambient_dim: int, sub: RatMatrix) -> tuple[RatMatrix, list[int]]:
     """Quotient projection plus the ambient coordinates that survive.
 
     Returns ``(Q, kept)`` where Q is (n-r) x n, ker Q = im(sub), and the
-    coordinate inclusion on ``kept`` is a section of Q (Q restricted to those
-    columns is the identity).
+    coordinate inclusion on ``kept``, the non-pivot coordinates of the
+    subspace, is a section of Q (Q restricted to those columns is the
+    identity).
     """
     if sub.rows != ambient_dim:
         raise ValueError(
-            f"quotient_map: subspace lives in dimension {sub.rows}, ambient is {ambient_dim}"
+            f"quotient_with_section: subspace lives in dimension {sub.rows}, "
+            f"ambient is {ambient_dim}"
         )
     pivots, pivot_rows = _eliminate(sub.transpose())
     pivot_set = set(pivots)

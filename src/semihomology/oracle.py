@@ -470,7 +470,7 @@ def run_counterexample(truncation: int = 5) -> VerificationReport:
         got = [result.module.dim(a) for a in result.module.degrees()]
         want = [2, 1] + [0] * (result.module.truncation - 1)
         _require(got == want, {"dims": got, "expected": want})
-        return {"dims": got, "window": list(result.valid_window or ())}
+        return {"dims": got, "window": [result.module.lower, result.module.truncation]}
 
     runner.run("obstruction.induced-dims", "v_! of the aug point representable", dims_check)
 
@@ -812,10 +812,11 @@ def _check_induction_dimensions(runner: _Runner, corpus: Corpus) -> None:
     augmented module M has dim Sum_q C(q+1, a) dim M_q in cube degree a."""
     for name, m in corpus.by_kind("aug_ssimp"):
         def check(m=m):
-            result = induce("v", m)
-            if result.valid_window is None:
-                raise _CheckFailure({"window": "empty"})
-            lo, hi = result.valid_window
+            try:
+                result = induce("v", m)
+            except WindowError:
+                raise _CheckFailure({"window": "empty"}) from None
+            lo, hi = result.module.lower, result.module.truncation
             for a in range(lo, hi + 1):
                 expected = sum(
                     comb(q + 1, a) * m.dim(q) for q in range(-1, m.truncation + 1)

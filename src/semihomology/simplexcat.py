@@ -488,16 +488,11 @@ def apply_functor(which: str, g) -> LinComb:
             out = out + _image(which, f).scale(c)
         return out
     if isinstance(g, GeneratorId):
-        return _generator_image(which, g)
+        src = FUNCTORS[which][0]
+        if g.degree <= KIND_LOWER[src]:
+            raise ValueError(f"{g.token()} is not a generator of kind {src}")
+        g = g if g.kind == "d" else g.as_morphism()
     return _image(which, g)
-
-
-def _generator_image(which: str, g: GeneratorId) -> LinComb:
-    """apply_functor on one generator, after checking its degree."""
-    src = FUNCTORS[which][0]
-    if g.degree <= KIND_LOWER[src]:
-        raise ValueError(f"{g.token()} is not a generator of kind {src}")
-    return _image(which, g if g.kind == "d" else g.as_morphism())
 
 
 @lru_cache(maxsize=None)
@@ -545,16 +540,12 @@ class DWord:
     target: int
     indices: tuple[int, ...]
 
-    def factors(self) -> list[LinComb]:
-        out = []
-        for k, i in enumerate(self.indices):
-            out.append(d_lower(i, self.target - k, self.kind))
-        return out
-
     def expand(self) -> LinComb:
         if not self.indices:
             return LinComb.of(identity_inj(self.source))
-        return compose_word(self.factors())
+        return compose_word(
+            [d_lower(i, self.target - k, self.kind) for k, i in enumerate(self.indices)]
+        )
 
     def index_sum(self) -> int:
         return sum(self.indices)
@@ -574,19 +565,6 @@ def strictly_decreasing_basis(kind: str, m: int, n: int) -> list[DWord]:
         raise ValueError(f"degrees below {low} are not objects of kind {kind}")
     if m > n:
         return []
-    if m == n:
-        return [DWord(kind, m, n, ())]
-    words: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...], stage: int):
-        # stage runs n, n-1, ..., m+1; indices strictly decreasing
-        if stage == m:
-            words.append(prefix)
-            return
-        hi = min(stage, (prefix[-1] - 1) if prefix else stage)
-        for i in range(hi, -1, -1):
-            extend(prefix + (i,), stage - 1)
-
-    extend((), n)
-    words.sort()
+    # i_n <= n and strict decrease already force i_k <= k at every stage k
+    words = sorted(c[::-1] for c in combinations(range(n + 1), n - m))
     return [DWord(kind, m, n, w) for w in words]

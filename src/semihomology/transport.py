@@ -19,10 +19,10 @@ index, the projection and the kept coordinates.  Induction (the left adjoint
 of restriction) is that coend along u_delta, u_a or v, for each target object,
 with generator actions induced by precomposition; ``tensor_with_representable``
 is the same coend along the identity functor.  Because the source module is
-only known up to its truncation, every induction carries a validity window: a
-target degree is certified when recomputing with one fewer source layer
-changes nothing.  A unit or counit exists only when that window is the whole
-target range.
+only known up to its truncation, an induction is certified on the whole
+target range when recomputing it with one fewer source layer changes
+nothing, and refused otherwise; a unit or counit exists only when its
+induction is certified.
 
 Tor with the four named coefficient objects is realized through the explicit
 representable resolutions; after the co-Yoneda collapse these are the
@@ -33,7 +33,7 @@ routes available so the collapse itself is testable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
@@ -251,11 +251,10 @@ def _coend(
 
 @dataclass(frozen=True)
 class InductionResult:
-    """An induced module, the target degrees it is certified on, and the
+    """An induced module, certified on its whole target range, and the
     coend of each target degree."""
 
     module: DiagramModule
-    valid_window: tuple[int, int] | None
     coends: Mapping[int, Coend]
 
     @property
@@ -270,7 +269,7 @@ class InductionResult:
 def _induction(which: str, m: DiagramModule, src_cap: int) -> InductionResult:
     """The coends along a comparison functor F over the source degrees
     <= src_cap, one per target degree a with labels (q, phi: a -> F(q), i),
-    and the module they present, with no window certified yet.  A generator
+    and the module they present, not yet certified.  A generator
     h: a - 1 -> a sends the class of (q, phi, i) to that of (q, phi o h, i)."""
     _, kind, shift, _ = FUNCTORS[which]
     truncation = m.truncation + shift
@@ -290,16 +289,17 @@ def _induction(which: str, m: DiagramModule, src_cap: int) -> InductionResult:
     dims = {a: c.proj.rows for a, c in coends.items()}
     # precomposition is functorial on the quotient
     module = _trusted_module(kind, truncation, dims, actions)
-    return InductionResult(module, None, MappingProxyType(coends))
+    return InductionResult(module, MappingProxyType(coends))
 
 
 def induce(which: str, m: DiagramModule) -> InductionResult:
-    """Extension of scalars along a comparison functor, with window detection.
+    """Extension of scalars along a comparison functor, certified on its
+    whole target range or refused with ``WindowError``.
 
-    A target degree joins the validity window when dropping the top source
-    layer changes neither its coend presentation nor any generator action up
-    to that degree.  Modules supported strictly below their truncation get
-    the full window; the window is empty when nothing can be certified.
+    The induction is certified when dropping the top source layer changes
+    neither the labels of any coend nor the induced module.  That holds
+    exactly for the modules that vanish in their top degree and have a
+    degree below it, so no induction is certified on part of its range.
     """
     if which not in _COMPARISON or which == "u_square":
         raise ValueError(f"unknown induction {which!r}")
@@ -308,22 +308,13 @@ def induce(which: str, m: DiagramModule) -> InductionResult:
         raise ValueError(f"{which} induces from kind {src}, got {m.kind}")
     m.require_valid()
     full = _induction(which, m, m.truncation)
-    shallow = _induction(which, m, m.truncation - 1) if m.truncation - 1 >= m.lower else None
-    induced = full.module
-    by_degree: dict[int, list[GeneratorId]] = {}
-    for g in generators_for(induced.kind, induced.truncation):
-        by_degree.setdefault(g.degree, []).append(g)
-    window_top = None
-    # degree a joins once every generator up to a agrees; the lower ones
-    # already did, so each generator is compared once, at its own degree
-    for a in induced.degrees():
-        if shallow is None or full.coends[a].labels != shallow.coends[a].labels or any(
-            induced.actions[g] != shallow.module.actions[g] for g in by_degree.get(a, ())
+    if m.truncation > m.lower:
+        shallow = _induction(which, m, m.truncation - 1)
+        if all(c.labels == full.coends[a].labels for a, c in shallow.coends.items()) and (
+            shallow.module == full.module
         ):
-            break
-        window_top = a
-    window = (induced.lower, window_top) if window_top is not None else None
-    return replace(full, valid_window=window)
+            return full
+    raise WindowError(f"induction along {which} has an empty validity window")
 
 
 @dataclass(frozen=True)
@@ -338,15 +329,6 @@ class AdjunctionMap:
         return (self.arrow.source.lower, self.arrow.source.truncation)
 
 
-def _certified_induction(which: str, m: DiagramModule) -> InductionResult:
-    """induce(which, m), refused unless its window is the whole target range.
-    A window is either that or empty, so the message names the empty one."""
-    result = induce(which, m)
-    if result.valid_window != (result.module.lower, result.module.truncation):
-        raise WindowError(f"induction along {which} has an empty validity window")
-    return result
-
-
 def unit_map(which: str, m: DiagramModule) -> AdjunctionMap:
     """The adjunction unit M -> restrict(induce(M)).
 
@@ -354,7 +336,7 @@ def unit_map(which: str, m: DiagramModule) -> AdjunctionMap:
     modules for the sign embedding.  The unit sends a basis vector to the
     class of (vector tensor identity).
     """
-    result = _certified_induction(which, m)
+    result = induce(which, m)
     _, tgt_kind, shift, _ = FUNCTORS[which]
     identity = identity_cube if tgt_kind == "scube" else identity_inj
     comps = {
@@ -367,7 +349,7 @@ def unit_map(which: str, m: DiagramModule) -> AdjunctionMap:
 def counit_map(which: str, x: DiagramModule) -> AdjunctionMap:
     """The adjunction counit induce(restrict(X)) -> X: a presentation label
     (q, phi, i) is evaluated by acting with phi on the i-th basis vector."""
-    result = _certified_induction(which, restrict(which, x))
+    result = induce(which, restrict(which, x))
     comps = {
         a: RatMatrix.from_columns(
             [act(x, phi).column(i) for _, phi, i in c.kept_labels()], rows=x.dim(a)

@@ -252,6 +252,16 @@ class TestPipelines:
         assert out == ""
         assert err == "semihomology: the validity window is empty: nothing can be certified\n"
 
+    def test_induce_from_the_wrong_kind_names_both_kinds(self, capsys, tmp_path):
+        # a chain0 file is top-supported too: the kind mismatch is reported,
+        # not the empty window
+        path = tmp_path / "chain.json"
+        path.write_text(module_to_json(disk_sphere_complex([("sphere", 4)], 4)))
+        status, out, err = run(capsys, "induce", "--in", path, "--functor", "v")
+        assert status == 2
+        assert out == ""
+        assert err == "semihomology: v induces from kind aug_ssimp, got chain0\n"
+
     def test_counit_u_a_is_weq(self, capsys, aug_file):
         status, out, _ = run(capsys, "counit", "--in", aug_file, "--functor", "u_a", "--format", "json")
         assert status == 0
@@ -304,8 +314,15 @@ class TestMapCommands:
         ("source", "dims", {"+1": 1}, "dims key '+1' is not a canonical decimal integer"),
         ("map", "components", {"1_0": []}, "components key '1_0' is not a canonical decimal integer"),
         ("map", "components", {" 1": []}, "components key ' 1' is not a canonical decimal integer"),
+        # an object field of another JSON type names the field
+        ("map", "components", [], "components must be a JSON object, got []"),
+        ("map", "source", [], "source must be a JSON object, got []"),
+        ("map", "target", 3, "target must be a JSON object, got 3"),
+        ("source", "dims", [], "dims must be a JSON object, got []"),
+        ("target", "actions", None, "actions must be a JSON object, got null"),
     ], ids=["map-trunc-bool", "source-trunc-float", "target-trunc-str", "source-dims-float",
-            "target-dims-str", "source-key-plus", "components-key-underscore", "components-key-space"])
+            "target-dims-str", "source-key-plus", "components-key-underscore", "components-key-space",
+            "components-list", "source-list", "target-int", "source-dims-list", "target-actions-null"])
     def test_non_integer_field_is_input_error(self, capsys, tmp_path, part, field, value, says):
         obj = json.loads(map_to_json(yoneda_map("ssimp", delta(0, 1), 2)))
         doc = obj if part == "map" else obj[part]
@@ -321,6 +338,60 @@ class TestMapCommands:
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
         assert says in err and "map.json" in err
+
+
+def _chain_module(dims: dict, actions: dict) -> dict:
+    return {"format": "semihomology-module/1", "kind": "chain0", "truncation": 1,
+            "dims": dims, "actions": actions}
+
+
+# degree 0 of a chain0 map from k^2 to k, both concentrated in degree 0
+_POINTS_MAP = {"format": "semihomology-map/1", "kind": "chain0", "truncation": 1,
+               "source": _chain_module({"0": 2}, {}), "target": _chain_module({"0": 1}, {})}
+
+
+class TestJsonFieldTypes:
+    """A module's dims and actions must be JSON objects, and every matrix of
+    a module or map a list of lists; otherwise exit 2 with one stderr line
+    that names the field, the token or the degree.  The map fields are in
+    TestMapCommands."""
+
+    @staticmethod
+    def rejected(capsys, tmp_path, doc, *argv):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        status, out, err = run(capsys, *argv, "--in", path)
+        assert status == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err and "doc.json" in err
+        return err
+
+    @pytest.mark.parametrize("doc, argv, says", [
+        # a string is not a column: "12" was read as the rows ["1"], ["2"]
+        (_chain_module({"0": 2, "1": 1}, {"d 1": "12"}), ["validate"],
+         "action 'd 1' must be a list of lists of entries, got \"12\""),
+        # nor a row: ["12"] was read as the row ["1", "2"]
+        (_chain_module({"0": 1, "1": 2}, {"d 1": ["12"]}), ["convert", "--to", "module-json"],
+         "action 'd 1' must be a list of lists of entries, got [\"12\"]"),
+        ({**_POINTS_MAP, "components": {"0": ["12"]}}, ["fib"],
+         "component '0' must be a list of lists of entries, got [\"12\"]"),
+        ({**_POINTS_MAP, "components": {"0": ["12"]}}, ["weq"],
+         "component '0' must be a list of lists of entries"),
+    ], ids=["action-column", "action-row", "component-fib", "component-weq"])
+    def test_string_matrix_is_input_error(self, capsys, tmp_path, doc, argv, says):
+        assert says in self.rejected(capsys, tmp_path, doc, *argv)
+
+    @pytest.mark.parametrize("field, value, says", [
+        ("dims", [], "dims must be a JSON object, got []"),
+        ("dims", None, "dims must be a JSON object, got null"),
+        ("actions", [], "actions must be a JSON object, got []"),
+        ("actions", "d 1", 'actions must be a JSON object, got "d 1"'),
+    ], ids=["dims-list", "dims-null", "actions-list", "actions-string"])
+    def test_non_object_module_field_is_input_error(self, capsys, tmp_path, field, value, says):
+        doc = json.loads(module_to_json(representable("ssimp", 1, 2)))
+        doc[field] = value
+        assert says in self.rejected(capsys, tmp_path, doc, "validate")
 
 
 # A 104-byte module document over truncation 500: building it, let alone

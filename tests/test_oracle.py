@@ -115,26 +115,6 @@ class TestBasisMatrices:
         assert leading == list(range(matrix.rows))
         assert all(matrix[r, r] == 1 for r in range(matrix.rows))
 
-    def test_basis_property_at_top_degree(self):
-        # the widest window the property suite covers: target degree 6.
-        # the decreasing matrices by their rank; the cubical ones by their
-        # unit diagonal and zero lower triangle, which imply invertibility
-        from semihomology.exactlin import rank
-
-        for kind, low in (("ssimp", 0), ("aug_ssimp", -1)):
-            for m in range(low, 7):
-                words, matrix = decreasing_basis_matrix(kind, m, 6)
-                assert rank(matrix) == matrix.rows
-        for m in range(-1, 7):
-            for first in (True, False):
-                leading, matrix = cubical_family_matrix(m, 6, first)
-                assert leading == list(range(matrix.rows))
-                for r in range(matrix.rows):
-                    assert matrix[r, r] == 1
-                    row = matrix.row(r)
-                    assert not any(row[k] for k in range(r))
-
-
     def test_both_freeness_checks_pass_to_six(self):
         # the battery caps the cubical check at n <= 4; here both run to 6
         runner = _Runner(CorpusSpec(truncation=6))

@@ -18,7 +18,6 @@ from semihomology.simplexcat import (
     compose,
     compose_cube,
     compose_inj,
-    compose_word,
     cube_coface_factorization,
     cube_delta,
     d_lower,
@@ -339,9 +338,18 @@ class TestDecreasingBasis:
                     words = strictly_decreasing_basis(kind, m, n)
                     assert len(words) == comb(n + 1, m + 1)
 
-    def test_word_factors_compose_to_expansion(self):
-        for w in strictly_decreasing_basis("ssimp", 0, 3):
-            assert compose_word(w.factors()) == w.expand()
+    def test_matches_brute_force_enumeration(self):
+        # index i_k of stage k ranges over 0..k; keep the strictly decreasing
+        # words, which product already yields in sorted order
+        for kind, m0 in (("ssimp", 0), ("aug_ssimp", -1)):
+            for n in range(m0, 8):
+                for m in range(m0, n + 1):
+                    stages = [range(k + 1) for k in range(n, m, -1)]
+                    want = [w for w in product(*stages)
+                            if all(a > b for a, b in zip(w, w[1:]))]
+                    words = strictly_decreasing_basis(kind, m, n)
+                    assert [w.indices for w in words] == want, (kind, m, n)
+                    assert {(w.kind, w.source, w.target) for w in words} == {(kind, m, n)}
 
 
 @st.composite

@@ -144,7 +144,6 @@ class TestInduce:
         dims = [result.module.dim(n) for n in range(result.module.truncation + 1)]
         assert dims == [2, 1] + [0] * (result.module.truncation - 1)
         assert validate(result.module)
-        assert result.valid_window is not None
         # matches the cube interval representable degreewise
         interval = representable("scube", 1, result.module.truncation)
         assert {n: result.module.dim(n) for n in result.module.degrees()} == {
@@ -157,17 +156,17 @@ class TestInduce:
         c = restrict("u_delta", result.module)
         h = homology(c)
         assert h.dims_list() == [1] + [0] * (N - 1)
-        assert result.valid_window == (0, N)
+        assert (result.module.lower, result.module.truncation) == (0, N)
 
     def test_zero_module(self):
         result = induce("u_a", zero_module("chain_neg1", N))
         assert result.module.is_zero()
-        assert result.valid_window == (-1, N)
+        assert (result.module.lower, result.module.truncation) == (-1, N)
 
     def test_window_shrinks_with_top_support(self):
         top = disk_sphere_complex([("sphere", N)], N)
-        result = induce("u_delta", top)
-        assert result.valid_window is None or result.valid_window[1] < N
+        with pytest.raises(WindowError, match="induction along u_delta has an empty validity window"):
+            induce("u_delta", top)
 
     def test_presentation_labels_cover_dims(self):
         m = representable("aug_ssimp", 0, 3)
@@ -190,7 +189,7 @@ class TestInduce:
 
 def _predicted_window(which: str, m):
     """The whole target range when M vanishes in its top degree (and has a
-    degree below it), else None."""
+    degree below it), else None: the induction is refused."""
     _, tgt_kind, shift, _ = FUNCTORS[which]
     if m.truncation > m.lower and m.dim(m.truncation) == 0:
         return (KIND_LOWER[tgt_kind], m.truncation + shift)
@@ -198,9 +197,10 @@ def _predicted_window(which: str, m):
 
 
 def _check_windows(modules) -> set[tuple[str, bool]]:
-    """Assert the window of every induction from each module, and from its
-    restriction (the induction a counit makes); return the (adjunction,
-    window empty) pairs reached."""
+    """Assert that every induction from each module, and from its
+    restriction (the induction a counit makes), returns on exactly its
+    predicted window or raises WindowError; return the (adjunction, window
+    empty) pairs reached."""
     reached = set()
     for x in modules:
         for which in ("u_delta", "u_a", "v"):
@@ -210,19 +210,22 @@ def _check_windows(modules) -> set[tuple[str, bool]]:
                     continue
                 m = x if adjunction is unit_map else restrict(which, x)
                 window = _predicted_window(which, m)
-                assert induce(which, m).valid_window == window, (which, x.kind, x.dims)
                 reached.add((adjunction.__name__, window is None))
                 if window is None:
                     with pytest.raises(WindowError):
+                        induce(which, m)
+                    with pytest.raises(WindowError):
                         adjunction(which, x)
                 else:
+                    induced = induce(which, m).module
+                    assert (induced.lower, induced.truncation) == window, (which, x.kind, x.dims)
                     assert adjunction(which, x).window == (x.lower, x.truncation)
     return reached
 
 
 class TestWindowInvariant:
-    """Every induction's validity window is the whole target range or empty,
-    as _predicted_window says, and every unit and counit that exists is
+    """Every induction is certified on its whole target range or refused, as
+    _predicted_window says, and every unit and counit that exists is
     certified on all of its source's degrees."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
