@@ -503,10 +503,18 @@ def _matrix_to_json(m: RatMatrix) -> list[list[str]]:
 
 
 def _matrix_from_json(rows: list[list[str]], shape: tuple[int, int]) -> RatMatrix:
-    parsed = [[rational_from_str(e) for e in r] for r in rows]
+    """Each entry parsed once, into canonical rows; an entry error comes first."""
+    parsed = [{j: e for j, e in enumerate(map(rational_from_str, r)) if e} for r in rows]
     if len(rows) != shape[0] or any(len(r) != shape[1] for r in rows):
         raise ValueError(f"matrix shape mismatch: expected {shape[0]}x{shape[1]}")
-    return RatMatrix.from_rows(parsed, cols=shape[1])
+    return RatMatrix._trusted(shape[1], parsed)
+
+
+def _json_field(obj: dict, name: str):
+    """A required field of a JSON document, named when it is missing."""
+    if name not in obj:
+        raise ValueError(f"required field {name} is missing")
+    return obj[name]
 
 
 def json_int(value, name: str) -> int:
@@ -558,12 +566,14 @@ def module_to_obj(x: DiagramModule) -> dict:
 def module_from_obj(obj: dict) -> DiagramModule:
     if obj.get("format") != MODULE_FORMAT:
         raise ValueError(f"not a {MODULE_FORMAT} document")
-    kind = obj["kind"]
-    truncation = json_int(obj["truncation"], "truncation")
+    kind = _json_field(obj, "kind")
+    truncation = json_int(_json_field(obj, "truncation"), "truncation")
     dims = {
         _degree_key(key, "dims"): json_int(value, f"dims '{key}'")
         for key, value in _json_object(obj.get("dims", {}), "dims").items()
     }
+    if not isinstance(kind, str):  # before it keys the cache of generator tokens
+        raise ValueError(f"kind must be a JSON string, got {json.dumps(kind)}")
     generators = _generator_tokens(kind, truncation)
     actions: dict[GeneratorId, RatMatrix] = {}
     for token, rows in _json_object(obj.get("actions", {}), "actions").items():
@@ -601,8 +611,8 @@ def map_to_obj(f: ModuleMap) -> dict:
 def map_from_obj(obj: dict) -> ModuleMap:
     if obj.get("format") != MAP_FORMAT:
         raise ValueError(f"not a {MAP_FORMAT} document")
-    source = module_from_obj(_json_object(obj["source"], "source"))
-    target = module_from_obj(_json_object(obj["target"], "target"))
+    source = module_from_obj(_json_object(_json_field(obj, "source"), "source"))
+    target = module_from_obj(_json_object(_json_field(obj, "target"), "target"))
     comps = {}
     for key, rows in _json_object(obj.get("components", {}), "components").items():
         n = _degree_key(key, "components")

@@ -587,7 +587,7 @@ def cubical_family_matrix(m: int, n: int, first_family: bool):
     monochromatic cube basis ordered by descending count of color-1
     insertions.  Unitriangular with diagonal exactly 1."""
     basis = hom_basis("scube", m + 1, n + 1)
-    order = sorted(basis, key=lambda f: (-f.pattern.count(1), f.sort_key()))
+    order = sorted(basis, key=lambda f: (-f.pattern.count(1), f))
     column = {f: k for k, f in enumerate(order)}
     entries = []
     for q in range(m, n + 1):

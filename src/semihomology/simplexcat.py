@@ -3,7 +3,10 @@
 The module kinds are named once, in ``KIND_LOWER`` with the lowest degree of
 each: the index kinds ``ssimp``, ``aug_ssimp`` and ``scube``, and the chain
 kinds ``chain0`` and ``chain_neg1``.  ``hom_basis`` and the strictly
-decreasing basis take these names.  Three kinds of morphisms appear:
+decreasing basis take these names.  Three kinds of values appear, each a
+tuple led by a tag, its class name or a generator's kind, so it hashes,
+compares and sorts as a tuple, in C: values of different types never compare
+equal, and a hom set's values sort in basis order.
 
 * ``InjMap`` -- order-preserving injections between the ordinals [m] =
   {0 < ... < m}, with [-1] the empty ordinal; stored by image subset, which
@@ -28,10 +31,10 @@ words[-1])`` means ``words[0] o words[1] o ... o words[-1]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping
 
@@ -46,23 +49,34 @@ X = 2
 _CUBE_ENTRIES = frozenset((0, 1, X))
 
 
-@dataclass(frozen=True, slots=True)
-class InjMap:
-    """Order-preserving injection [source] -> [target], stored by its image."""
+def _trusted(cls, *fields):
+    """The ``cls`` value (class name, *fields), unchecked: for values built from valid ones."""
+    return tuple.__new__(cls, (cls.__name__, *fields))
 
-    source: int
-    target: int
-    image: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.source < -1 or self.target < -1 or self.source > self.target:
-            raise ValueError(f"illegal degrees {self.source} -> {self.target}")
-        if len(self.image) != self.source + 1:
+def _repr(value) -> str:
+    fields = ", ".join(f"{name}={getattr(value, name)!r}" for name in value._fields)
+    return f"{type(value).__name__}({fields})"
+
+
+class InjMap(tuple):
+    """Order-preserving injection [source] -> [target], by its image: ("InjMap", source, target, image)."""
+
+    __slots__ = ()
+    _fields = ("source", "target", "image")
+    source, target, image = (property(itemgetter(i)) for i in (1, 2, 3))
+    __repr__ = _repr
+
+    def __new__(cls, source: int, target: int, image: tuple[int, ...]):
+        if source < -1 or target < -1 or source > target:
+            raise ValueError(f"illegal degrees {source} -> {target}")
+        if len(image) != source + 1:
             raise ValueError("image size must be source degree + 1")
-        if any(b <= a for a, b in zip(self.image, self.image[1:])):
+        if any(b <= a for a, b in zip(image, image[1:])):
             raise ValueError("image must be strictly increasing")
-        if self.image and not (0 <= self.image[0] and self.image[-1] <= self.target):
+        if image and not (0 <= image[0] and image[-1] <= target):
             raise ValueError("image out of range")
+        return _trusted(cls, source, target, image)
 
     def complement(self) -> tuple[int, ...]:
         im = set(self.image)
@@ -71,25 +85,23 @@ class InjMap:
     def text(self) -> str:
         return f"inj {self.source}->{self.target} {{{','.join(map(str, self.image))}}}"
 
-    def sort_key(self):
-        return (self.source, self.target, self.image)
 
+class CubeMap(tuple):
+    """Injective cube morphism, by its pattern of 0, 1 and X: ("CubeMap", source, target, pattern)."""
 
-@dataclass(frozen=True, slots=True)
-class CubeMap:
-    """Injective cube morphism, stored as its pattern of 0, 1 and X entries."""
+    __slots__ = ()
+    _fields = ("source", "target", "pattern")
+    source, target, pattern = (property(itemgetter(i)) for i in (1, 2, 3))
+    __repr__ = _repr
 
-    source: int
-    target: int
-    pattern: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.source < 0 or self.target < 0 or self.source > self.target:
-            raise ValueError(f"illegal cube degrees {self.source} -> {self.target}")
-        if len(self.pattern) != self.target:
+    def __new__(cls, source: int, target: int, pattern: tuple[int, ...]):
+        if source < 0 or target < 0 or source > target:
+            raise ValueError(f"illegal cube degrees {source} -> {target}")
+        if len(pattern) != target:
             raise ValueError("pattern length must equal target degree")
-        if self.pattern.count(X) != self.source or not _CUBE_ENTRIES.issuperset(self.pattern):
-            raise ValueError(f"pattern must hold {self.source} X entries and otherwise 0 or 1, got {self.pattern}")
+        if pattern.count(X) != source or not _CUBE_ENTRIES.issuperset(pattern):
+            raise ValueError(f"pattern must hold {source} X entries and otherwise 0 or 1, got {pattern}")
+        return _trusted(cls, source, target, pattern)
 
     def constants(self) -> tuple[tuple[int, int], ...]:
         """The inserted positions as (1-based position, color) pairs, ascending."""
@@ -104,32 +116,8 @@ class CubeMap:
         tokens = [f"x{next(coords)}" if e == X else str(e) for e in self.pattern]
         return f"cube {self.source}->{self.target} [{','.join(tokens)}]"
 
-    def sort_key(self):
-        return self.pattern
-
 
 Morphism = InjMap | CubeMap
-
-
-def _trusted_builder(cls):
-    """``cls._trusted(source, target, third)``: the frozen slots dataclass
-    with these three fields, set as they are without ``__post_init__``.  For
-    values built from valid ones only; the public constructor checks."""
-    new = object.__new__
-    set_source, set_target, set_third = (getattr(cls, name).__set__ for name in cls.__slots__)
-
-    def trusted(source: int, target: int, third: tuple[int, ...]):
-        obj = new(cls)
-        set_source(obj, source)
-        set_target(obj, target)
-        set_third(obj, third)
-        return obj
-
-    return staticmethod(trusted)
-
-
-InjMap._trusted = _trusted_builder(InjMap)
-CubeMap._trusted = _trusted_builder(CubeMap)
 
 
 @lru_cache(maxsize=None)
@@ -161,7 +149,7 @@ def compose_inj(g: InjMap, f: InjMap) -> InjMap:
     """g o f; f acts first."""
     if f.target != g.source:
         raise ValueError(f"boundary mismatch: {f.text()} then {g.text()}")
-    return InjMap._trusted(f.source, g.target, tuple([g.image[j] for j in f.image]))
+    return _trusted(InjMap, f.source, g.target, tuple([g.image[j] for j in f.image]))
 
 
 def compose_cube(g: CubeMap, f: CubeMap) -> CubeMap:
@@ -169,7 +157,7 @@ def compose_cube(g: CubeMap, f: CubeMap) -> CubeMap:
     if f.target != g.source:
         raise ValueError(f"boundary mismatch: {f.text()} then {g.text()}")
     inner = iter(f.pattern)
-    return CubeMap._trusted(f.source, g.target, tuple([next(inner) if e == X else e for e in g.pattern]))
+    return _trusted(CubeMap, f.source, g.target, tuple([next(inner) if e == X else e for e in g.pattern]))
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
@@ -183,27 +171,25 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
 # -- generators --------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class GeneratorId:
-    """One-step generator: delta(i, n), cube(i, color, n), or d(n)."""
+class GeneratorId(tuple):
+    """One-step generator delta(i, n), cube(i, color, n) or d(n), stored as
+    the tuple (kind, degree, index, color); kind is "delta", "cube" or "d"."""
 
-    kind: str  # "delta" | "cube" | "d"
-    degree: int
-    index: int = 0
-    color: int = 0
+    __slots__ = ()
+    _fields = ("kind", "degree", "index", "color")
+    kind, degree, index, color = (property(itemgetter(i)) for i in (0, 1, 2, 3))
+    __repr__ = _repr
 
-    def __post_init__(self):
-        if self.kind == "delta":
-            if not 0 <= self.index <= self.degree:
-                raise ValueError(f"delta({self.index}, {self.degree}) out of range")
-        elif self.kind == "cube":
-            if not (1 <= self.index <= self.degree and self.color in (0, 1)):
-                raise ValueError(f"cube({self.index}, {self.color}, {self.degree}) out of range")
-        elif self.kind == "d":
-            if self.degree < 0:
-                raise ValueError("d(n) needs n >= 0")
-        else:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
+    def __new__(cls, kind: str, degree: int, index: int = 0, color: int = 0):
+        if kind not in ("delta", "cube", "d"):
+            raise ValueError(f"unknown generator kind {kind!r}")
+        if kind == "delta" and not 0 <= index <= degree:
+            raise ValueError(f"delta({index}, {degree}) out of range")
+        if kind == "cube" and not (1 <= index <= degree and color in (0, 1)):
+            raise ValueError(f"cube({index}, {color}, {degree}) out of range")
+        if kind == "d" and degree < 0:
+            raise ValueError("d(n) needs n >= 0")
+        return tuple.__new__(cls, (kind, degree, index, color))
 
     def as_morphism(self) -> Morphism:
         if self.kind == "delta":
@@ -327,7 +313,7 @@ class LinComb:
     def __repr__(self) -> str:
         if not self.terms:
             return f"LinComb(0: {self.source}->{self.target})"
-        parts = [f"({c})*{f.text()}" for f, c in sorted(self.terms.items(), key=lambda t: t[0].sort_key())]
+        parts = [f"({c})*{f.text()}" for f, c in sorted(self.terms.items())]
         return " + ".join(parts)
 
 
@@ -361,8 +347,8 @@ def hom_basis(kind: str, m: int, n: int) -> tuple[Morphism, ...]:
         return ()
     if kind == "scube":
         # product yields the patterns in sorted order
-        return tuple(CubeMap._trusted(m, n, p) for p in product((0, 1, X), repeat=n) if p.count(X) == m)
-    return tuple(InjMap._trusted(m, n, image) for image in combinations(range(n + 1), m + 1))
+        return tuple(_trusted(CubeMap, m, n, p) for p in product((0, 1, X), repeat=n) if p.count(X) == m)
+    return tuple(_trusted(InjMap, m, n, image) for image in combinations(range(n + 1), m + 1))
 
 
 @lru_cache(maxsize=None)
@@ -420,7 +406,7 @@ def monochromatic_factorization(f: CubeMap) -> tuple[InjMap, InjMap]:
 def _monochromatic_embedding(f: InjMap, color: int) -> CubeMap:
     """j0/j1 on a general injection: insert constants of one color."""
     im = set(f.image)
-    return CubeMap._trusted(f.source + 1, f.target + 1, tuple([X if p in im else color for p in range(f.target + 1)]))
+    return _trusted(CubeMap, f.source + 1, f.target + 1, tuple([X if p in im else color for p in range(f.target + 1)]))
 
 
 def _sign_embedding(f: InjMap) -> LinComb:
@@ -432,7 +418,7 @@ def _sign_embedding(f: InjMap) -> LinComb:
     for colors in product((0, 1), repeat=len(comp)):
         for c, col in zip(comp, colors):
             pattern[c] = col
-        terms[CubeMap._trusted(f.source + 1, f.target + 1, tuple(pattern))] = (-1) ** colors.count(0)
+        terms[_trusted(CubeMap, f.source + 1, f.target + 1, tuple(pattern))] = (-1) ** colors.count(0)
     return LinComb._trusted(f.source + 1, f.target + 1, terms)
 
 
@@ -527,18 +513,19 @@ def d_lower(i: int, n: int, kind: str = "ssimp") -> LinComb:
 # -- strictly decreasing monomial basis ----------------------------------------
 
 
-@dataclass(frozen=True)
-class DWord:
-    """A strictly decreasing tail-sum monomial d_{i_n,n} ... d_{i_{m+1},m+1}.
+class DWord(tuple):
+    """A strictly decreasing tail-sum monomial d_{i_n,n} ... d_{i_{m+1},m+1},
+    stored as the tuple ("DWord", kind, source, target, indices).
 
     ``indices`` lists (i_n, ..., i_{m+1}), outermost first; the empty tuple is
     the identity of [m] = [n].
     """
 
-    kind: str
-    source: int
-    target: int
-    indices: tuple[int, ...]
+    __slots__ = ()
+    _fields = ("kind", "source", "target", "indices")
+    kind, source, target, indices = (property(itemgetter(i)) for i in (1, 2, 3, 4))
+    __repr__ = _repr
+    __new__ = _trusted  # DWord(kind, source, target, indices)
 
     def expand(self) -> LinComb:
         if not self.indices:

@@ -393,6 +393,24 @@ class TestJsonFieldTypes:
         doc[field] = value
         assert says in self.rejected(capsys, tmp_path, doc, "validate")
 
+    @pytest.mark.parametrize("doc, argv, says", [
+        ({k: v for k, v in _chain_module({"0": 1}, {}).items() if k != "truncation"}, ["validate"],
+         "doc.json: required field truncation is missing"),
+        ({k: v for k, v in _chain_module({"0": 1}, {}).items() if k != "kind"}, ["validate"],
+         "doc.json: required field kind is missing"),
+        ({k: v for k, v in _POINTS_MAP.items() if k != "source"}, ["weq"],
+         "doc.json: required field source is missing"),
+        ({**_POINTS_MAP, "target": {k: v for k, v in _POINTS_MAP["target"].items() if k != "truncation"}},
+         ["fib"], "doc.json: required field truncation is missing"),
+        # a list kind once reached a cache and failed as "unhashable type: 'list'"
+        ({**_chain_module({"0": 1}, {}), "kind": []}, ["validate"], "doc.json: kind must be a JSON string, got []"),
+        ({**_chain_module({"0": 1}, {}), "kind": 5}, ["validate"], "doc.json: kind must be a JSON string, got 5"),
+        ({**_chain_module({"0": 1}, {}), "kind": "foo"}, ["validate"], "doc.json: unknown module kind 'foo'"),
+    ], ids=["no-truncation", "no-kind", "no-source", "no-target-truncation", "kind-list", "kind-int",
+            "kind-unknown"])
+    def test_missing_or_mistyped_field_is_named(self, capsys, tmp_path, doc, argv, says):
+        assert self.rejected(capsys, tmp_path, doc, *argv).rstrip("\n").endswith(says)
+
 
 # A 104-byte module document over truncation 500: building it, let alone
 # validating it, takes far longer than rejecting it.

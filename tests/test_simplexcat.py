@@ -1,14 +1,22 @@
+import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semihomology.diagmod import generators_for
 from semihomology.simplexcat import (
     FUNCTORS,
+    KIND_LOWER,
     CubeMap,
+    DWord,
     GeneratorId,
     InjMap,
     LinComb,
@@ -28,6 +36,7 @@ from semihomology.simplexcat import (
     monochromatic_factorization,
     omega_d,
     strictly_decreasing_basis,
+    _trusted,
 )
 
 N_MAX = 5
@@ -442,3 +451,109 @@ class TestTrustedConstruction:
         two = LinComb.of(identity_inj(0), 2)
         ((_, c),) = half.compose(two).terms.items()
         assert c == 1 and type(c) is int
+
+
+def every_hom_set(top: int = 5):
+    """Every hom basis m -> n <= top of the three index kinds."""
+    for kind in ("ssimp", "aug_ssimp", "scube"):
+        for m in range(KIND_LOWER[kind], top + 1):
+            for n in range(m, top + 1):
+                yield hom_basis(kind, m, n)
+
+
+def every_generator(top: int = 5):
+    for kind in KIND_LOWER:
+        yield from generators_for(kind, top)
+
+
+def unchecked(value):
+    """value rebuilt by tuple.__new__ alone: through _trusted for a normal
+    form, straight from its entries for a generator."""
+    if isinstance(value, GeneratorId):
+        return tuple.__new__(GeneratorId, tuple(value))
+    return _trusted(type(value), *value[1:])
+
+
+class TestTaggedTuples:
+    """Normal forms and generators are tuples: a normal form is (class name,
+    source, target, image | pattern), a generator (kind, degree, index,
+    color), so hashing, equality and ordering run in tuple's own code."""
+
+    def values(self):
+        for basis in every_hom_set():
+            yield from basis
+        yield from every_generator()
+
+    def test_public_and_unchecked_constructions_agree(self):
+        checked = 0
+        for v in self.values():
+            public = GeneratorId(*v) if isinstance(v, GeneratorId) else rebuilt(v)
+            for w in (public, unchecked(v)):
+                assert type(w) is type(v) and w == v and hash(w) == hash(v)
+            checked += 1
+        assert checked == 693
+
+    def test_hom_basis_and_generators_come_in_value_order(self):
+        for basis in every_hom_set():
+            assert list(basis) == sorted(basis)
+        for kind in KIND_LOWER:
+            gens = generators_for(kind, 5)
+            assert list(gens) == sorted(gens)
+
+    def test_values_of_different_types_never_compare_equal(self):
+        seen = set()
+        for v in self.values():
+            if not isinstance(v, GeneratorId):
+                # the same fields under another tag, or under none
+                for other in {InjMap, CubeMap, DWord} - {type(v)}:
+                    assert _trusted(other, *v[1:]) != v
+                assert v != v[1:]
+            assert v not in ("valid", "check_map", ("restrict", "v"))  # memo keys
+            seen.add(v)
+        # 364 cube maps, 127 injections, 57 generators: the simplicial kinds
+        # share their injections and cofaces, the chain kinds their d(n)
+        assert len(seen) == 548
+        assert InjMap(0, 1, (0,)) != CubeMap(0, 1, (0,))
+
+    def test_fields_cannot_be_assigned(self):
+        for v in self.values():
+            for name in v._fields:
+                with pytest.raises(AttributeError):
+                    setattr(v, name, 0)
+        with pytest.raises(AttributeError):
+            delta(0, 1).extra = 0
+
+    def test_repr_text(self):
+        assert repr(delta(0, 1)) == "InjMap(source=0, target=1, image=(1,))"
+        assert repr(identity_inj(-1)) == "InjMap(source=-1, target=-1, image=())"
+        assert repr(cube_delta(1, 0, 2)) == "CubeMap(source=1, target=2, pattern=(0, 2))"
+        assert repr(GeneratorId("cube", 2, index=1, color=0)) == (
+            "GeneratorId(kind='cube', degree=2, index=1, color=0)")
+        assert repr(strictly_decreasing_basis("ssimp", 0, 2)[0]) == (
+            "DWord(kind='ssimp', source=0, target=2, indices=(1, 0))")
+        for v in self.values():
+            fields = ", ".join(f"{name}={getattr(v, name)!r}" for name in v._fields)
+            assert repr(v) == f"{type(v).__name__}({fields})"
+
+    @pytest.mark.parametrize("cls", [InjMap, CubeMap, GeneratorId, DWord])
+    def test_hashing_equality_and_order_are_tuples_own(self, cls):
+        assert cls.__hash__ is tuple.__hash__
+        assert cls.__eq__ is tuple.__eq__
+        assert cls.__lt__ is tuple.__lt__
+
+    def test_report_bytes_do_not_depend_on_the_hash_seed(self):
+        """The tags are strings, whose hashes depend on PYTHONHASHSEED; no
+        output may depend on them."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        digests = set()
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
+            env.pop("SEMIHOMOLOGY_MAX_TRUNC", None)
+            done = subprocess.run(
+                [sys.executable, "-m", "semihomology", "battery", "--seed", "0", "--trunc", "5",
+                 "--format", "json"],
+                env=env, capture_output=True, timeout=300,
+            )
+            assert done.returncode == 1, done.stderr  # the documented u_delta failures
+            digests.add(hashlib.sha256(done.stdout).hexdigest())
+        assert len(digests) == 1
