@@ -108,8 +108,7 @@ def homology_coordinates(report: HomologyReport, n: int, vectors: RatMatrix) -> 
     x = solve(hstack(b, h), vectors)
     if x is None:
         raise ValueError(f"vector at degree {n} is not a cycle of the target")
-    # the rows of x past the boundary coordinates, shared as they are
-    return RatMatrix._trusted(vectors.cols, x._sparse[b.cols:])
+    return x.row_select(range(b.cols, x.rows))
 
 
 # -- chain maps ----------------------------------------------------------------

@@ -75,13 +75,17 @@ def _call(fn, *args):
 
 def _load_json(path: str) -> dict:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise CliError(f"{path}: JSON nested too deeply") from None
     if not isinstance(obj, dict):
         raise CliError(f"{path}: expected a JSON object")
     return obj

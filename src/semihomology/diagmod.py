@@ -307,10 +307,9 @@ def representable(kind: str, c: int, truncation: int) -> DiagramModule:
         target_index = hom_index(kind, n - 1, c)
         gm = g.as_morphism()
         # one 1 per column: row target_index[phi o g] of column phi
-        rows: list[dict[int, int]] = [{} for _ in range(dims[n - 1])]
-        for j, phi in enumerate(hom_basis(kind, n, c)):
-            rows[target_index[compose(phi, gm)]][j] = 1
-        actions[g] = RatMatrix._trusted(dims[n], rows)
+        actions[g] = RatMatrix.from_columns(
+            dims[n - 1], ({target_index[compose(phi, gm)]: 1} for phi in hom_basis(kind, n, c))
+        )
     return _trusted_module(kind, truncation, dims, actions)  # precomposition is functorial
 
 
@@ -479,10 +478,9 @@ def yoneda_map(kind: str, g: Morphism, truncation: int) -> ModuleMap:
     comps = {}
     for n in src.degrees():
         tgt_index = hom_index(kind, n, g.target)
-        rows: list[dict[int, int]] = [{} for _ in range(tgt.dim(n))]
-        for j, phi in enumerate(hom_basis(kind, n, g.source)):
-            rows[tgt_index[compose(g, phi)]][j] = 1
-        comps[n] = RatMatrix._trusted(src.dim(n), rows)
+        comps[n] = RatMatrix.from_columns(
+            tgt.dim(n), ({tgt_index[compose(g, phi)]: 1} for phi in hom_basis(kind, n, g.source))
+        )
     return ModuleMap(src, tgt, comps)
 
 
@@ -503,11 +501,11 @@ def _matrix_to_json(m: RatMatrix) -> list[list[str]]:
 
 
 def _matrix_from_json(rows: list[list[str]], shape: tuple[int, int]) -> RatMatrix:
-    """Each entry parsed once, into canonical rows; an entry error comes first."""
-    parsed = [{j: e for j, e in enumerate(map(rational_from_str, r)) if e} for r in rows]
+    """Every entry parsed before the shape is checked, so an entry error comes first."""
+    parsed = [list(map(rational_from_str, r)) for r in rows]
     if len(rows) != shape[0] or any(len(r) != shape[1] for r in rows):
         raise ValueError(f"matrix shape mismatch: expected {shape[0]}x{shape[1]}")
-    return RatMatrix._trusted(shape[1], parsed)
+    return RatMatrix.from_rows(parsed, shape[1])
 
 
 def _json_field(obj: dict, name: str):

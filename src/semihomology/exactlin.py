@@ -32,14 +32,15 @@ Matrices are immutable and stored as sparse rows: one ``{column: value}``
 dict per row, with ascending columns, no zeros and canonical scalars.  The
 face, coface and coend matrices of this package are mostly empty or +-1, so
 every operation costs time in proportion to the nonzeros, not the cells.
-The public constructor ``RatMatrix(rows, cols, entries)`` and ``from_rows``
-and ``from_columns`` coerce every entry with `exact`; everything else, from
-``@`` and ``transpose`` to ``rref`` and ``solve``, builds its result through
-the private ``RatMatrix._trusted`` from rows it already knows to be
-canonical, and never checks an entry again.  No stored row is ever mutated,
-so matrices share rows freely; elimination works on copies.  ``row``,
-``column`` and ``__getitem__`` read the matrix densely; ``leading_column``
-reads a row's first nonzero column straight from its sparse row.
+Only this module knows that format.  ``RatMatrix(rows, cols, entries)``,
+``from_rows`` and ``from_columns`` (one ``{row: value}`` mapping per column)
+coerce every entry with `exact`; everything else, from ``@`` and
+``transpose`` to ``rref`` and ``solve``, builds its result through the
+private ``RatMatrix._trusted`` from rows it already knows to be canonical.
+No stored row is ever mutated, so matrices share rows freely; elimination
+works on copies.  ``row``, ``column`` and ``__getitem__`` read the matrix
+densely, ``sparse_column`` one column from the memoized transpose, and
+``leading_column`` a row's first nonzero column.
 
 Zero-dimensional matrices (0 x n and n x 0) are legal and denote maps to or
 from the zero space; graded computations hit empty degrees all the time.
@@ -50,7 +51,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 
 def exact(x) -> int | Fraction:
@@ -98,9 +100,9 @@ def rational_from_str(s: str) -> int | Fraction:
 class RatMatrix:
     """Immutable matrix of rationals, stored as sparse rows.
 
-    ``RatMatrix(rows, cols, entries)`` takes the entries row-major and
-    coerces each one with `exact`.  Every other constructor in this module
-    goes through `_trusted`, which takes rows that are already canonical.
+    ``RatMatrix(rows, cols, entries)``, ``from_rows`` and ``from_columns``
+    coerce each entry with `exact`.  Every other constructor goes through
+    `_trusted`, private to this module, which takes canonical rows.
     ``_elim``, ``_transposed``, ``_kernel`` and ``_image`` memoize the
     elimination, the transpose, `kernel_basis` and `image_basis`; all start
     empty.
@@ -143,30 +145,34 @@ class RatMatrix:
         return m
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], cols: int | None = None) -> "RatMatrix":
-        rows = [list(r) for r in rows]
-        if cols is None:
-            cols = len(rows[0]) if rows else 0
+    def from_rows(cls, rows: Iterable[Sequence], cols: int | None = None) -> "RatMatrix":
+        sparse = []
         for r in rows:
-            if len(r) != cols:
+            if cols is None:
+                cols = len(r)
+            elif len(r) != cols:
                 raise ValueError("ragged rows")
-        return cls._trusted(cols, [_row_from_dense(r) for r in rows])
+            sparse.append({j: c for j, e in enumerate(r) if (c := e if type(e) is int else exact(e))})
+        return cls._trusted(cols or 0, sparse)
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], rows: int | None = None) -> "RatMatrix":
-        columns = [list(c) for c in columns]
-        if rows is None:
-            rows = len(columns[0]) if columns else 0
+    def from_columns(cls, rows: int, columns: Iterable[Mapping[int, object]]) -> "RatMatrix":
+        """One column per ``{row: value}`` mapping, each value coerced with
+        `exact` and zeros dropped; a row outside ``[0, rows)`` is an IndexError."""
+        if rows < 0:
+            raise ValueError("negative matrix dimensions")
         out: list[dict[int, int | Fraction]] = [{} for _ in range(rows)]
-        for j, c in enumerate(columns):
-            if len(c) != rows:
-                raise ValueError("ragged columns")
-            for i, e in enumerate(c):
+        cols = 0
+        for column in columns:  # left to right, so each row's columns ascend
+            for i, e in column.items():
+                if not 0 <= i < rows:
+                    raise IndexError(f"row {i} outside a matrix of {rows} rows")
                 if type(e) is not int:
                     e = exact(e)
                 if e:
-                    out[i][j] = e
-        return cls._trusted(len(columns), out)
+                    out[i][cols] = e
+            cols += 1
+        return cls._trusted(cols, out)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
@@ -193,6 +199,10 @@ class RatMatrix:
     def column(self, j: int) -> tuple[int | Fraction, ...]:
         j = self._column_index(j)
         return tuple(r.get(j, 0) for r in self._sparse)
+
+    def sparse_column(self, j: int) -> Mapping[int, int | Fraction]:
+        """Column j's nonzeros as a read-only ``{row: value}`` mapping."""
+        return MappingProxyType(self.transpose()._sparse[self._column_index(j)])
 
     def row_major(self) -> list[int | Fraction]:
         return [e for i in range(self.rows) for e in self.row(i)]
@@ -279,6 +289,10 @@ class RatMatrix:
             for r in self._sparse
         ])
 
+    def row_select(self, indices: Iterable[int]) -> "RatMatrix":
+        """The rows at the given indices, in that order."""
+        return RatMatrix._trusted(self.cols, [self._sparse[i] for i in indices])
+
     def __repr__(self) -> str:
         return f"RatMatrix({self.rows}x{self.cols})"
 
@@ -311,12 +325,6 @@ _ZERO_ROW: dict[int, int | Fraction] = {}
 def _canonical(x: int | Fraction) -> int | Fraction:
     """`exact` for a value computed from canonical scalars."""
     return x if type(x) is int else exact(x)
-
-
-def _row_from_dense(values: Sequence) -> dict[int, int | Fraction]:
-    """The sparse row of a dense list, each entry coerced before zeros drop."""
-    coerced = [e if type(e) is int else exact(e) for e in values]
-    return {j: e for j, e in enumerate(coerced) if e}
 
 
 def _sorted_row(row: dict[int, int | Fraction]) -> dict[int, int | Fraction]:

@@ -538,11 +538,6 @@ def _check_hom_dimensions(runner: _Runner, top: int) -> None:
     runner.run("hom-dims.cubes", f"all m <= n <= {top}", cubes)
 
 
-def _sparse_row(element, column: dict) -> dict:
-    """The sparse row of a combination of normal forms, f's coefficient at column[f]."""
-    return dict(sorted((column[f], c) for f, c in element.terms.items()))
-
-
 def _check_triangular(matrix: RatMatrix, diagonal, where: dict) -> None:
     """Require matrix[r, r] == diagonal[r], a unit, and no nonzero entry left
     of it, row by row; the first failure is the witness."""
@@ -560,8 +555,8 @@ def decreasing_basis_matrix(kind: str, m: int, n: int):
     basis = hom_basis(kind, m, n)
     order = sorted(basis, key=lambda f: tuple(sorted(f.complement(), reverse=True)))
     column = {f: k for k, f in enumerate(order)}
-    rows = [_sparse_row(word.expand(), column) for word in words]
-    return words, RatMatrix._trusted(len(basis), rows)
+    rows = ({column[f]: c for f, c in word.expand().terms.items()} for word in words)
+    return words, RatMatrix.from_columns(len(basis), rows).transpose()
 
 
 def _check_decreasing_basis(runner: _Runner, top: int) -> None:
@@ -605,9 +600,9 @@ def cubical_family_matrix(m: int, n: int, first_family: bool):
                     )
                 entries.append((column[lead], element))
     entries.sort(key=lambda t: t[0])
-    rows = [_sparse_row(element, column) for _, element in entries]
+    rows = ({column[f]: c for f, c in element.terms.items()} for _, element in entries)
     leading = [pos for pos, _ in entries]
-    return leading, RatMatrix._trusted(len(basis), rows)
+    return leading, RatMatrix.from_columns(len(basis), rows).transpose()
 
 
 def _check_cubical_basis(runner: _Runner, top: int) -> None:

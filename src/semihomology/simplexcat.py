@@ -59,6 +59,11 @@ def _repr(value) -> str:
     return f"{type(value).__name__}({fields})"
 
 
+def _fields_after_tag(value) -> tuple:
+    """The constructor arguments of a tagged value, for copy and pickle."""
+    return value[1:]
+
+
 class InjMap(tuple):
     """Order-preserving injection [source] -> [target], by its image: ("InjMap", source, target, image)."""
 
@@ -66,6 +71,7 @@ class InjMap(tuple):
     _fields = ("source", "target", "image")
     source, target, image = (property(itemgetter(i)) for i in (1, 2, 3))
     __repr__ = _repr
+    __getnewargs__ = _fields_after_tag
 
     def __new__(cls, source: int, target: int, image: tuple[int, ...]):
         if source < -1 or target < -1 or source > target:
@@ -93,6 +99,7 @@ class CubeMap(tuple):
     _fields = ("source", "target", "pattern")
     source, target, pattern = (property(itemgetter(i)) for i in (1, 2, 3))
     __repr__ = _repr
+    __getnewargs__ = _fields_after_tag
 
     def __new__(cls, source: int, target: int, pattern: tuple[int, ...]):
         if source < 0 or target < 0 or source > target:
@@ -190,6 +197,10 @@ class GeneratorId(tuple):
         if kind == "d" and degree < 0:
             raise ValueError("d(n) needs n >= 0")
         return tuple.__new__(cls, (kind, degree, index, color))
+
+    def __getnewargs__(self) -> tuple:
+        """The constructor arguments, for copy and pickle."""
+        return tuple(self)
 
     def as_morphism(self) -> Morphism:
         if self.kind == "delta":
@@ -525,6 +536,7 @@ class DWord(tuple):
     _fields = ("kind", "source", "target", "indices")
     kind, source, target, indices = (property(itemgetter(i)) for i in (1, 2, 3, 4))
     __repr__ = _repr
+    __getnewargs__ = _fields_after_tag
     __new__ = _trusted  # DWord(kind, source, target, indices)
 
     def expand(self) -> LinComb:

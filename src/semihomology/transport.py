@@ -34,7 +34,6 @@ routes available so the collapse itself is testable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
@@ -190,13 +189,7 @@ class Coend:
         """The quotient classes of the given labels, one column each: the
         rows of the memoized ``proj.transpose()`` at their positions, so the
         cost is the nonzeros of the selected columns."""
-        columns = self.proj.transpose()._sparse
-        positions = [self.index[lab] for lab in labels]
-        rows: list[dict[int, int | Fraction]] = [{} for _ in range(self.proj.rows)]
-        for p, k in enumerate(positions):
-            for i, v in columns[k].items():
-                rows[i][p] = v
-        return RatMatrix._trusted(len(positions), rows)
+        return self.proj.transpose().row_select([self.index[lab] for lab in labels]).transpose()
 
 
 def _coend(
@@ -225,26 +218,24 @@ def _coend(
             for i in range(dim_q):
                 labels.append((q, phi, i))
     index = {lab: k for k, lab in enumerate(labels)}
-    # the relation matrix, one sparse row per label; a relation's two parts
-    # sit on labels of degrees q - 1 and q, so they never share a label
-    rel_rows: list[dict[int, int | Fraction]] = [{} for _ in labels]
-    r = 0
+    # one {label: value} column per relation; its two parts sit on labels of
+    # degrees q - 1 and q, so they never share a label
+    relations = []
     for g in generators_for(m.kind, top):
         q = g.degree
         dim_q = dims.get(q, 0)
         if dim_q == 0:
             continue
-        mg_columns = m.actions[g].transpose()._sparse  # M(g): M_q -> M_{q-1}
+        mg_columns = [m.actions[g].sparse_column(i) for i in range(dim_q)]  # M(g): M_q -> M_{q-1}
         image_g = image(g)
         for phi in hom(q - 1):
-            composed = image_g.compose(LinComb.of(phi))
-            for i in range(dim_q):
-                for t, coeff in mg_columns[i].items():
-                    rel_rows[index[(q - 1, phi, t)]][r] = coeff
-                for w, c in composed.terms.items():
-                    rel_rows[index[(q, w, i)]][r] = -c
-                r += 1
-    sub = RatMatrix._trusted(r, rel_rows)
+            composed = image_g.compose(LinComb.of(phi)).terms
+            for i, column in enumerate(mg_columns):
+                relation = {index[(q - 1, phi, t)]: coeff for t, coeff in column.items()}
+                for w, c in composed.items():
+                    relation[index[(q, w, i)]] = -c
+                relations.append(relation)
+    sub = RatMatrix.from_columns(len(labels), relations)
     proj, kept = quotient_with_section(len(labels), sub)
     return Coend(tuple(labels), MappingProxyType(index), proj, tuple(kept))
 
@@ -352,7 +343,7 @@ def counit_map(which: str, x: DiagramModule) -> AdjunctionMap:
     result = induce(which, restrict(which, x))
     comps = {
         a: RatMatrix.from_columns(
-            [act(x, phi).column(i) for _, phi, i in c.kept_labels()], rows=x.dim(a)
+            x.dim(a), [act(x, phi).sparse_column(i) for _, phi, i in c.kept_labels()]
         )
         for a, c in result.coends.items()
     }
@@ -429,11 +420,10 @@ def resolution_complex(kind: str, c: int, truncation: int) -> DiagramModule:
         index_low = hom_index(kind, p - 1, c)
         sign_sum = apply_functor(which, omega_d(p))
         # column phi holds the distinct terms of phi o (signed coface sum)
-        rows: list[dict[int, int | Fraction]] = [{} for _ in range(dims[p - 1])]
-        for j, phi in enumerate(hom_basis(kind, p, c)):
-            for w, coeff in LinComb.of(phi).compose(sign_sum).terms.items():
-                rows[index_low[w]][j] = coeff
-        diff[p] = RatMatrix._trusted(dims[p], rows)
+        diff[p] = RatMatrix.from_columns(dims[p - 1], (
+            {index_low[w]: coeff for w, coeff in LinComb.of(phi).compose(sign_sum).terms.items()}
+            for phi in hom_basis(kind, p, c)
+        ))
     diff[0] = RatMatrix(dims[-1], dims[0], [1] * (dims[-1] * dims[0]))
     return make_complex(-1, truncation, dims, diff)
 
@@ -459,13 +449,12 @@ def tensor_resolution_complex(x: DiagramModule, truncation: int | None = None) -
     for p in range(1, truncation + 1):
         low = coends[p - 1]
         sign_sum = apply_functor(which, omega_d(p))
-        cols = []
+        columns = []
         for cdeg, phi, i in coends[p].kept_labels():
-            col = [0] * len(low.labels)
-            for w, coeff in LinComb.of(phi).compose(sign_sum).terms.items():
-                col[low.index[(cdeg, w, i)]] += coeff
-            cols.append(col)
-        at_ambient_level = RatMatrix.from_columns(cols, rows=len(low.labels))
+            # distinct terms w sit on distinct labels (cdeg, w, i)
+            terms = LinComb.of(phi).compose(sign_sum).terms
+            columns.append({low.index[(cdeg, w, i)]: coeff for w, coeff in terms.items()})
+        at_ambient_level = RatMatrix.from_columns(len(low.labels), columns)
         diff[p] = low.proj @ at_ambient_level
     return make_complex(0, truncation, dims, diff)
 

@@ -165,6 +165,21 @@ class TestValidate:
         assert status == 2
         assert "broken.json:1" in err
 
+    @pytest.mark.parametrize("command", ["validate", "weq"])
+    @pytest.mark.parametrize("content, says", [
+        (b"\xff\xfe{}", "not UTF-8 text (invalid start byte at byte 0)"),
+        (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply"),
+    ], ids=["not-utf8", "nested-too-deeply"])
+    def test_unreadable_document_is_input_error(self, capsys, tmp_path, command, content, says):
+        bad = tmp_path / "unreadable.json"
+        bad.write_bytes(content)
+        status, out, err = run(capsys, command, "--in", bad)
+        assert status == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert f"unreadable.json: {says}" in err
+
     def test_missing_file(self, capsys, tmp_path):
         status, _, err = run(capsys, "validate", "--in", tmp_path / "nope.json")
         assert status == 2

@@ -170,10 +170,11 @@ class TestCanonicalScalars:
         lambda: RatMatrix(1, 1, [0.1]),
         lambda: RatMatrix(1, 2, [1, 2.0]),
         lambda: M([[1, 2]]).scale(0.5),
+        lambda: RatMatrix.from_columns(2, [{0: 1}, {1: 0.5}]),
         lambda: LinComb(0, 1, {delta(0, 1): 0.25}),
         lambda: LinComb.of(delta(0, 1), 1.0),
         lambda: LinComb.of(delta(0, 1)).scale(0.5),
-    ], ids=["matrix", "mixed-matrix", "matrix-scale", "lincomb", "lincomb-of", "lincomb-scale"])
+    ], ids=["matrix", "mixed-matrix", "matrix-scale", "from-columns", "lincomb", "lincomb-of", "lincomb-scale"])
     def test_floats_are_rejected(self, build):
         with pytest.raises(TypeError, match="float"):
             build()
@@ -515,7 +516,8 @@ class TestSparseAgainstDense:
         routes = [
             RatMatrix(m.rows, m.cols, [e for r in rows for e in r]),
             RatMatrix.from_rows(rows, cols=m.cols),
-            RatMatrix.from_columns(columns, rows=m.rows),
+            RatMatrix.from_columns(m.rows, [dict(enumerate(c)) for c in columns]),
+            RatMatrix.from_columns(m.rows, [m.sparse_column(j) for j in range(m.cols)]),
             m.transpose().transpose(),
             -(-m),
             m.scale(2).scale(Fraction(1, 2)),
@@ -557,6 +559,51 @@ class TestSparseAgainstDense:
             x - x
             x.scale(s)
         assert [snapshot(x) for x in made] == before
+
+
+class TestSparseBuilder:
+    """`from_columns`, the one sparse constructor other modules call, and
+    its readers `sparse_column` and `row_select`."""
+
+    @given(mixed_matrices(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_from_columns_equals_the_dense_construction(self, m, data):
+        # every entry as a Fraction, zeros included, each column's rows in a drawn order
+        columns = [
+            dict(data.draw(st.permutations([(i, Fraction(e)) for i, e in enumerate(m.column(j))])))
+            for j in range(m.cols)
+        ]
+        built = RatMatrix.from_columns(m.rows, iter(columns))
+        assert dense(built) == dense(m)
+        assert built == m and hash(built) == hash(m)
+
+    def test_integral_fractions_become_ints_and_zeros_drop(self):
+        m = RatMatrix.from_columns(2, [{1: 0, 0: Fraction(4, 2)}, {1: Fraction(0)}, {}])
+        assert (m.rows, m.cols) == (2, 3)
+        assert type(m[0, 0]) is int and m[0, 0] == 2
+        assert [dict(m.sparse_column(j)) for j in range(3)] == [{0: 2}, {}, {}]
+        assert RatMatrix.from_columns(4, []) == RatMatrix.zeros(4, 0)
+
+    @pytest.mark.parametrize("row", [-1, 3])
+    @pytest.mark.parametrize("value", [1, 0])
+    def test_a_row_outside_the_matrix_is_an_index_error(self, row, value):
+        with pytest.raises(IndexError, match=f"row {row} outside"):
+            RatMatrix.from_columns(3, [{0: 1}, {row: value}])
+
+    @given(mixed_matrices(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_sparse_column_and_row_select_read_the_matrix(self, m, data):
+        for j in range(m.cols):
+            column = m.sparse_column(j)
+            assert dict(column) == {i: e for i, e in enumerate(m.column(j)) if e}
+            assert list(column) == sorted(column)
+            with pytest.raises(TypeError):
+                column[0] = 1
+        if m.cols:
+            assert m.sparse_column(-1) == m.sparse_column(m.cols - 1)
+        picks = data.draw(st.lists(st.integers(0, m.rows - 1), max_size=6)) if m.rows else []
+        assert dense(m.row_select(picks)) == (len(picks), m.cols, [list(m.row(i)) for i in picks])
+        assert m.row_select(range(m.rows)) == m
 
 
 # -- integer elimination --------------------------------------------------------

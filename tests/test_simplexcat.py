@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -534,6 +536,17 @@ class TestTaggedTuples:
         for v in self.values():
             fields = ", ".join(f"{name}={getattr(v, name)!r}" for name in v._fields)
             assert repr(v) == f"{type(v).__name__}({fields})"
+
+    def test_copy_and_pickle_give_an_equal_value_of_the_same_type(self):
+        words = [w for n in range(4) for m in range(-1, n + 1)
+                 for w in strictly_decreasing_basis("aug_ssimp", m, n)]
+        checked = 0
+        for v in [*self.values(), *words]:
+            for w in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+                assert type(w) is type(v) and w == v and hash(w) == hash(v)
+            checked += 1
+        assert checked == 693 + 30
+        assert copy.copy(DWord("ssimp", 0, 1, (1,))) == DWord("ssimp", 0, 1, (1,))
 
     @pytest.mark.parametrize("cls", [InjMap, CubeMap, GeneratorId, DWord])
     def test_hashing_equality_and_order_are_tuples_own(self, cls):
