@@ -34,6 +34,7 @@ from .diagmod import (
     module_to_json,
     validate,
 )
+from .exactlin import echo
 from .oracle import (
     REPORT_FORMAT,
     CorpusSpec,
@@ -50,6 +51,7 @@ from .transport import (
     DETECTING_FUNCTOR,
     WindowError,
     counit_map,
+    detecting_complex,
     induce,
     restrict,
     tor,
@@ -86,6 +88,8 @@ def _load_json(path: str) -> dict:
         raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except RecursionError:
         raise CliError(f"{path}: JSON nested too deeply") from None
+    except ValueError:  # an integer past Python's limit on digits converted
+        raise CliError(f"{path}: a JSON integer is too long to read") from None
     if not isinstance(obj, dict):
         raise CliError(f"{path}: expected a JSON object")
     return obj
@@ -174,22 +178,16 @@ def cmd_validate(args) -> int:
 
 
 _HOMOLOGY_TITLES = {
-    "u_delta": "restricted complex homology",
-    "u_square": "sign complex homology",
-    "u_a": "augmented complex homology",
+    "ssimp": "restricted complex homology",
+    "scube": "sign complex homology",
+    "aug_ssimp": "augmented complex homology",
 }
-
-
-def _detecting_homology(module: DiagramModule):
-    which = DETECTING_FUNCTOR.get(module.kind)
-    if which is None:
-        return homology(module), "chain complex homology"
-    return homology(restrict(which, module)), _HOMOLOGY_TITLES[which]
 
 
 def cmd_homology(args) -> int:
     module = _load_module(args.infile)
-    report, title = _detecting_homology(module)
+    report = homology(detecting_complex(module))
+    title = _HOMOLOGY_TITLES.get(module.kind, "chain complex homology")
     _emit(args, _homology_obj(report), _homology_table(report, title))
     return OK
 
@@ -210,7 +208,7 @@ def cmd_augment(args) -> int:
     module = _load_module(args.infile)
     if module.kind != "aug_ssimp":
         raise CliError(f"augment needs an aug_ssimp module, got {module.kind}")
-    _write(args.out, module_to_json(restrict("u_a", module)))
+    _write(args.out, module_to_json(detecting_complex(module)))
     return OK
 
 
@@ -389,7 +387,7 @@ def cmd_convert(args) -> int:
             _write(args.out, "\n".join(lines) + "\n")
             return OK
         raise CliError(f"cannot convert a report document to {args.to!r}")
-    raise CliError(f"unrecognized document format {fmt!r}")
+    raise CliError(f"unrecognized document format {echo(repr(fmt))}")
 
 
 # -- parser ---------------------------------------------------------------------

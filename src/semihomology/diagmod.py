@@ -36,12 +36,20 @@ the window.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
-from .exactlin import RatMatrix, block_diag, coordinate_section, rational_from_str, rational_to_str
+from .exactlin import (
+    RatMatrix,
+    block_diag,
+    coordinate_section,
+    echo,
+    rational_from_str,
+    rational_to_str,
+)
 from .simplexcat import (
     CHAIN_KINDS,
     KIND_LOWER,
@@ -65,7 +73,7 @@ MAP_FORMAT = "semihomology-map/1"
 
 def kind_lower(kind: str) -> int:
     if kind not in KIND_LOWER:
-        raise ValueError(f"unknown module kind {kind!r}")
+        raise ValueError(f"unknown module kind {echo(repr(kind))}")
     return KIND_LOWER[kind]
 
 
@@ -93,7 +101,7 @@ def _generator_tokens(kind: str, truncation: int) -> Mapping[str, GeneratorId]:
 
 def _not_a_generator(token: str, kind: str, truncation: int) -> ValueError:
     return ValueError(
-        f"action '{token}' is not a generator of kind {kind} inside "
+        f"action '{echo(token)}' is not a generator of kind {kind} inside "
         f"the truncation window [{kind_lower(kind)}, {truncation}]"
     )
 
@@ -148,7 +156,9 @@ class DiagramModule(_Memoized):
     def dim(self, n: int) -> int:
         lower = KIND_LOWER[self.kind]
         if n < lower or n > self.truncation:
-            raise ValueError(f"degree {n} outside truncation window [{lower}, {self.truncation}]")
+            raise ValueError(
+                f"degree {echo(str(n))} outside truncation window [{lower}, {self.truncation}]"
+            )
         return self.dims.get(n, 0)
 
     def degrees(self) -> range:
@@ -182,16 +192,19 @@ def make_module(kind: str, truncation: int, dims: Mapping[int, int],
     """Build a module, filling in missing dims/actions with zeros and
     checking shapes eagerly.  A dims key outside the truncation window or
     an action that is not a generator of the kind inside it is an error,
-    and so is a dimension whose type is not exactly int."""
+    and so is a dimension whose type is not exactly int or that no sequence
+    could hold (above sys.maxsize)."""
     lower = kind_lower(kind)
     if truncation < lower:
         raise ValueError("truncation below the kind's lower bound")
     window = f"the truncation window [{lower}, {truncation}]"
     for n, d in dims.items():
         if not lower <= n <= truncation:
-            raise ValueError(f"dims key '{n}' is outside {window}")
+            raise ValueError(f"dims key '{echo(str(n))}' is outside {window}")
         if type(d) is not int:
             raise ValueError(f"dims '{n}' must be an int, got {d!r}")
+        if d > sys.maxsize:
+            raise ValueError(f"dims '{n}' exceeds the largest dimension {sys.maxsize}")
     generators = generators_for(kind, truncation)
     known = set(generators)
     for g in actions:
@@ -519,7 +532,7 @@ def json_int(value, name: str) -> int:
     """An integer field of a JSON document: a bool, float or string is an
     error that names the field, never a silent int(...)."""
     if type(value) is not int:
-        raise ValueError(f"{name} must be a JSON integer, got {json.dumps(value)}")
+        raise ValueError(f"{name} must be a JSON integer, got {echo(json.dumps(value))}")
     return value
 
 
@@ -527,7 +540,7 @@ def _json_object(value, name: str) -> dict:
     """An object field of a JSON document; anything else is an error that
     names the field."""
     if not isinstance(value, dict):
-        raise ValueError(f"{name} must be a JSON object, got {json.dumps(value)}")
+        raise ValueError(f"{name} must be a JSON object, got {echo(json.dumps(value))}")
     return value
 
 
@@ -535,7 +548,9 @@ def _json_rows(value, name: str) -> list[list]:
     """A matrix field of a JSON document: a list of rows, each a list, never
     a string read one character per entry."""
     if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
-        raise ValueError(f"{name} must be a list of lists of entries, got {json.dumps(value)}")
+        raise ValueError(
+            f"{name} must be a list of lists of entries, got {echo(json.dumps(value))}"
+        )
     return value
 
 
@@ -547,7 +562,7 @@ def _degree_key(key: str, name: str) -> int:
     except ValueError:
         n = None
     if n is None or str(n) != key:
-        raise ValueError(f"{name} key {key!r} is not a canonical decimal integer")
+        raise ValueError(f"{name} key {echo(repr(key))} is not a canonical decimal integer")
     return n
 
 
@@ -571,7 +586,7 @@ def module_from_obj(obj: dict) -> DiagramModule:
         for key, value in _json_object(obj.get("dims", {}), "dims").items()
     }
     if not isinstance(kind, str):  # before it keys the cache of generator tokens
-        raise ValueError(f"kind must be a JSON string, got {json.dumps(kind)}")
+        raise ValueError(f"kind must be a JSON string, got {echo(json.dumps(kind))}")
     generators = _generator_tokens(kind, truncation)
     actions: dict[GeneratorId, RatMatrix] = {}
     for token, rows in _json_object(obj.get("actions", {}), "actions").items():

@@ -77,6 +77,17 @@ def rational_to_str(x: int | Fraction) -> str:
     return str(x)
 
 
+# The most characters of an input value that an error message echoes.
+ECHO_LIMIT = 60
+
+
+def echo(text: str) -> str:
+    """text as an error message shows it: whole when it is short, else its
+    first ECHO_LIMIT characters and an ellipsis, so a huge value in an input
+    file still makes one short line."""
+    return text if len(text) <= ECHO_LIMIT else text[:ECHO_LIMIT] + "…"
+
+
 # The grammar of a serialized entry: an ASCII integer, optionally over an
 # ASCII natural number.  No decimals, exponents, underscores or other digits.
 _ENTRY = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
@@ -87,14 +98,14 @@ def rational_from_str(s: str) -> int | Fraction:
     on p, whitespace around); a bad entry is a ValueError that names it."""
     match = _ENTRY.fullmatch(s.strip()) if isinstance(s, str) else None
     if match is None:
-        raise ValueError(f"matrix entry {s!r} is not a string of the form 'p' or 'p/q'")
+        raise ValueError(f"matrix entry {echo(repr(s))} is not a string of the form 'p' or 'p/q'")
     p, q = match.groups()
     try:
         return int(p) if q is None else exact(Fraction(int(p), int(q)))
     except ZeroDivisionError:
-        raise ValueError(f"matrix entry {s!r} has a zero denominator") from None
+        raise ValueError(f"matrix entry {echo(repr(s))} has a zero denominator") from None
     except ValueError:
-        raise ValueError(f"matrix entry {s!r} is not a rational number") from None
+        raise ValueError(f"matrix entry {echo(repr(s))} is not a rational number") from None
 
 
 class RatMatrix:

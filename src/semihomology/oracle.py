@@ -28,6 +28,7 @@ from math import comb
 from .chainkit import (
     bottom_cokernel,
     bottom_cokernel_map,
+    brutal_truncation_map,
     disk_sphere_complex,
     good_truncation,
     good_truncation_map,
@@ -53,7 +54,7 @@ from .diagmod import (
     zero_map,
     zero_module,
 )
-from .exactlin import RatMatrix, is_invertible, rank
+from .exactlin import RatMatrix, echo, is_invertible, rank
 from .simplexcat import (
     apply_functor,
     compose,
@@ -63,10 +64,10 @@ from .simplexcat import (
     strictly_decreasing_basis,
 )
 from .transport import (
-    DETECTING_FUNCTOR,
     WindowError,
-    brutal_truncation_map,
     counit_map,
+    detecting_complex,
+    detecting_map,
     induce,
     k_bullet_complex,
     k_point_to_bullet,
@@ -101,7 +102,9 @@ def check_truncation(n: int, lowest: int | None = None) -> int:
     """n, or a ValueError when it exceeds the cap or lies below lowest."""
     cap = truncation_cap()
     if n > cap:
-        raise ValueError(f"truncation {n} exceeds the cap {cap} (set {MAX_TRUNC_ENV} to raise it)")
+        raise ValueError(
+            f"truncation {echo(str(n))} exceeds the cap {cap} (set {MAX_TRUNC_ENV} to raise it)"
+        )
     if lowest is not None and n < lowest:
         raise ValueError(f"truncation must be in {lowest}..{cap}")
     return n
@@ -310,9 +313,8 @@ def check_weak_equivalence(f) -> WeqVerdict:
     cokernel; cross-checked against the quasi-isomorphism of the full
     augmented complex, which must agree.
     """
-    kind = f.source.kind
-    if kind == "aug_ssimp":
-        chain = restrict_map("u_a", f)
+    chain = detecting_map(f)
+    if f.source.kind == "aug_ssimp":
         tau_ok = is_quasi_iso(good_truncation_map(chain))
         h_minus1 = bottom_cokernel_map(chain)
         minus1_ok = is_invertible(h_minus1)
@@ -324,9 +326,7 @@ def check_weak_equivalence(f) -> WeqVerdict:
             "full_failures": full.failures,
         }
         return WeqVerdict(ok, (-1, tau_ok.window[1]), witness, crosscheck_agrees=(ok == full.ok))
-    if kind in DETECTING_FUNCTOR:
-        f = restrict_map(DETECTING_FUNCTOR[kind], f)
-    verdict = is_quasi_iso(f)
+    verdict = is_quasi_iso(chain)
     return WeqVerdict(verdict.ok, verdict.window, {"failures": verdict.failures})
 
 
@@ -475,7 +475,7 @@ def run_counterexample(truncation: int = 5) -> VerificationReport:
     runner.run("obstruction.induced-dims", "v_! of the aug point representable", dims_check)
 
     def source_check():
-        _, h = bottom_cokernel(restrict("u_a", m))
+        _, h = bottom_cokernel(detecting_complex(m))
         _require(h == 0, {"h_minus1": h})
         return {"h_minus1": h}
 
@@ -484,7 +484,7 @@ def run_counterexample(truncation: int = 5) -> VerificationReport:
     unit = unit_map("v", m)
 
     def target_check():
-        _, h = bottom_cokernel(restrict("u_a", unit.arrow.target))
+        _, h = bottom_cokernel(detecting_complex(unit.arrow.target))
         _require(h == 1, {"h_minus1": h})
         return {"h_minus1": h}
 
@@ -504,8 +504,7 @@ def run_counterexample(truncation: int = 5) -> VerificationReport:
     )
 
     def higher_iso_check():
-        chain = restrict_map("u_a", unit.arrow)
-        verdict = is_quasi_iso(good_truncation_map(chain))
+        verdict = is_quasi_iso(good_truncation_map(detecting_map(unit.arrow)))
         _require(verdict.ok, {"tau_failures": verdict.failures})
         return {"tau_window": list(verdict.window)}
 
@@ -662,13 +661,13 @@ def _check_tor(runner: _Runner, corpus: Corpus) -> None:
         if x.kind in ("ssimp", "scube"):
             def check(x=x):
                 t = tor(x, "k_constant")
-                h = homology(restrict(DETECTING_FUNCTOR[x.kind], x))
+                h = homology(detecting_complex(x))
                 _require(t.dims == h.dims, {"tor": t.dims, "restricted": h.dims})
                 return {"dims": t.dims_list()}
         elif x.kind == "aug_ssimp":
             def check(x=x):
                 t = tor(x, "k_constant_shifted")
-                tau = homology(good_truncation(restrict("u_a", x)))
+                tau = homology(good_truncation(detecting_complex(x)))
                 for n in range(1, t.window[1] + 1):
                     _require(t.dim(n) == tau.dim(n), {"degree": n, "tor": t.dim(n), "tau": tau.dim(n)})
                 return {"dims": t.dims_list()}
@@ -708,11 +707,11 @@ def _check_sign_shadow(runner: _Runner, corpus: Corpus) -> None:
         def check(x=x):
             shadow = restrict("v", x)
             _require(bool(validate(shadow)), {"shadow_invalid": True})
-            lhs = restrict("u_a", shadow)
-            rhs = reindex_shift(restrict("u_square", x), -1)
+            lhs = detecting_complex(shadow)
+            rhs = reindex_shift(detecting_complex(x), -1)
             _require(lhs.dims == rhs.dims and lhs.diff == rhs.diff, {"complexes_differ": True})
             h_tau = homology(good_truncation(lhs))
-            h_cube = homology(restrict("u_square", x))
+            h_cube = homology(detecting_complex(x))
             for n in range(0, x.truncation - 2):
                 _require(
                     h_tau.dim(n) == h_cube.dim(n + 1),
@@ -742,8 +741,8 @@ def _check_weq_characterizations(runner: _Runner, corpus: Corpus) -> None:
     for name, f in corpus.maps:
         kind = f.source.kind
         if kind in ("ssimp", "scube"):
-            def check(f=f, kind=kind):
-                chain = restrict_map(DETECTING_FUNCTOR[kind], f)
+            def check(f=f):
+                chain = detecting_map(f)
                 c1 = is_quasi_iso(chain).ok
                 c2 = _invertible_family(homology_map(chain))
                 c3 = _invertible_family(tor_map(f, "k_constant"))
@@ -752,7 +751,7 @@ def _check_weq_characterizations(runner: _Runner, corpus: Corpus) -> None:
                 return {"weq": c1}
         elif kind == "aug_ssimp":
             def check(f=f):
-                chain = restrict_map("u_a", f)
+                chain = detecting_map(f)
                 tau = good_truncation_map(chain)
                 h_minus1 = bottom_cokernel_map(chain)
                 minus1_ok = is_invertible(h_minus1)
@@ -826,38 +825,22 @@ def _check_induction_dimensions(runner: _Runner, corpus: Corpus) -> None:
 
 
 def _check_unit_counit(runner: _Runner, corpus: Corpus) -> None:
-    for name, m in corpus.by_kind("chain0"):
-        def check(m=m):
-            unit = unit_map("u_delta", m)
-            verdict = is_quasi_iso(unit.arrow)
-            _require(verdict.ok, {"failures": verdict.failures})
-            return {"window": list(unit.window)}
+    # each unit and counit must be a weak equivalence, cross-checked when augmented
+    for label, adjunction, which, kind in (
+        ("unit", unit_map, "u_delta", "chain0"),
+        ("unit", unit_map, "u_a", "chain_neg1"),
+        ("counit", counit_map, "u_delta", "ssimp"),
+        ("counit", counit_map, "u_a", "aug_ssimp"),
+    ):
+        for name, m in corpus.by_kind(kind):
+            def check(m=m, label=label, adjunction=adjunction, which=which):
+                adj = adjunction(which, m)
+                verdict = check_weak_equivalence(adj.arrow)
+                witness = {"witness": verdict.witness} if label == "counit" else verdict.witness
+                _require(verdict.ok and verdict.crosscheck_agrees is not False, witness)
+                return {"window": list(adj.window)}
 
-        runner.run("adjunction.unit-weq.u_delta", name, check)
-    for name, m in corpus.by_kind("chain_neg1"):
-        def check(m=m):
-            unit = unit_map("u_a", m)
-            verdict = is_quasi_iso(unit.arrow)
-            _require(verdict.ok, {"failures": verdict.failures})
-            return {"window": list(unit.window)}
-
-        runner.run("adjunction.unit-weq.u_a", name, check)
-    for name, x in corpus.by_kind("ssimp"):
-        def check(x=x):
-            eps = counit_map("u_delta", x)
-            verdict = check_weak_equivalence(eps.arrow)
-            _require(verdict.ok, {"witness": verdict.witness})
-            return {"window": list(eps.window)}
-
-        runner.run("adjunction.counit-weq.u_delta", name, check)
-    for name, x in corpus.by_kind("aug_ssimp"):
-        def check(x=x):
-            eps = counit_map("u_a", x)
-            verdict = check_weak_equivalence(eps.arrow)
-            _require(verdict.ok and bool(verdict.crosscheck_agrees), {"witness": verdict.witness})
-            return {"window": list(eps.window)}
-
-        runner.run("adjunction.counit-weq.u_a", name, check)
+            runner.run(f"adjunction.{label}-weq.{which}", name, check)
     # the sign embedding's unit verdicts are recorded, never asserted
     for name, m in corpus.by_kind("aug_ssimp"):
         def check(m=m):

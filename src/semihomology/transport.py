@@ -7,10 +7,12 @@ result is degree n + shift of the module, and each source generator g acts
 by X(F(g)).  Along u_delta, u_a and u_square the result is a chain complex,
 that is a chain-kind module whose differential in degree n is the action of
 the signed coface sum; ``DETECTING_FUNCTOR`` names the one that detects weak
-equivalences of each index kind.  Along v it is the sign shadow of a
-semicubical module: the augmented semisimplicial module whose degree n is
-the cube degree n + 1 and whose cofaces act by the signed difference of the
-two cube coface families.
+equivalences of each index kind, and ``detecting_complex`` and
+``detecting_map`` return that complex (a chain-kind argument itself), the one
+route by which Tor, every weak-equivalence verdict and every unit and counit
+check reach it.  Along v it is the sign shadow of a semicubical module: the
+augmented semisimplicial module whose degree n is the cube degree n + 1 and
+whose cofaces act by the signed difference of the two cube coface families.
 
 One private builder, ``_coend``, computes every coend as a literal quotient:
 the direct sum of (source space) x (hom into the image object), divided by the
@@ -41,7 +43,6 @@ from .chainkit import (
     HomologyReport,
     bottom_cokernel,
     brutal_truncation,
-    brutal_truncation_map,
     good_truncation,
     good_truncation_basis,
     homology,
@@ -159,6 +160,19 @@ def restrict_map(which: str, f: ModuleMap) -> ModuleMap:
         return ModuleMap(source, target, {n: f.components[n + shift] for n in source.degrees()})
 
     return f._memoized(("restrict", which), compute)
+
+
+def detecting_complex(x: DiagramModule) -> DiagramModule:
+    """The complex detecting weak equivalences of x's kind: x restricted
+    along ``DETECTING_FUNCTOR`` (memoized), or x itself for a chain kind."""
+    which = DETECTING_FUNCTOR.get(x.kind)
+    return x if which is None else restrict(which, x)
+
+
+def detecting_map(f: ModuleMap) -> ModuleMap:
+    """``detecting_complex`` for a map, along its source kind's functor."""
+    which = DETECTING_FUNCTOR.get(f.source.kind)
+    return f if which is None else restrict_map(which, f)
 
 
 # -- induction ---------------------------------------------------------------------
@@ -364,15 +378,13 @@ _TOR_LEGAL = {
 
 def tor_complex(x: DiagramModule, coeff: str) -> DiagramModule:
     """The complex computing Tor against the named coefficient, after the
-    co-Yoneda collapse of the representable resolution."""
+    co-Yoneda collapse of the representable resolution.  On chain0 the point
+    and constant coefficients define the same Tor functor."""
     if (x.kind, coeff) not in _TOR_LEGAL:
         raise ValueError(f"illegal Tor pairing ({x.kind}, {coeff})")
-    if x.kind == "chain0":
-        # the point and constant coefficients define the same Tor functor
-        return x
     if x.kind == "chain_neg1":
         return reindex_shift(x, 1)
-    c = restrict(DETECTING_FUNCTOR[x.kind], x)
+    c = detecting_complex(x)
     return brutal_truncation(c) if x.kind == "aug_ssimp" else c
 
 
@@ -381,21 +393,12 @@ def tor(x: DiagramModule, coeff: str) -> HomologyReport:
 
 
 def tor_map(f: ModuleMap, coeff: str) -> dict[int, RatMatrix]:
-    """Induced maps on Tor, through the same realized complexes."""
-    kind = f.source.kind
-    if (kind, coeff) not in _TOR_LEGAL:
-        raise ValueError(f"illegal Tor pairing ({kind}, {coeff})")
-    if kind == "chain0":
-        return homology_map(f)
-    if kind == "chain_neg1":
-        shifted = ModuleMap(
-            reindex_shift(f.source, 1),
-            reindex_shift(f.target, 1),
-            {n + 1: m for n, m in f.components.items()},
-        )
-        return homology_map(shifted)
-    chain = restrict_map(DETECTING_FUNCTOR[kind], f)
-    return homology_map(brutal_truncation_map(chain) if kind == "aug_ssimp" else chain)
+    """Induced maps on Tor: the homology of f carried to the Tor complexes
+    of its source and target, which move degrees by the same shift."""
+    source, target = tor_complex(f.source, coeff), tor_complex(f.target, coeff)
+    shift = source.truncation - f.source.truncation
+    comps = {n: f.components[n - shift] for n in source.degrees()}
+    return homology_map(ModuleMap(source, target, comps))
 
 
 # -- representable resolutions, uncollapsed ----------------------------------------
@@ -490,7 +493,7 @@ class LowDegreeSequence:
 def low_degree_sequence(x: DiagramModule) -> LowDegreeSequence:
     if x.kind != "aug_ssimp":
         raise ValueError("the low-degree sequence needs an aug_ssimp module")
-    c = restrict("u_a", x)
+    c = detecting_complex(x)
     tau = good_truncation(c)
     bru = brutal_truncation(c)
     h_tau = homology(tau)

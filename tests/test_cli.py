@@ -427,6 +427,55 @@ class TestJsonFieldTypes:
         assert self.rejected(capsys, tmp_path, doc, *argv).rstrip("\n").endswith(says)
 
 
+class TestEchoedValueIsBounded:
+    """An input error echoes at most a short prefix of the offending value,
+    so a huge value still gives one short stderr line that names the field;
+    a number no sequence can hold as a dimension, or too long to read at
+    all, is an input error too, never a traceback."""
+
+    @pytest.mark.parametrize("doc, command, says", [
+        ({**_chain_module({"0": 1}, {}), "truncation": "x" * 100_000}, "validate",
+         "truncation must be a JSON integer, got \"xxx"),
+        ({**_chain_module({"0": 1}, {}), "kind": list(range(5000))}, "validate",
+         "kind must be a JSON string, got [0, 1, 2"),
+        (_chain_module({"0": 1, "1": 1}, {"d 1": [[list(range(5000))]]}), "validate",
+         "matrix entry [0, 1, 2"),
+        (_chain_module({"1" * 4000: 1}, {}), "validate", "dims key '111"),
+        ({**_POINTS_MAP, "components": {"1" * 4000: [["1"]]}}, "weq", "degree 111"),
+    ], ids=["long-truncation", "long-kind", "long-entry", "long-dims-key", "long-component-key"])
+    def test_long_value_is_cut(self, capsys, tmp_path, doc, command, says):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        status, out, err = run(capsys, command, "--in", path)
+        assert status == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err and says in err and "…" in err
+        assert len(err.encode()) - len(str(path).encode()) <= 200
+
+    @pytest.mark.parametrize("command", ["validate", "homology"])
+    def test_dimension_past_any_sequence_is_input_error(self, capsys, tmp_path, command):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_chain_module({"0": 10**30}, {})))
+        status, out, err = run(capsys, command, "--in", path)
+        assert status == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err and "doc.json: dims '0' exceeds the largest dimension" in err
+
+    @pytest.mark.parametrize("digits", [4000, 5000], ids=["over-cap", "too-long-to-read"])
+    def test_long_integer_is_input_error(self, capsys, tmp_path, digits):
+        path = tmp_path / "doc.json"
+        doc = json.dumps(_chain_module({"0": 1}, {}))
+        path.write_text(doc.replace('"truncation": 1', '"truncation": ' + "1" * digits))
+        status, out, err = run(capsys, "validate", "--in", path)
+        assert status == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err and "doc.json" in err
+        assert len(err.encode()) - len(str(path).encode()) <= 200
+
+
 # A 104-byte module document over truncation 500: building it, let alone
 # validating it, takes far longer than rejecting it.
 HUGE_MODULE = {"format": "semihomology-module/1", "kind": "ssimp", "truncation": 500,

@@ -22,8 +22,8 @@ from semihomology.exactlin import (
 )
 from semihomology.chainkit import euler_characteristic
 from semihomology.oracle import CorpusSpec, generate_corpus
-from semihomology.simplexcat import CHAIN_KINDS, LinComb, apply_functor, delta, identity_inj, omega_d
-from semihomology.transport import DETECTING_FUNCTOR, restrict
+from semihomology.simplexcat import LinComb, apply_functor, delta, identity_inj, omega_d
+from semihomology.transport import detecting_complex
 
 
 def M(rows):
@@ -690,8 +690,7 @@ def corpus_differentials() -> list[RatMatrix]:
     own for the chain kinds, their detecting restriction's otherwise."""
     out = []
     for _, x in generate_corpus(CorpusSpec(seed=0, truncation=5)).modules:
-        c = x if x.kind in CHAIN_KINDS else restrict(DETECTING_FUNCTOR[x.kind], x)
-        out.extend(c.diff.values())
+        out.extend(detecting_complex(x).diff.values())
     return out
 
 

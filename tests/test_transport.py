@@ -4,10 +4,12 @@ import pytest
 from semihomology.chainkit import (
     bottom_cokernel,
     bottom_cokernel_map,
+    brutal_truncation_map,
     disk_sphere_complex,
     good_truncation,
     good_truncation_map,
     homology,
+    homology_map,
     is_quasi_iso,
     reindex_shift,
 )
@@ -15,7 +17,9 @@ from semihomology.diagmod import (
     GeneratorId,
     check_map,
     direct_sum,
+    identity_map,
     representable,
+    sum_projection,
     validate,
     zero_module,
 )
@@ -23,8 +27,11 @@ from semihomology.exactlin import RatMatrix, rank
 from semihomology.oracle import CorpusSpec, generate_corpus
 from semihomology.simplexcat import FUNCTORS, KIND_LOWER
 from semihomology.transport import (
+    DETECTING_FUNCTOR,
     WindowError,
     counit_map,
+    detecting_complex,
+    detecting_map,
     induce,
     k_bullet_complex,
     k_point_to_bullet,
@@ -35,6 +42,7 @@ from semihomology.transport import (
     tensor_resolution_complex,
     tensor_with_representable,
     tor,
+    tor_map,
     unit_map,
 )
 
@@ -415,6 +423,93 @@ class TestTor:
     def test_illegal_pairing(self):
         with pytest.raises(ValueError):
             tor(representable("ssimp", 1, N), "k_point_neg1")
+
+
+# one module of each kind whose Tor is nonzero, so an identity on Tor is an
+# identity on something
+_ROUTE_MODULES = {
+    "ssimp": direct_sum(representable("ssimp", 0, N), representable("ssimp", 1, N)),
+    "aug_ssimp": direct_sum(representable("aug_ssimp", -1, N), representable("aug_ssimp", 0, N)),
+    "scube": direct_sum(representable("scube", 0, N), representable("scube", 1, N)),
+    "chain0": disk_sphere_complex([("sphere", 0), ("disk", 2), ("sphere", 2)], N),
+    "chain_neg1": disk_sphere_complex([("sphere", -1), ("disk", 1), ("sphere", 1)], N, lower=-1),
+}
+
+_TOR_PAIRS = [
+    ("ssimp", "k_constant"),
+    ("scube", "k_constant"),
+    ("aug_ssimp", "k_constant_shifted"),
+    ("chain0", "k_point"),
+    ("chain0", "k_constant"),
+    ("chain_neg1", "k_point_neg1"),
+]
+
+
+@pytest.fixture(scope="module")
+def corpus_maps():
+    return generate_corpus(CorpusSpec(seed=0, truncation=5)).maps
+
+
+class TestDetectingRoute:
+    """detecting_complex and detecting_map are the memoized restriction
+    along DETECTING_FUNCTOR, or their argument for a chain kind; tor_map is
+    homology_map between the two Tor complexes."""
+
+    @pytest.mark.parametrize("kind", ["ssimp", "aug_ssimp", "scube"])
+    def test_index_kind_reads_the_memoized_restriction(self, kind):
+        x = _ROUTE_MODULES[kind]
+        f = identity_map(x)
+        which = DETECTING_FUNCTOR[kind]
+        assert detecting_complex(x) is restrict(which, x)
+        assert detecting_map(f) is restrict_map(which, f)
+
+    @pytest.mark.parametrize("kind", ["chain0", "chain_neg1"])
+    def test_chain_kind_is_its_own_detecting_complex(self, kind):
+        x = _ROUTE_MODULES[kind]
+        f = identity_map(x)
+        assert detecting_complex(x) is x
+        assert detecting_map(f) is f
+
+    @pytest.mark.parametrize("kind, coeff", _TOR_PAIRS)
+    def test_tor_map_of_the_identity_is_the_identity(self, kind, coeff):
+        x = _ROUTE_MODULES[kind]
+        report = tor(x, coeff)
+        maps = tor_map(identity_map(x), coeff)
+        assert sorted(maps) == list(range(report.window[0], report.window[1] + 1))
+        assert any(report.dims.values())
+        for n, m in maps.items():
+            assert m == RatMatrix.identity(report.dim(n)), n
+
+    @pytest.mark.parametrize("kind, coeff, shift", [
+        ("chain0", "k_point", 0), ("chain0", "k_constant", 0), ("chain_neg1", "k_point_neg1", 1),
+    ])
+    def test_chain_kind_tor_map_is_its_homology_map_shifted(self, kind, coeff, shift):
+        x = _ROUTE_MODULES[kind]
+        f = sum_projection(x, x, 1)
+        direct = homology_map(f)
+        assert {n - shift: m for n, m in tor_map(f, coeff).items()} == direct
+
+    def test_tor_map_is_the_explicit_composite_on_the_corpus(self, corpus_maps):
+        kinds = set()
+        for name, f in corpus_maps:
+            kind = f.source.kind
+            kinds.add(kind)
+            if kind == "aug_ssimp":
+                want = homology_map(brutal_truncation_map(restrict_map("u_a", f)))
+                got = tor_map(f, "k_constant_shifted")
+            else:
+                want = homology_map(restrict_map({"ssimp": "u_delta", "scube": "u_square"}[kind], f))
+                got = tor_map(f, "k_constant")
+            assert got == want, name
+        assert kinds == {"ssimp", "aug_ssimp", "scube"}
+
+    @pytest.mark.parametrize("kind, coeff", [
+        ("ssimp", "k_point"), ("aug_ssimp", "k_constant"), ("scube", "k_point_neg1"),
+        ("chain0", "k_point_neg1"), ("chain_neg1", "k_constant"),
+    ])
+    def test_illegal_pair_is_refused(self, kind, coeff):
+        with pytest.raises(ValueError, match="illegal Tor pairing"):
+            tor_map(identity_map(_ROUTE_MODULES[kind]), coeff)
 
 
 class TestTensorRoute:
