@@ -10,7 +10,7 @@ dimensions and differentials.
 
 Homology is reported only on the validity window [lower, truncation - 1]: at
 the truncation edge the boundaries are unknown, so nothing is claimed there.
-Every verdict that depends on a window carries it.
+``is_quasi_iso`` returns a ``diagmod.Verdict`` that carries that window.
 
 Cycle bases are the kernel bases in rref order; homology representatives are
 the cycle columns that complete a basis of the boundary space, so induced
@@ -34,7 +34,7 @@ from .exactlin import (
     rref,
     solve,
 )
-from .diagmod import DiagramModule, GeneratorId, ModuleMap, make_module
+from .diagmod import DiagramModule, GeneratorId, ModuleMap, Verdict, make_module
 
 
 def make_complex(lower: int, truncation: int, dims: dict[int, int],
@@ -127,22 +127,13 @@ def homology_map(f: ModuleMap) -> dict[int, RatMatrix]:
     return out
 
 
-@dataclass
-class QuasiIsoVerdict:
-    ok: bool
-    window: tuple[int, int]
-    failures: list[int]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_quasi_iso(f: ModuleMap) -> QuasiIsoVerdict:
-    """True when H_n(f) is invertible for every degree in the window."""
+def is_quasi_iso(f: ModuleMap) -> Verdict:
+    """True when H_n(f) is invertible for every degree in the window; the
+    witness lists the degrees where it is not, as {"failures": [...]}."""
     maps = homology_map(f)
     window = (f.source.lower, f.source.truncation - 1)
     failures = [n for n, m in sorted(maps.items()) if not is_invertible(m)]
-    return QuasiIsoVerdict(not failures, window, failures)
+    return Verdict(not failures, window, {"failures": failures})
 
 
 # -- truncations and reindexing --------------------------------------------------
@@ -152,6 +143,8 @@ def good_truncation(c: DiagramModule) -> DiagramModule:
     """Replace degree 0 by ker(d_0) and erase degree -1; degrees >= 1 unchanged."""
     if c.lower != -1:
         raise ValueError("good truncation needs a complex with lower bound -1")
+    if c.truncation < 0:
+        raise ValueError("good truncation needs degree 0: the validity window is empty")
     c.require_valid()
     d = c.diff
     k = kernel_basis(d[0])

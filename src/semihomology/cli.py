@@ -111,23 +111,23 @@ def _parse(path: str, obj: dict, build, *parts: str):
         raise CliError(f"{path}: {exc}") from None
 
 
+def _require(path: str, what: str, verdict) -> None:
+    """A refused validate or check_map verdict is a mathematical failure."""
+    if not verdict:
+        raise CliError(f"{path}: {what}: {verdict.witness['message']}", MATH_FAILURE)
+
+
 def _load_module(path: str) -> DiagramModule:
     module = _parse(path, _load_json(path), module_from_obj)
-    report = validate(module)
-    if not report:
-        raise CliError(f"{path}: invalid module: {report.message}", MATH_FAILURE)
+    _require(path, "invalid module", validate(module))
     return module
 
 
 def _load_map(path: str):
     f = _parse(path, _load_json(path), map_from_obj, "source", "target")
     for side, m in (("source", f.source), ("target", f.target)):
-        report = validate(m)
-        if not report:
-            raise CliError(f"{path}: invalid {side} module: {report.message}", MATH_FAILURE)
-    report = check_map(f)
-    if not report:
-        raise CliError(f"{path}: not a module map: {report.message}", MATH_FAILURE)
+        _require(path, f"invalid {side} module", validate(m))
+    _require(path, "not a module map", check_map(f))
     return f
 
 
@@ -216,7 +216,7 @@ def cmd_truncate(args) -> int:
     module = _load_module(args.infile)
     if module.kind != "chain_neg1":
         raise CliError(f"truncate needs a chain_neg1 module, got {module.kind}")
-    _write(args.out, module_to_json(good_truncation(module)))
+    _write(args.out, module_to_json(_call(good_truncation, module)))
     return OK
 
 
@@ -250,16 +250,17 @@ def cmd_induce(args) -> int:
 def cmd_adjunction(args) -> int:
     """unit or counit, as the subcommand's default ``adjunction`` says."""
     module = _load_module(args.infile)
-    adj = _call(args.adjunction, args.functor, module)
+    arrow = _call(args.adjunction, args.functor, module)
+    window = (arrow.source.lower, arrow.source.truncation)
     label = f"{args.command} along {args.functor}"
-    verdict = check_weak_equivalence(adj.arrow)
+    verdict = check_weak_equivalence(arrow)
     obj = {
         "map": label,
-        "window": list(adj.window),
+        "window": list(window),
         "weak_equivalence": verdict.ok,
         "witness": verdict.witness,
     }
-    table = f"{label}: window {adj.window}, weak equivalence: {verdict.ok}"
+    table = f"{label}: window {window}, weak equivalence: {verdict.ok}"
     _emit(args, obj, table)
     return OK
 
@@ -273,7 +274,7 @@ def cmd_tor(args) -> int:
 
 def cmd_weq(args) -> int:
     f = _load_map(args.infile)
-    verdict = check_weak_equivalence(f)
+    verdict = _call(check_weak_equivalence, f)
     obj = {
         "kind": f.source.kind,
         "weak_equivalence": verdict.ok,
@@ -287,8 +288,9 @@ def cmd_weq(args) -> int:
 def cmd_fib(args) -> int:
     f = _load_map(args.infile)
     verdict = check_fibration(f)
-    obj = {"kind": f.source.kind, "fibration": verdict.ok, "failures": verdict.failures}
-    _emit(args, obj, f"fibration: {verdict.ok}" + (f" (fails at {verdict.failures})" if verdict.failures else ""))
+    failures = verdict.witness["failures"]
+    obj = {"kind": f.source.kind, "fibration": verdict.ok, "failures": failures}
+    _emit(args, obj, f"fibration: {verdict.ok}" + (f" (fails at {failures})" if failures else ""))
     return OK
 
 

@@ -5,7 +5,9 @@ truncation window plus one matrix per one-step generator, in the contravariant
 convention: a degree-raising generator g acts by a matrix X(g) of shape
 dims[n-1] x dims[n] (face maps lower degree).  ``validate`` checks the
 defining relations of the kind exactly; everything downstream assumes a
-validated module.
+validated module.  It returns a ``Verdict``, the package's one verdict
+record, as do ``check_map``, ``chainkit.is_quasi_iso`` and the oracle's
+weak-equivalence and fibration checks.
 
 Modules and module maps are immutable: frozen dataclasses whose ``dims``,
 ``actions`` and ``components`` are read-only mappings.  Each object carries
@@ -106,13 +108,24 @@ def _not_a_generator(token: str, kind: str, truncation: int) -> ValueError:
     )
 
 
-@dataclass
-class ValidationReport:
+@dataclass(frozen=True)
+class Verdict:
+    """The one verdict record: whether a check holds, the degree window it
+    covers when it depends on one, its witness (the message of a refused
+    module or map, the failing degrees of a homology or rank check), and,
+    for a verdict also reached by a second route, whether the two agree."""
+
     ok: bool
-    message: str = ""
+    window: tuple[int, int] | None = None
+    witness: dict = field(default_factory=dict)
+    crosscheck_agrees: bool | None = None
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def _refused(message: str) -> Verdict:
+    return Verdict(False, witness={"message": message})
 
 
 # Memo key of a module's validity: set by validate on success and by the
@@ -181,7 +194,7 @@ class DiagramModule(_Memoized):
         if not self._memo.get(_VALID):
             report = validate(self)
             if not report:
-                raise ValueError(f"invalid module: {report.message}")
+                raise ValueError(f"invalid module: {report.witness['message']}")
 
     def is_zero(self) -> bool:
         return all(self.dim(n) == 0 for n in self.degrees())
@@ -276,7 +289,7 @@ def _relations(kind: str, truncation: int) -> tuple[tuple, ...]:
     return tuple(out)
 
 
-def validate(x: DiagramModule) -> ValidationReport:
+def validate(x: DiagramModule) -> Verdict:
     """Check the defining identities of the kind, exactly.
 
     Simplicial and cubical kinds: the contravariant form of the coface
@@ -287,7 +300,7 @@ def validate(x: DiagramModule) -> ValidationReport:
     for g in generators_for(x.kind, x.truncation):
         m = a.get(g)
         if m is None or (m.rows, m.cols) != (dims[g.degree - 1], dims[g.degree]):
-            return ValidationReport(False, f"missing or misshaped action {g.token()}")
+            return _refused(f"missing or misshaped action {g.token()}")
     # a relation at degree n compares dims[n-2] x dims[n] products through
     # dims[n-1]; with any of the three dims 0 both sides are the same zero
     # matrix, so it can neither fail nor change which relation fails first
@@ -298,13 +311,13 @@ def validate(x: DiagramModule) -> ValidationReport:
     if x.kind in CHAIN_KINDS:
         for g1, g2, message in _relations(x.kind, x.truncation):
             if g2.degree not in trivial and not (a[g1] @ a[g2]).is_zero():
-                return ValidationReport(False, message)
+                return _refused(message)
     else:
         for g1, g2, h1, h2, message in _relations(x.kind, x.truncation):
             if g2.degree not in trivial and a[g1] @ a[g2] != a[h1] @ a[h2]:
-                return ValidationReport(False, message)
+                return _refused(message)
     x._memo[_VALID] = True
-    return ValidationReport(True)
+    return Verdict(True)
 
 
 def representable(kind: str, c: int, truncation: int) -> DiagramModule:
@@ -405,23 +418,23 @@ class ModuleMap(_Memoized):
     def require_checked(self) -> None:
         report = check_map(self)
         if not report:
-            raise ValueError(f"not a module map: {report.message}")
+            raise ValueError(f"not a module map: {report.witness['message']}")
 
 
-def check_map(f: ModuleMap) -> ValidationReport:
+def check_map(f: ModuleMap) -> Verdict:
     """Exact commutation of the components with every generator action.
     The verdict is memoized on f."""
     return f._memoized("check_map", lambda: _check_map(f))
 
 
-def _check_map(f: ModuleMap) -> ValidationReport:
+def _check_map(f: ModuleMap) -> Verdict:
     x, y = f.source, f.target
     if x.kind != y.kind or x.truncation != y.truncation:
-        return ValidationReport(False, "source and target kind/truncation differ")
+        return _refused("source and target kind/truncation differ")
     for n in x.degrees():
         m = f.components.get(n)
         if m is None or (m.rows, m.cols) != (y.dim(n), x.dim(n)):
-            return ValidationReport(False, f"missing or misshaped component at degree {n}")
+            return _refused(f"missing or misshaped component at degree {n}")
     for g in generators_for(x.kind, x.truncation):
         n = g.degree
         if not y.dim(n - 1) or not x.dim(n):
@@ -429,8 +442,8 @@ def _check_map(f: ModuleMap) -> ValidationReport:
         lhs = f.components[n - 1] @ x.actions[g]
         rhs = y.actions[g] @ f.components[n]
         if lhs != rhs:
-            return ValidationReport(False, f"component does not commute with {g.token()}")
-    return ValidationReport(True)
+            return _refused(f"component does not commute with {g.token()}")
+    return Verdict(True)
 
 
 def identity_map(x: DiagramModule) -> ModuleMap:
@@ -626,6 +639,14 @@ def map_from_obj(obj: dict) -> ModuleMap:
         raise ValueError(f"not a {MAP_FORMAT} document")
     source = module_from_obj(_json_object(_json_field(obj, "source"), "source"))
     target = module_from_obj(_json_object(_json_field(obj, "target"), "target"))
+    # the header repeats the source's kind and truncation, and must agree
+    header = (("kind", _json_field(obj, "kind"), source.kind),
+              ("truncation", json_int(_json_field(obj, "truncation"), "truncation"), source.truncation))
+    for name, given, value in header:
+        if given != value:
+            raise ValueError(
+                f"map {name} {echo(json.dumps(given))} does not match the source's {json.dumps(value)}"
+            )
     comps = {}
     for key, rows in _json_object(obj.get("components", {}), "components").items():
         n = _degree_key(key, "components")

@@ -41,6 +41,7 @@ from .diagmod import (
     truncate_module,
     DiagramModule,
     ModuleMap,
+    Verdict,
     canonical_json,
     check_map,
     compose_maps,
@@ -293,66 +294,47 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
 # -- verdicts --------------------------------------------------------------------
 
 
-@dataclass
-class WeqVerdict:
-    ok: bool
-    window: tuple[int, int]
-    witness: dict
-    crosscheck_agrees: bool | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_weak_equivalence(f) -> WeqVerdict:
+def check_weak_equivalence(f) -> Verdict:
     """The detecting invariant of the source kind, exactly.
 
     Chain kinds: a quasi-isomorphism.  Nonaugmented index kinds: the
-    restricted complex must be a quasi-isomorphism.  Augmented kind: good
+    restricted complex must be a quasi-isomorphism.  For both the verdict is
+    ``is_quasi_iso`` of the detecting map itself.  Augmented kind: good
     truncation quasi-isomorphism plus an isomorphism on the degree -1
     cokernel; cross-checked against the quasi-isomorphism of the full
-    augmented complex, which must agree.
+    augmented complex, which must agree (``crosscheck_agrees``).
     """
     chain = detecting_map(f)
-    if f.source.kind == "aug_ssimp":
-        tau_ok = is_quasi_iso(good_truncation_map(chain))
-        h_minus1 = bottom_cokernel_map(chain)
-        minus1_ok = is_invertible(h_minus1)
-        ok = tau_ok.ok and minus1_ok
-        full = is_quasi_iso(chain)
-        witness = {
-            "tau_failures": tau_ok.failures,
-            "h_minus1_shape": [h_minus1.rows, h_minus1.cols, rank(h_minus1)],
-            "full_failures": full.failures,
-        }
-        return WeqVerdict(ok, (-1, tau_ok.window[1]), witness, crosscheck_agrees=(ok == full.ok))
-    verdict = is_quasi_iso(chain)
-    return WeqVerdict(verdict.ok, verdict.window, {"failures": verdict.failures})
+    if f.source.kind != "aug_ssimp":
+        return is_quasi_iso(chain)
+    tau = is_quasi_iso(good_truncation_map(chain))
+    h_minus1 = bottom_cokernel_map(chain)
+    ok = is_invertible(h_minus1) and tau.ok
+    full = is_quasi_iso(chain)
+    witness = {
+        "tau_failures": tau.witness["failures"],
+        "h_minus1_shape": [h_minus1.rows, h_minus1.cols, rank(h_minus1)],
+        "full_failures": full.witness["failures"],
+    }
+    return Verdict(ok, (-1, tau.window[1]), witness, crosscheck_agrees=(ok == full.ok))
 
 
-@dataclass
-class FibVerdict:
-    ok: bool
-    failures: list[int]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_fibration(f) -> FibVerdict:
+def check_fibration(f) -> Verdict:
     """Degreewise surjectivity of the detecting components.
 
     For every kind this comes down to each component being onto: the
     nonaugmented restrictions reuse the components unchanged, the augmented
     chain includes degree -1, and the cube kind is tested after the sign
-    shadow, which carries the same components reindexed.
+    shadow, which carries the same components reindexed.  The window is the
+    tested source's [lower, truncation], and the witness lists the degrees
+    that are not onto.
     """
     if f.source.kind == "scube":
         f = restrict_map("v", f)
     failures = [
         n for n in f.source.degrees() if rank(f.components[n]) != f.target.dim(n)
     ]
-    return FibVerdict(not failures, failures)
+    return Verdict(not failures, (f.source.lower, f.source.truncation), {"failures": failures})
 
 
 # -- reports ---------------------------------------------------------------------
@@ -484,14 +466,14 @@ def run_counterexample(truncation: int = 5) -> VerificationReport:
     unit = unit_map("v", m)
 
     def target_check():
-        _, h = bottom_cokernel(detecting_complex(unit.arrow.target))
+        _, h = bottom_cokernel(detecting_complex(unit.target))
         _require(h == 1, {"h_minus1": h})
         return {"h_minus1": h}
 
     runner.run("obstruction.h-minus1-shadow", "v* v_! of the aug point representable", target_check)
 
     def unit_fails_check():
-        verdict = check_weak_equivalence(unit.arrow)
+        verdict = check_weak_equivalence(unit)
         _require(not verdict.ok, {"verdict": verdict.ok, "witness": verdict.witness})
         _require(bool(verdict.crosscheck_agrees), {"crosscheck": verdict.crosscheck_agrees})
         return {"verdict": verdict.ok, "witness": verdict.witness}
@@ -500,12 +482,12 @@ def run_counterexample(truncation: int = 5) -> VerificationReport:
         "obstruction.unit-not-weq",
         "unit at the aug point representable",
         unit_fails_check,
-        window=f"[-1, {unit.window[1]}]",
+        window=f"[-1, {unit.source.truncation}]",
     )
 
     def higher_iso_check():
-        verdict = is_quasi_iso(good_truncation_map(detecting_map(unit.arrow)))
-        _require(verdict.ok, {"tau_failures": verdict.failures})
+        verdict = is_quasi_iso(good_truncation_map(detecting_map(unit)))
+        _require(verdict.ok, {"tau_failures": verdict.witness["failures"]})
         return {"tau_window": list(verdict.window)}
 
     runner.run("obstruction.higher-homology-iso", "unit away from degree -1", higher_iso_check)
@@ -646,7 +628,7 @@ def _check_k_bullet(runner: _Runner, truncation: int) -> None:
         h = homology(k_bullet_complex(truncation))
         _require(h.dims_list() == [1] + [0] * (truncation - 1), {"dims": h.dims_list()})
         verdict = is_quasi_iso(k_point_to_bullet(truncation))
-        _require(verdict.ok, {"failures": verdict.failures})
+        _require(verdict.ok, verdict.witness)
         return {"dims": h.dims_list()}
 
     runner.run("coefficients.point-to-constant", "inclusion quasi-isomorphism", check,
@@ -834,11 +816,11 @@ def _check_unit_counit(runner: _Runner, corpus: Corpus) -> None:
     ):
         for name, m in corpus.by_kind(kind):
             def check(m=m, label=label, adjunction=adjunction, which=which):
-                adj = adjunction(which, m)
-                verdict = check_weak_equivalence(adj.arrow)
+                arrow = adjunction(which, m)
+                verdict = check_weak_equivalence(arrow)
                 witness = {"witness": verdict.witness} if label == "counit" else verdict.witness
                 _require(verdict.ok and verdict.crosscheck_agrees is not False, witness)
-                return {"window": list(adj.window)}
+                return {"window": [arrow.source.lower, arrow.source.truncation]}
 
             runner.run(f"adjunction.{label}-weq.{which}", name, check)
     # the sign embedding's unit verdicts are recorded, never asserted
@@ -848,7 +830,7 @@ def _check_unit_counit(runner: _Runner, corpus: Corpus) -> None:
                 unit = unit_map("v", m)
             except WindowError:
                 return {"recorded": "window-empty"}
-            verdict = check_weak_equivalence(unit.arrow)
+            verdict = check_weak_equivalence(unit)
             return {"recorded": verdict.ok, "witness": verdict.witness}
 
         runner.run("adjunction.unit-recorded.v", name, check)
@@ -870,7 +852,7 @@ def _check_fibrations(runner: _Runner, corpus: Corpus) -> None:
     for name, f, expected in fixtures:
         def check(f=f, expected=expected):
             verdict = check_fibration(f)
-            _require(verdict.ok == expected, {"got": verdict.ok, "failures": verdict.failures})
+            _require(verdict.ok == expected, {"got": verdict.ok, **verdict.witness})
             return {"fibration": verdict.ok}
 
         runner.run("fibration.detect", name, check)

@@ -9,8 +9,8 @@ that is a chain-kind module whose differential in degree n is the action of
 the signed coface sum; ``DETECTING_FUNCTOR`` names the one that detects weak
 equivalences of each index kind, and ``detecting_complex`` and
 ``detecting_map`` return that complex (a chain-kind argument itself), the one
-route by which Tor, every weak-equivalence verdict and every unit and counit
-check reach it.  Along v it is the sign shadow of a semicubical module: the
+route by which Tor, every weak-equivalence verdict (a ``diagmod.Verdict``)
+and every unit and counit check reach it.  Along v it is the sign shadow of a semicubical module: the
 augmented semisimplicial module whose degree n is the cube degree n + 1 and
 whose cofaces act by the signed difference of the two cube coface families.
 
@@ -24,7 +24,8 @@ is the same coend along the identity functor.  Because the source module is
 only known up to its truncation, an induction is certified on the whole
 target range when recomputing it with one fewer source layer changes
 nothing, and refused otherwise; a unit or counit exists only when its
-induction is certified.
+induction is certified, and is a plain ``ModuleMap`` covering every degree
+of its source.
 
 Tor with the four named coefficient objects is realized through the explicit
 representable resolutions; after the co-Yoneda collapse these are the
@@ -322,24 +323,14 @@ def induce(which: str, m: DiagramModule) -> InductionResult:
     raise WindowError(f"induction along {which} has an empty validity window")
 
 
-@dataclass(frozen=True)
-class AdjunctionMap:
-    """A unit or counit.  It exists only when its induction is certified on
-    the whole target range, so it covers every degree of its source."""
-
-    arrow: ModuleMap
-
-    @property
-    def window(self) -> tuple[int, int]:
-        return (self.arrow.source.lower, self.arrow.source.truncation)
-
-
-def unit_map(which: str, m: DiagramModule) -> AdjunctionMap:
+def unit_map(which: str, m: DiagramModule) -> ModuleMap:
     """The adjunction unit M -> restrict(induce(M)).
 
     A chain map for the chain-to-simplicial inductions; a map of augmented
     modules for the sign embedding.  The unit sends a basis vector to the
-    class of (vector tensor identity).
+    class of (vector tensor identity).  Like a counit, it exists only when
+    its induction is certified, so its window is [source.lower,
+    source.truncation].
     """
     result = induce(which, m)
     _, tgt_kind, shift, _ = FUNCTORS[which]
@@ -348,10 +339,10 @@ def unit_map(which: str, m: DiagramModule) -> AdjunctionMap:
         n: result.coends[n + shift].classes((n, identity(n + shift), i) for i in range(m.dim(n)))
         for n in m.degrees()
     }
-    return AdjunctionMap(ModuleMap(m, restrict(which, result.module), comps))
+    return ModuleMap(m, restrict(which, result.module), comps)
 
 
-def counit_map(which: str, x: DiagramModule) -> AdjunctionMap:
+def counit_map(which: str, x: DiagramModule) -> ModuleMap:
     """The adjunction counit induce(restrict(X)) -> X: a presentation label
     (q, phi, i) is evaluated by acting with phi on the i-th basis vector."""
     result = induce(which, restrict(which, x))
@@ -361,7 +352,7 @@ def counit_map(which: str, x: DiagramModule) -> AdjunctionMap:
         )
         for a, c in result.coends.items()
     }
-    return AdjunctionMap(ModuleMap(result.module, x, comps))
+    return ModuleMap(result.module, x, comps)
 
 
 # -- Tor ------------------------------------------------------------------------

@@ -88,7 +88,7 @@ def test_criterion_01_counterexample_reproduction():
     dims = [result.module.dim(a) for a in result.module.degrees()]
     _, h_source = bottom_cokernel(restrict("u_a", m))
     unit = unit_map("v", m)
-    _, h_shadow = bottom_cokernel(restrict("u_a", unit.arrow.target))
+    _, h_shadow = bottom_cokernel(restrict("u_a", unit.target))
     elapsed = time.perf_counter() - started
     ok = (
         dims[:2] == [2, 1]
@@ -215,11 +215,11 @@ def test_criterion_08_unit_counit_u_a(corpus):
     failures = []
     for name, m in corpus.by_kind("chain_neg1"):
         unit = unit_map("u_a", m)
-        if not is_quasi_iso(unit.arrow).ok:
+        if not is_quasi_iso(unit).ok:
             failures.append(("unit", name))
     for name, x in corpus.by_kind("aug_ssimp"):
         eps = counit_map("u_a", x)
-        verdict = check_weak_equivalence(eps.arrow)
+        verdict = check_weak_equivalence(eps)
         if not (verdict.ok and verdict.crosscheck_agrees):
             failures.append(("counit", name))
     _report(8, not failures, "augmented comparison: units and counits on the corpus")
@@ -274,17 +274,17 @@ def test_criterion_08_unit_counit_u_delta(corpus):
     units = corpus.by_kind("chain0")
     for name, m in units:
         unit = unit_map("u_delta", m)
-        assert unit.window == (0, N), (name, unit.window)
-        verdict = is_quasi_iso(unit.arrow)
-        found = _parity_mismatch("unit", name, unit.arrow, _odd_cells(m), verdict.failures)
+        assert (unit.source.lower, unit.source.truncation) == (0, N), name
+        verdict = is_quasi_iso(unit)
+        found = _parity_mismatch("unit", name, unit, _odd_cells(m), verdict.witness["failures"])
         if found:
             mismatches.append(found)
     counits = corpus.by_kind("ssimp")
     for name, x in counits:
         eps = counit_map("u_delta", x)
-        assert eps.window == (0, N), (name, eps.window)
-        verdict = check_weak_equivalence(eps.arrow)
-        found = _parity_mismatch("counit", name, restrict_map("u_delta", eps.arrow),
+        assert (eps.source.lower, eps.source.truncation) == (0, N), name
+        verdict = check_weak_equivalence(eps)
+        found = _parity_mismatch("counit", name, restrict_map("u_delta", eps),
                                  _odd_cells(x), verdict.witness["failures"])
         if found:
             mismatches.append(found)

@@ -136,7 +136,7 @@ class TestHomologyMap:
         zero = ModuleMap(s, s, {n: RatMatrix.zeros(s.dim(n), s.dim(n)) for n in s.degrees()})
         verdict = is_quasi_iso(zero)
         assert not verdict.ok
-        assert verdict.failures == [2]
+        assert verdict.witness == {"failures": [2]}
 
     def test_functorial_on_composites(self):
         rng = random.Random(11)

@@ -1,4 +1,7 @@
 import argparse
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,18 +9,28 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semihomology.chainkit import disk_sphere_complex
 from semihomology import cli
 from semihomology.cli import build_parser, main
 from semihomology.diagmod import (
+    KINDS,
+    MAP_FORMAT,
+    MODULE_FORMAT,
+    generators_for,
+    identity_map,
+    map_from_obj,
     map_to_json,
     module_from_json,
+    module_from_obj,
     module_to_json,
     representable,
     yoneda_map,
+    zero_module,
 )
-from semihomology.simplexcat import delta
+from semihomology.simplexcat import FUNCTORS, KIND_LOWER, delta
 
 
 @pytest.fixture()
@@ -363,6 +376,52 @@ def _chain_module(dims: dict, actions: dict) -> dict:
 # degree 0 of a chain0 map from k^2 to k, both concentrated in degree 0
 _POINTS_MAP = {"format": "semihomology-map/1", "kind": "chain0", "truncation": 1,
                "source": _chain_module({"0": 2}, {}), "target": _chain_module({"0": 1}, {})}
+
+
+class TestMapHeader:
+    """A map document's kind and truncation repeat its source's; a missing
+    one, or one that disagrees, exits 2 with one stderr line naming it, for
+    every command that reads a map.  A missing source is still named first."""
+
+    @pytest.mark.parametrize("command", [["weq"], ["fib"], ["convert", "--to", "map-json"]])
+    @pytest.mark.parametrize("edit, says", [
+        ({"kind": "aug_ssimp"}, 'map kind "aug_ssimp" does not match the source\'s "ssimp"'),
+        ({"kind": ["ssimp"]}, 'map kind ["ssimp"] does not match the source\'s "ssimp"'),
+        ({"truncation": 1}, "map truncation 1 does not match the source's 2"),
+        ({"truncation": 2.0}, "truncation must be a JSON integer, got 2.0"),
+        ({"kind": None}, "required field kind is missing"),
+        ({"truncation": None}, "required field truncation is missing"),
+        ({"kind": None, "truncation": None}, "required field kind is missing"),
+        ({"kind": None, "truncation": None, "source": None}, "required field source is missing"),
+    ], ids=["kind-other", "kind-list", "truncation-other", "truncation-float", "no-kind",
+            "no-truncation", "no-header", "no-header-no-source"])
+    def test_is_input_error(self, capsys, tmp_path, command, edit, says):
+        obj = json.loads(map_to_json(yoneda_map("ssimp", delta(0, 1), 2)))
+        for field, value in edit.items():
+            if value is None:
+                del obj[field]
+            else:
+                obj[field] = value
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(obj))
+        status, out, err = run(capsys, *command, "--in", path)
+        assert (status, out) == (2, "")
+        assert err == f"semihomology: {path}: {says}\n"
+
+
+class TestEmptyGoodTruncation:
+    """At truncation -1 there is no degree 0 to truncate to: truncate and
+    the augmented weq verdict exit 2 with one stderr line, where both once
+    raised KeyError: 0."""
+
+    @pytest.mark.parametrize("command, kind", [("truncate", "chain_neg1"), ("weq", "aug_ssimp")])
+    def test_is_input_error(self, capsys, tmp_path, command, kind):
+        x = zero_module(kind, -1)
+        path = tmp_path / "doc.json"
+        path.write_text(map_to_json(identity_map(x)) if command == "weq" else module_to_json(x))
+        status, out, err = run(capsys, command, "--in", path)
+        assert (status, out) == (2, "")
+        assert err == "semihomology: good truncation needs degree 0: the validity window is empty\n"
 
 
 class TestJsonFieldTypes:
@@ -849,3 +908,177 @@ class TestUnwritableOutput:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1
         assert err.startswith(f"semihomology: {target.format(**names)}: ")
+
+
+# the legal (kind, coefficient) pairs of tor
+_TOR_COEFFS = {
+    "ssimp": ("k_constant",),
+    "scube": ("k_constant",),
+    "aug_ssimp": ("k_constant_shifted",),
+    "chain0": ("k_point", "k_constant"),
+    "chain_neg1": ("k_point_neg1",),
+}
+
+
+def _pinned_requests(corpus_dir: Path) -> list[list[str]]:
+    """Every report request on the files of a corpus directory, with --format
+    json, plus one invalid module and one map that does not commute."""
+    requests = []
+    for entry in json.loads((corpus_dir / "index.json").read_text())["entries"]:
+        name, kind = entry["file"], entry["kind"]
+        if entry.get("map"):
+            requests += [[cmd, "--in", name] for cmd in ("weq", "fib")]
+            continue
+        requests += [["validate", "--in", name], ["homology", "--in", name]]
+        requests += [["tor", "--in", name, "--coeff", c] for c in _TOR_COEFFS[kind]]
+        for which in ("u_delta", "u_a", "v"):
+            source, target = FUNCTORS[which][:2]
+            for cmd, legal in (("unit", source), ("counit", target)):
+                if kind == legal:
+                    requests.append([cmd, "--in", name, "--functor", which])
+    requests = [argv + ["--format", "json"] for argv in requests]
+    # dims all 1 with mismatched scalar cofaces: the degree-2 relation fails
+    (corpus_dir / "bad_module.json").write_text(json.dumps({
+        "format": "semihomology-module/1", "kind": "ssimp", "truncation": 2,
+        "dims": {"0": 1, "1": 1, "2": 1},
+        "actions": {"delta 0 1": [["1"]], "delta 1 1": [["2"]], "delta 0 2": [["1"]],
+                    "delta 1 2": [["2"]], "delta 2 2": [["3"]]},
+    }))
+    # twice the identity in degree 1 only: no longer commutes with the cofaces
+    doc = json.loads((corpus_dir / "map_id_rep_ssimp_1.json").read_text())
+    doc["components"]["1"] = [[str(2 * int(e)) for e in row] for row in doc["components"]["1"]]
+    (corpus_dir / "bad_map.json").write_text(json.dumps(doc))
+    return requests + [["validate", "--in", "bad_module.json"], ["weq", "--in", "bad_map.json"]]
+
+
+class TestCliBytesArePinned:
+    """One sha256 over (argv, exit code, stdout, stderr) of every report
+    request on the seed-0 truncation-4 corpus: any change to a verdict, a
+    window, a witness or an error message of the CLI moves it."""
+
+    DIGEST = "45d6ac257e784e314a3b4a2a4f6a854ace76a0111f5db487bf21d11766d130c6"
+
+    def test_corpus_requests(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("SEMIHOMOLOGY_MAX_TRUNC", raising=False)
+        monkeypatch.chdir(tmp_path)  # file names, not paths, reach argv and stderr
+        assert run(capsys, "corpus", "--trunc", "4", "--out-dir", ".")[0] == 0
+        requests = _pinned_requests(tmp_path)
+        digest = hashlib.sha256()
+        codes = []
+        for argv in requests:
+            status, out, err = run(capsys, *argv)
+            codes.append(status)
+            digest.update(json.dumps([argv, status, out, err]).encode() + b"\n")
+        assert codes == [0] * (len(requests) - 2) + [1, 1]
+        assert len(requests) == 154
+        assert digest.hexdigest() == self.DIGEST
+
+
+# -- loader fuzz ----------------------------------------------------------------
+
+_VALID_ENTRIES = ("0", "1", "-1", "2", "1/2", "-3/4")
+_MALFORMED_ENTRIES = ("1/0", "x", "", "1.5", " 1", "0x1", "1e3", "--1")
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(-3, 3, allow_nan=False),
+    st.text(max_size=3), st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),
+)
+_ENTRY_MIXES = (
+    st.just("0"),
+    st.sampled_from(_VALID_ENTRIES),
+    st.one_of(st.sampled_from(_VALID_ENTRIES), st.sampled_from(_MALFORMED_ENTRIES), _JSON_VALUES),
+)
+
+
+def _draw_matrix(draw, entries, rows: int, cols: int) -> list:
+    """A rows x cols matrix of entries; one time in eight, one row or
+    column too many or too few."""
+    if draw(st.integers(0, 7)) == 0:
+        rows += draw(st.sampled_from((-1, 1)))
+        cols += draw(st.sampled_from((-1, 0, 1)))
+    return [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+
+
+_MODULE_FIELDS = ("format", "kind", "truncation", "dims", "actions")
+_MAP_FIELDS = ("format", "kind", "truncation", "source", "target", "components")
+
+
+def _draw_defect(draw, parts: list[tuple[dict, tuple[str, ...]]]) -> None:
+    """Half the time, delete one field of one of the (document, fields)
+    parts or set it to another JSON value."""
+    if draw(st.booleans()):
+        part, fields = draw(st.sampled_from(parts))
+        field = draw(st.sampled_from(fields))
+        if draw(st.booleans()):
+            del part[field]
+        else:
+            part[field] = draw(_JSON_VALUES)
+
+
+@st.composite
+def _module_docs(draw, kind: str, truncation: int, entries) -> tuple[dict, dict[int, int]]:
+    """A module document with dims <= 6 and its dims; the actions are
+    drawn, so most fail validation, some are malformed, and some are
+    missing, misshaped or not generators of the kind."""
+    lower = KIND_LOWER[kind]
+    dims = {n: draw(st.integers(0, 6)) for n in range(lower, truncation + 1)}
+    actions = {}
+    for g in generators_for(kind, truncation):
+        if draw(st.integers(0, 5)):
+            actions[g.token()] = _draw_matrix(draw, entries, dims[g.degree - 1], dims[g.degree])
+    keys = {str(n): d for n, d in dims.items()}
+    if draw(st.integers(0, 9)) == 0:
+        keys[draw(st.sampled_from(("+1", "01", "x", str(truncation + 1))))] = 1
+    if draw(st.integers(0, 9)) == 0:
+        actions[draw(st.sampled_from(("d 9", "delta 0 0", "cube 1 2 1", "nope")))] = [["1"]]
+    doc = {"format": MODULE_FORMAT, "kind": kind, "truncation": truncation,
+           "dims": keys, "actions": actions}
+    return doc, dims
+
+
+@st.composite
+def _documents(draw) -> tuple[str, dict]:
+    """("module", document) or ("map", document), truncation <= 3."""
+    kind = draw(st.sampled_from(KINDS))
+    truncation = draw(st.integers(KIND_LOWER[kind], 3))
+    entries = draw(st.sampled_from(_ENTRY_MIXES))
+    source, sdims = draw(_module_docs(kind, truncation, entries))
+    if draw(st.booleans()):
+        _draw_defect(draw, [(source, _MODULE_FIELDS)])
+        return "module", source
+    target, tdims = draw(_module_docs(kind, truncation, entries))
+    components = {
+        str(n): _draw_matrix(draw, entries, tdims[n], sdims[n])
+        for n in sdims if draw(st.integers(0, 5))
+    }
+    doc = {"format": MAP_FORMAT, "kind": kind, "truncation": truncation,
+           "source": source, "target": target, "components": components}
+    _draw_defect(draw, [(doc, _MAP_FIELDS), (source, _MODULE_FIELDS), (target, _MODULE_FIELDS)])
+    return "map", doc
+
+
+class TestLoaderFuzz:
+    """Drawn module and map documents, valid and malformed: the loaders
+    accept them or raise ValueError, and the CLI exits 0, 1 or 2 without
+    a traceback, with exactly one stderr line on exit 2."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(drawn=_documents())
+    def test_loaders_and_cli(self, path, drawn):
+        which, doc = drawn
+        try:
+            (module_from_obj if which == "module" else map_from_obj)(doc)
+        except ValueError:
+            pass
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(["validate" if which == "module" else "weq", "--in", str(path)])
+        assert status in (0, 1, 2)
+        if status == 2:
+            assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+        assert "Traceback" not in err.getvalue()

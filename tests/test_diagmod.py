@@ -82,7 +82,7 @@ class TestValidate:
         x = make_module("ssimp", 2, dims, actions)
         report = validate(x)
         assert not report
-        assert "degree 2" in report.message
+        assert "degree 2" in report.witness["message"]
 
     def test_chain_square_zero(self):
         good = make_module(
@@ -465,7 +465,7 @@ class TestRelationTable:
                     bad = DiagramModule(x.kind, x.truncation, x.dims, actions)
                     expected = _reference_validate(_fresh(bad))
                     report = validate(_fresh(bad))
-                    assert (report.ok, report.message) == (expected is None, expected or ""), (x.kind, hit)
+                    assert (report.ok, report.witness.get("message", "")) == (expected is None, expected or ""), (x.kind, hit)
                     failed[x.kind] += not report.ok
         # every kind has perturbations that some relation catches
         assert set(failed) == set(KINDS) and all(failed.values()), failed
@@ -545,8 +545,8 @@ class TestEmptyDegrees:
             x = DiagramModule("ssimp", 4, dims, actions)
             report = validate(x)
             expected = _reference_validate(x)
-            assert (report.ok, report.message) == (expected is None, expected or "")
-            assert report.ok or "degree 4" in report.message
+            assert (report.ok, report.witness.get("message", "")) == (expected is None, expected or "")
+            assert report.ok or "degree 4" in report.witness["message"]
 
     @pytest.mark.parametrize("t", [3, 4])
     def test_perturbed_actions_fail_like_the_reference(self, t):
@@ -563,7 +563,7 @@ class TestEmptyDegrees:
                     bad = DiagramModule(x.kind, x.truncation, x.dims, actions)
                     expected = _reference_validate(bad)
                     report = validate(bad)
-                    assert (report.ok, report.message) == (expected is None, expected or ""), (x.dims, hit)
+                    assert (report.ok, report.witness.get("message", "")) == (expected is None, expected or ""), (x.dims, hit)
                     failed[x.kind] += not report.ok
         assert set(failed) == set(KINDS) and all(failed.values()), failed
 
@@ -590,7 +590,7 @@ class TestEmptyDegrees:
             for h in variants:
                 expected = _reference_check_map(h)
                 report = check_map(h)
-                assert (report.ok, report.message) == (expected is None, expected or "")
+                assert (report.ok, report.witness.get("message", "")) == (expected is None, expected or "")
                 verdicts[report.ok] += 1
         assert verdicts[True] and verdicts[False], verdicts
 

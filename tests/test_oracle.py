@@ -1,12 +1,15 @@
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
+from semihomology.chainkit import is_quasi_iso
 from semihomology.diagmod import (
     KINDS,
     DiagramModule,
     ModuleMap,
+    Verdict,
     check_map,
     direct_sum,
     identity_map,
@@ -34,7 +37,7 @@ from semihomology.oracle import (
     run_battery,
     run_counterexample,
 )
-from semihomology.transport import induce, restrict, restrict_map, unit_map
+from semihomology.transport import detecting_map, induce, restrict, restrict_map, unit_map
 
 SMALL = CorpusSpec(seed=3, truncation=4, representables=6, induced=4, sums=2, yoneda_maps=5)
 
@@ -90,7 +93,7 @@ class TestVerdicts:
 
     def test_v_unit_verdict_at_point(self):
         unit = unit_map("v", representable("aug_ssimp", 0, 4))
-        verdict = check_weak_equivalence(unit.arrow)
+        verdict = check_weak_equivalence(unit)
         assert not verdict.ok
         assert verdict.crosscheck_agrees
         assert verdict.witness["h_minus1_shape"][:2] == [1, 0]
@@ -101,6 +104,26 @@ class TestVerdicts:
         assert check_fibration(zero_map(x, z)).ok
         assert not check_fibration(zero_map(z, x)).ok
         assert check_fibration(identity_map(x)).ok
+
+    def test_every_check_returns_one_verdict_record(self):
+        # chain and nonaugmented kinds: the weq verdict is is_quasi_iso of the
+        # detecting map itself; only the augmented kind is cross-checked
+        for name, f in generate_corpus(SMALL).maps:
+            weq = check_weak_equivalence(f)
+            if f.source.kind == "aug_ssimp":
+                assert weq.crosscheck_agrees is True, name
+                assert set(weq.witness) == {"tau_failures", "h_minus1_shape", "full_failures"}
+            else:
+                assert weq == is_quasi_iso(detecting_map(f)), name
+                assert weq.crosscheck_agrees is None
+            fib = check_fibration(f)
+            tested = restrict("v", f.source) if f.source.kind == "scube" else f.source
+            assert fib.window == (tested.lower, tested.truncation), name
+            assert bool(fib) == fib.ok == (not fib.witness["failures"]), name
+        report = validate(zero_module("ssimp", 2))
+        assert (report, report.window, report.witness) == (Verdict(True), None, {})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.ok = False
 
 
 class TestBasisMatrices:

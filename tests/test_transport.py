@@ -227,7 +227,8 @@ def _check_windows(modules) -> set[tuple[str, bool]]:
                 else:
                     induced = induce(which, m).module
                     assert (induced.lower, induced.truncation) == window, (which, x.kind, x.dims)
-                    assert adjunction(which, x).window == (x.lower, x.truncation)
+                    arrow = adjunction(which, x)
+                    assert (arrow.source.lower, arrow.source.truncation) == (x.lower, x.truncation)
     return reached
 
 
@@ -297,8 +298,8 @@ class TestUnitCounit:
     def test_unit_point_sphere_quasi_iso(self):
         m = sphere_module(0, N)
         unit = unit_map("u_delta", m)
-        assert_chain_map(unit.arrow)
-        assert is_quasi_iso(unit.arrow).ok
+        assert_chain_map(unit)
+        assert is_quasi_iso(unit).ok
 
     def test_unit_u_delta_defect_on_odd_cells(self):
         # Nonaugmented induction glues the endpoints of an odd cell: the disk
@@ -311,30 +312,30 @@ class TestUnitCounit:
         assert induced.module.dims == interval.dims
         assert induced.module.actions == interval.actions
         unit = unit_map("u_delta", disk)
-        assert_chain_map(unit.arrow)
-        verdict = is_quasi_iso(unit.arrow)
-        assert not verdict.ok and verdict.failures == [0]
+        assert_chain_map(unit)
+        verdict = is_quasi_iso(unit)
+        assert not verdict.ok and verdict.witness == {"failures": [0]}
         disk_aug = disk_sphere_complex([("disk", 1)], N, lower=-1)
         unit_aug = unit_map("u_a", disk_aug)
-        assert is_quasi_iso(unit_aug.arrow).ok
+        assert is_quasi_iso(unit_aug).ok
 
     def test_unit_u_a_on_spheres_all_parities(self):
         for n in range(-1, N):
             m = disk_sphere_complex([("sphere", n)], N, lower=-1)
             unit = unit_map("u_a", m)
-            assert_chain_map(unit.arrow)
-            assert is_quasi_iso(unit.arrow).ok
+            assert_chain_map(unit)
+            assert is_quasi_iso(unit).ok
 
     def test_unit_v_fails_on_augmented_point(self):
         m = representable("aug_ssimp", 0, N)
         unit = unit_map("v", m)
-        assert check_map(unit.arrow)
-        src = restrict("u_a", unit.arrow.source)
-        tgt = restrict("u_a", unit.arrow.target)
+        assert check_map(unit)
+        src = restrict("u_a", unit.source)
+        tgt = restrict("u_a", unit.target)
         assert bottom_cokernel(src)[1] == 0
         assert bottom_cokernel(tgt)[1] == 1
         # away from the augmentation the unit is fine
-        chain = restrict_map("u_a", unit.arrow)
+        chain = restrict_map("u_a", unit)
         assert is_quasi_iso(good_truncation_map(chain)).ok
         tau_dims_src = homology(good_truncation(src))
         tau_dims_tgt = homology(good_truncation(tgt))
@@ -343,56 +344,56 @@ class TestUnitCounit:
     def test_unit_u_a_quasi_iso(self):
         m = disk_sphere_complex([("sphere", -1), ("disk", 1)], N, lower=-1)
         unit = unit_map("u_a", m)
-        assert_chain_map(unit.arrow)
-        assert is_quasi_iso(unit.arrow).ok
+        assert_chain_map(unit)
+        assert is_quasi_iso(unit).ok
 
     def test_counit_checks_and_triangle_u_delta(self):
         x = representable("ssimp", 2, N)
         eps = counit_map("u_delta", x)
-        assert check_map(eps.arrow)
+        assert check_map(eps)
         m = restrict("u_delta", x)
         eta = unit_map("u_delta", m)
-        top = min(eps.window[1], eta.window[1])
+        top = min(eps.source.truncation, eta.source.truncation)
         for n in range(0, top + 1):
-            composite = eps.arrow.components[n] @ eta.arrow.components[n]
+            composite = eps.components[n] @ eta.components[n]
             assert composite == RatMatrix.identity(m.dim(n))
 
     def test_counit_triangle_v(self):
         x = representable("scube", 1, N)
         eps = counit_map("v", x)
-        assert check_map(eps.arrow)
+        assert check_map(eps)
         shadow = restrict("v", x)
         eta = unit_map("v", shadow)
-        top = min(eps.window[1] - 1, eta.window[1])
+        top = min(eps.source.truncation - 1, eta.source.truncation)
         for n in range(-1, top + 1):
-            composite = eps.arrow.components[n + 1] @ eta.arrow.components[n]
+            composite = eps.components[n + 1] @ eta.components[n]
             assert composite == RatMatrix.identity(shadow.dim(n))
 
     def test_counit_triangle_u_a(self):
         x = representable("aug_ssimp", 1, N)
         eps = counit_map("u_a", x)
-        assert check_map(eps.arrow)
+        assert check_map(eps)
         m = restrict("u_a", x)
         eta = unit_map("u_a", m)
-        top = min(eps.window[1], eta.window[1])
+        top = min(eps.source.truncation, eta.source.truncation)
         for n in range(-1, top + 1):
-            composite = eps.arrow.components[n] @ eta.arrow.components[n]
+            composite = eps.components[n] @ eta.components[n]
             assert composite == RatMatrix.identity(m.dim(n))
 
     def test_counit_u_delta_defect_on_interval(self):
         # same endpoint-gluing defect as for the unit: H_0 doubles
         x = representable("ssimp", 1, N)
         eps = counit_map("u_delta", x)
-        verdict = is_quasi_iso(restrict_map("u_delta", eps.arrow))
-        assert not verdict.ok and verdict.failures == [0]
-        src_h = homology(restrict("u_delta", eps.arrow.source))
+        verdict = is_quasi_iso(restrict_map("u_delta", eps))
+        assert not verdict.ok and verdict.witness == {"failures": [0]}
+        src_h = homology(restrict("u_delta", eps.source))
         assert src_h.dim(0) == 2
 
     def test_counit_quasi_iso_u_a(self):
         for c_obj in (0, 1, 2):
             x = representable("aug_ssimp", c_obj, N)
             eps = counit_map("u_a", x)
-            chain = restrict_map("u_a", eps.arrow)
+            chain = restrict_map("u_a", eps)
             assert is_quasi_iso(chain).ok
             assert bottom_cokernel_map(chain).rows == bottom_cokernel(restrict("u_a", x))[1]
 
