@@ -52,7 +52,6 @@ def make_complex(lower: int, truncation: int, dims: dict[int, int],
 
 @dataclass
 class HomologyReport:
-    lower: int
     window: tuple[int, int]
     dims: dict[int, int]
     boundaries: dict[int, RatMatrix]
@@ -88,7 +87,7 @@ def homology(c: DiagramModule) -> HomologyReport:
         dims[n] = picked.cols
         boundaries[n] = b
         reps[n] = picked
-    return HomologyReport(c.lower, (lo, hi), dims, boundaries, reps)
+    return HomologyReport((lo, hi), dims, boundaries, reps)
 
 
 def _complete_boundaries(b: RatMatrix, z: RatMatrix) -> RatMatrix:
@@ -274,7 +273,3 @@ def disk_sphere_complex(pieces: list[tuple[str, int]], truncation: int,
             t_in = twists.get(n, RatMatrix.identity(dims[n]))
             diff[n] = t_out @ diff[n] @ inverse(t_in)
     return make_complex(lower, truncation, dims, diff)
-
-
-def euler_characteristic(dims: dict[int, int]) -> int:
-    return sum(d if n % 2 == 0 else -d for n, d in dims.items())

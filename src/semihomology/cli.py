@@ -361,6 +361,25 @@ def _module_text_dump(module: DiagramModule) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _report_table(path: str, obj: dict) -> str:
+    """One line per check of a report document: its verdict, name and
+    instance.  A missing or mistyped field is an input error that names it."""
+    checks = obj.get("checks")
+    if not isinstance(checks, list) or not all(isinstance(c, dict) for c in checks):
+        raise CliError(f"{path}: report 'checks' must be a list of objects")
+    lines = []
+    for k, c in enumerate(checks):
+        for field, want in (("name", "a JSON string"), ("instance", "a JSON string"),
+                            ("verdict", '"pass" or "fail"')):
+            if field not in c:
+                raise CliError(f"{path}: check {k}: required field {field} is missing")
+            value = c[field]
+            if not (value in ("pass", "fail") if field == "verdict" else isinstance(value, str)):
+                raise CliError(f"{path}: check {k}: {field} must be {want}, got {echo(json.dumps(value))}")
+        lines.append(f"{'pass' if c['verdict'] == 'pass' else 'FAIL'}  {c['name']}  {c['instance']}")
+    return "\n".join(lines) + "\n"
+
+
 def cmd_convert(args) -> int:
     obj = _load_json(args.infile)
     fmt = obj.get("format")
@@ -379,14 +398,7 @@ def cmd_convert(args) -> int:
         raise CliError(f"cannot convert a map document to {args.to!r}")
     if fmt == REPORT_FORMAT:
         if args.to == "table":
-            checks = obj.get("checks", [])
-            if not isinstance(checks, list) or not all(isinstance(c, dict) for c in checks):
-                raise CliError(f"{args.infile}: report 'checks' must be a list of objects")
-            lines = []
-            for c in checks:
-                mark = "pass" if c.get("verdict") == "pass" else "FAIL"
-                lines.append(f"{mark}  {c.get('name')}  {c.get('instance')}")
-            _write(args.out, "\n".join(lines) + "\n")
+            _write(args.out, _report_table(args.infile, obj))
             return OK
         raise CliError(f"cannot convert a report document to {args.to!r}")
     raise CliError(f"unrecognized document format {echo(repr(fmt))}")

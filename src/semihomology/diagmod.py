@@ -50,7 +50,6 @@ from .exactlin import (
     coordinate_section,
     echo,
     rational_from_str,
-    rational_to_str,
 )
 from .simplexcat import (
     CHAIN_KINDS,
@@ -66,8 +65,6 @@ from .simplexcat import (
     hom_basis,
     hom_index,
 )
-
-KINDS = tuple(KIND_LOWER)
 
 MODULE_FORMAT = "semihomology-module/1"
 MAP_FORMAT = "semihomology-map/1"
@@ -195,9 +192,6 @@ class DiagramModule(_Memoized):
             report = validate(self)
             if not report:
                 raise ValueError(f"invalid module: {report.witness['message']}")
-
-    def is_zero(self) -> bool:
-        return all(self.dim(n) == 0 for n in self.degrees())
 
 
 def make_module(kind: str, truncation: int, dims: Mapping[int, int],
@@ -523,7 +517,7 @@ def truncate_module(x: DiagramModule, new_truncation: int) -> DiagramModule:
 
 
 def _matrix_to_json(m: RatMatrix) -> list[list[str]]:
-    return [[rational_to_str(e) for e in m.row(i)] for i in range(m.rows)]
+    return [[str(e) for e in m.row(i)] for i in range(m.rows)]
 
 
 def _matrix_from_json(rows: list[list[str]], shape: tuple[int, int]) -> RatMatrix:
@@ -659,10 +653,6 @@ def map_from_obj(obj: dict) -> ModuleMap:
 
 def map_to_json(f: ModuleMap) -> str:
     return canonical_json(map_to_obj(f))
-
-
-def map_from_json(text: str) -> ModuleMap:
-    return map_from_obj(json.loads(text))
 
 
 def canonical_json(obj) -> str:

@@ -32,9 +32,9 @@ Matrices are immutable and stored as sparse rows: one ``{column: value}``
 dict per row, with ascending columns, no zeros and canonical scalars.  The
 face, coface and coend matrices of this package are mostly empty or +-1, so
 every operation costs time in proportion to the nonzeros, not the cells.
-Only this module knows that format.  ``RatMatrix(rows, cols, entries)``,
-``from_rows`` and ``from_columns`` (one ``{row: value}`` mapping per column)
-coerce every entry with `exact`; everything else, from ``@`` and
+Only this module knows that format.  ``from_rows`` (dense rows) and
+``from_columns`` (one ``{row: value}`` mapping per column) coerce every
+entry with `exact`; everything else, from ``@`` and
 ``transpose`` to ``rref`` and ``solve``, builds its result through the
 private ``RatMatrix._trusted`` from rows it already knows to be canonical.
 No stored row is ever mutated, so matrices share rows freely; elimination
@@ -72,11 +72,6 @@ def exact(x) -> int | Fraction:
     return x.numerator if x.denominator == 1 else x
 
 
-def rational_to_str(x: int | Fraction) -> str:
-    """Serialize as "p/q", or "p" when the value is integral."""
-    return str(x)
-
-
 # The most characters of an input value that an error message echoes.
 ECHO_LIMIT = 60
 
@@ -111,34 +106,14 @@ def rational_from_str(s: str) -> int | Fraction:
 class RatMatrix:
     """Immutable matrix of rationals, stored as sparse rows.
 
-    ``RatMatrix(rows, cols, entries)``, ``from_rows`` and ``from_columns``
-    coerce each entry with `exact`.  Every other constructor goes through
-    `_trusted`, private to this module, which takes canonical rows.
-    ``_elim``, ``_transposed``, ``_kernel`` and ``_image`` memoize the
-    elimination, the transpose, `kernel_basis` and `image_basis`; all start
-    empty.
+    ``from_rows``, ``from_columns``, ``zeros`` and ``identity`` refuse
+    negative dimensions; every other constructor goes through `_trusted`,
+    private to this module, which takes canonical rows.  ``_elim``,
+    ``_transposed``, ``_kernel`` and ``_image`` memoize the elimination, the
+    transpose, `kernel_basis` and `image_basis`; all start empty.
     """
 
     __slots__ = ("rows", "cols", "_sparse", "_elim", "_transposed", "_kernel", "_image")
-
-    def __init__(self, rows: int, cols: int, entries: Iterable = ()):
-        if rows < 0 or cols < 0:
-            raise ValueError("negative matrix dimensions")
-        flat = [e if type(e) is int else exact(e) for e in entries]
-        if flat and len(flat) != rows * cols:
-            raise ValueError(
-                f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(flat)}"
-            )
-        self.rows = rows
-        self.cols = cols
-        if flat:
-            self._sparse = tuple(
-                {j: e for j, e in enumerate(flat[i * cols : (i + 1) * cols]) if e}
-                for i in range(rows)
-            )
-        else:
-            self._sparse = (_ZERO_ROW,) * rows
-        self._elim = self._transposed = self._kernel = self._image = None
 
     @classmethod
     def _trusted(cls, cols: int, rows: Sequence[dict[int, int | Fraction]]) -> "RatMatrix":
@@ -157,6 +132,10 @@ class RatMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence], cols: int | None = None) -> "RatMatrix":
+        """Dense rows, each entry coerced with `exact`; every row has cols
+        entries, by default the first row's length (0 with no rows)."""
+        if cols is not None:
+            _check_dims(cols)
         sparse = []
         for r in rows:
             if cols is None:
@@ -170,8 +149,7 @@ class RatMatrix:
     def from_columns(cls, rows: int, columns: Iterable[Mapping[int, object]]) -> "RatMatrix":
         """One column per ``{row: value}`` mapping, each value coerced with
         `exact` and zeros dropped; a row outside ``[0, rows)`` is an IndexError."""
-        if rows < 0:
-            raise ValueError("negative matrix dimensions")
+        _check_dims(rows)
         out: list[dict[int, int | Fraction]] = [{} for _ in range(rows)]
         cols = 0
         for column in columns:  # left to right, so each row's columns ascend
@@ -187,10 +165,12 @@ class RatMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
+        _check_dims(rows, cols)
         return cls._trusted(cols, (_ZERO_ROW,) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
+        _check_dims(n)
         return cls._trusted(n, [{i: 1} for i in range(n)])
 
     def __getitem__(self, ij: tuple[int, int]) -> int | Fraction:
@@ -214,9 +194,6 @@ class RatMatrix:
     def sparse_column(self, j: int) -> Mapping[int, int | Fraction]:
         """Column j's nonzeros as a read-only ``{row: value}`` mapping."""
         return MappingProxyType(self.transpose()._sparse[self._column_index(j)])
-
-    def row_major(self) -> list[int | Fraction]:
-        return [e for i in range(self.rows) for e in self.row(i)]
 
     def transpose(self) -> "RatMatrix":
         """The transpose, computed once and memoized on this matrix only (the
@@ -310,14 +287,12 @@ class RatMatrix:
     def pretty(self) -> str:
         if self.rows == 0 or self.cols == 0:
             return f"({self.rows}x{self.cols})"
-        cells = [[rational_to_str(e) for e in self.row(i)] for i in range(self.rows)]
+        cells = [[str(e) for e in self.row(i)] for i in range(self.rows)]
         width = max(len(c) for r in cells for c in r)
         return "\n".join(" ".join(c.rjust(width) for c in r) for r in cells)
 
     def _column_index(self, j: int) -> int:
-        """j as a nonnegative column index; negative j counts from the end."""
-        if j < 0:
-            j += self.cols
+        """j, checked to be a column index of this matrix."""
         if not 0 <= j < self.cols:
             raise IndexError(f"column {j} outside a {self.rows}x{self.cols} matrix")
         return j
@@ -327,6 +302,11 @@ class RatMatrix:
             raise ValueError(
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
+
+
+def _check_dims(*dims: int) -> None:
+    if min(dims) < 0:
+        raise ValueError("negative matrix dimensions")
 
 
 # The one empty row, shared by every zero row that is not built one at a time.

@@ -184,7 +184,8 @@ def _interleave(*groups):
 
 
 def generate_corpus(spec: CorpusSpec) -> Corpus:
-    """Deterministic under the seed; every emitted module passes validate."""
+    """Deterministic under the seed; every emitted module passes validate,
+    and no two modules or maps share a name."""
     spec.check()
     rng = random.Random(spec.seed)
     n = spec.truncation
@@ -243,9 +244,12 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
         name_a, a = index_modules[rng.randrange(len(index_modules))]
         partners = [(nm, m) for nm, m in index_modules if m.kind == a.kind and m.truncation == a.truncation]
         name_b, b = partners[rng.randrange(len(partners))]
+        name = f"sum:{name_a}+{name_b}"
+        if any(nm == name for nm, _ in modules):  # a pair drawn again: skip it, so no name repeats
+            continue
         s = direct_sum(a, b)
         if max(s.dims.values(), default=0) <= spec.max_dim:
-            modules.append((f"sum:{name_a}+{name_b}", s))
+            modules.append((name, s))
             sums_added += 1
 
     maps: list[tuple[str, ModuleMap]] = []

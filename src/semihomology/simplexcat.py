@@ -18,11 +18,11 @@ equal, and a hom set's values sort in basis order.
 * ``GeneratorId`` -- the one-step generators: simplicial cofaces delta(i, n),
   cubical cofaces cube(i, eps, n), and the chain-algebra differentials d(n).
 
-On top of the normal forms sit the k-linear combinations (``LinComb``) and
+On top of the normal forms sit the k-linear combinations (``LinComb``),
+which the package builds, composes and reads but never adds or scales, and
 the functors of ``FUNCTORS``, the one table of their names: the
 alternating-sum differentials carried into each index category, the two
-monochromatic cube embeddings j0/j1, the signed cube embedding v, and the
-color-forgetting quotient q back to injections.
+monochromatic cube embeddings j0/j1 and the signed cube embedding v.
 
 Composition order is fixed repo-wide: in any factor list the leftmost factor
 is outermost and the rightmost acts first, so ``compose(words[0], ...,
@@ -113,10 +113,6 @@ class CubeMap(tuple):
     def constants(self) -> tuple[tuple[int, int], ...]:
         """The inserted positions as (1-based position, color) pairs, ascending."""
         return tuple((j + 1, e) for j, e in enumerate(self.pattern) if e != X)
-
-    def coordinate_positions(self) -> tuple[int, ...]:
-        """1-based output positions that carry an input coordinate."""
-        return tuple(j + 1 for j, e in enumerate(self.pattern) if e == X)
 
     def text(self) -> str:
         coords = iter(range(1, self.source + 1))
@@ -260,15 +256,8 @@ class LinComb:
         return comb
 
     @classmethod
-    def of(cls, f: Morphism, coeff=1) -> "LinComb":
-        return cls(f.source, f.target, {f: exact(coeff)})
-
-    @classmethod
-    def zero(cls, source: int, target: int) -> "LinComb":
-        return cls(source, target)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    def of(cls, f: Morphism) -> "LinComb":
+        return cls(f.source, f.target, {f: 1})
 
     def single(self) -> Morphism:
         """The unique morphism, for combinations that are one term with coefficient 1."""
@@ -278,25 +267,6 @@ class LinComb:
         if c != 1:
             raise ValueError("combination is not monic")
         return f
-
-    def __add__(self, other: "LinComb") -> "LinComb":
-        if (self.source, self.target) != (other.source, other.target):
-            raise ValueError("adding combinations with different endpoints")
-        terms = dict(self.terms)
-        for f, c in other.terms.items():
-            nc = terms.get(f, 0) + c
-            if nc:
-                terms[f] = nc
-            else:
-                terms.pop(f, None)
-        return LinComb(self.source, self.target, terms)
-
-    def __sub__(self, other: "LinComb") -> "LinComb":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "LinComb":
-        c = exact(c)
-        return LinComb(self.source, self.target, {f: c * v for f, v in self.terms.items()})
 
     def compose(self, other: "LinComb") -> "LinComb":
         """self o other, extended bilinearly; other acts first."""
@@ -394,23 +364,6 @@ def cube_coface_factorization(f: CubeMap) -> list[GeneratorId]:
     return word
 
 
-def monochromatic_factorization(f: CubeMap) -> tuple[InjMap, InjMap]:
-    """The unique (a, b) with f = j1(a) o j0(b).
-
-    b records the positions inserted with color 0, a those with color 1; both
-    are injections one degree down (the cube of dimension m corresponds to
-    the ordinal [m-1]).
-    """
-    zeros = [p for p, c in f.constants() if c == 0]
-    coords = list(f.coordinate_positions())
-    mid_positions = sorted(coords + zeros)  # intermediate cube's coordinates
-    a_image = tuple(p - 1 for p in mid_positions)
-    b_image = tuple(mid_positions.index(p) for p in coords)
-    a = InjMap(len(mid_positions) - 1, f.target - 1, a_image)
-    b = InjMap(f.source - 1, len(mid_positions) - 1, b_image)
-    return a, b
-
-
 # -- comparison functors ------------------------------------------------------
 
 
@@ -431,12 +384,6 @@ def _sign_embedding(f: InjMap) -> LinComb:
             pattern[c] = col
         terms[_trusted(CubeMap, f.source + 1, f.target + 1, tuple(pattern))] = (-1) ** colors.count(0)
     return LinComb._trusted(f.source + 1, f.target + 1, terms)
-
-
-def _forget_colors(f: CubeMap) -> LinComb:
-    """q on a cube morphism: keep the coordinate positions, one degree down."""
-    image = tuple(p - 1 for p in f.coordinate_positions())
-    return LinComb.of(InjMap(f.source - 1, f.target - 1, image))
 
 
 @lru_cache(maxsize=None)
@@ -460,30 +407,20 @@ FUNCTORS = {
     "v": ("aug_ssimp", "scube", 1, _sign_embedding),
     "j0": ("aug_ssimp", "scube", 1, lambda f: LinComb.of(_monochromatic_embedding(f, 0))),
     "j1": ("aug_ssimp", "scube", 1, lambda f: LinComb.of(_monochromatic_embedding(f, 1))),
-    "q": ("scube", "aug_ssimp", -1, _forget_colors),
 }
 
 
 def apply_functor(which: str, g) -> LinComb:
-    """Apply a functor of ``FUNCTORS`` to a generator, normal form, or LinComb.
+    """Apply a functor of ``FUNCTORS`` to a generator or a normal form.
 
     * u_delta / u_a / u_square take the chain generator d(n) to the signed
       coface sum in the respective index category (u_delta needs n >= 1).
     * v, j0, j1 take injections (or delta generators) to cube morphisms one
       degree up; v is the signed embedding delta^i -> delta^1_{i+1} -
       delta^0_{i+1}, extended multiplicatively.
-    * q forgets cube colors and shifts degrees down by one.
-
-    LinComb inputs are handled linearly.
     """
     if which not in FUNCTORS:
         raise ValueError(f"unknown functor {which!r}")
-    if isinstance(g, LinComb):
-        shift = FUNCTORS[which][2]
-        out = LinComb.zero(g.source + shift, g.target + shift)
-        for f, c in g.terms.items():
-            out = out + _image(which, f).scale(c)
-        return out
     if isinstance(g, GeneratorId):
         src = FUNCTORS[which][0]
         if g.degree <= KIND_LOWER[src]:
@@ -498,7 +435,7 @@ def _image(which: str, g) -> LinComb:
     or a normal form of an index source kind; cached for the whole process,
     so callers share the image."""
     src, _, _, image = FUNCTORS[which]
-    expected = GeneratorId if src in CHAIN_KINDS else CubeMap if src == "scube" else InjMap
+    expected = GeneratorId if src in CHAIN_KINDS else InjMap
     if not isinstance(g, expected):
         raise ValueError(f"{which} is not defined on {g!r}")
     return image(g)

@@ -10,9 +10,10 @@ the signed coface sum; ``DETECTING_FUNCTOR`` names the one that detects weak
 equivalences of each index kind, and ``detecting_complex`` and
 ``detecting_map`` return that complex (a chain-kind argument itself), the one
 route by which Tor, every weak-equivalence verdict (a ``diagmod.Verdict``)
-and every unit and counit check reach it.  Along v it is the sign shadow of a semicubical module: the
-augmented semisimplicial module whose degree n is the cube degree n + 1 and
-whose cofaces act by the signed difference of the two cube coface families.
+and every unit and counit check reach it.  Along v it is the sign shadow of
+a semicubical module: the augmented semisimplicial module whose degree n is
+the cube degree n + 1 and whose cofaces act by the signed difference of the
+two cube coface families.
 
 One private builder, ``_coend``, computes every coend as a literal quotient:
 the direct sum of (source space) x (hom into the image object), divided by the
@@ -92,7 +93,7 @@ def k_bullet_complex(truncation: int) -> DiagramModule:
     (the alternating sum has n + 1 terms)."""
     dims = {n: 1 for n in range(truncation + 1)}
     diff = {
-        n: RatMatrix(1, 1, [sum((-1) ** i for i in range(n + 1))])
+        n: RatMatrix.from_rows([[sum((-1) ** i for i in range(n + 1))]])
         for n in range(1, truncation + 1)
     }
     return make_complex(0, truncation, dims, diff)
@@ -115,7 +116,7 @@ def k_point_to_bullet(truncation: int) -> ModuleMap:
 # -- the comparison functors -------------------------------------------------------
 
 # Modules restrict along the paper's comparison functors, and induce along
-# all of them but u_square; j0, j1 and q only relate the index categories.
+# all of them but u_square; j0 and j1 only relate the index categories.
 _COMPARISON = ("u_delta", "u_a", "u_square", "v")
 
 # The functor whose restriction detects weak equivalences of each index kind.
@@ -418,7 +419,7 @@ def resolution_complex(kind: str, c: int, truncation: int) -> DiagramModule:
             {index_low[w]: coeff for w, coeff in LinComb.of(phi).compose(sign_sum).terms.items()}
             for phi in hom_basis(kind, p, c)
         ))
-    diff[0] = RatMatrix(dims[-1], dims[0], [1] * (dims[-1] * dims[0]))
+    diff[0] = RatMatrix.from_rows([[1] * dims[0]] * dims[-1], dims[0])
     return make_complex(-1, truncation, dims, diff)
 
 

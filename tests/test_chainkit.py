@@ -8,7 +8,6 @@ from semihomology.chainkit import (
     bottom_cokernel_map,
     brutal_truncation,
     disk_sphere_complex,
-    euler_characteristic,
     good_truncation,
     good_truncation_basis,
     good_truncation_map,
@@ -44,7 +43,7 @@ def random_unimodular(rng: random.Random, n: int) -> RatMatrix:
 def k_bullet(truncation: int):
     """All dims 1; differentials alternate 0, 1, 0, 1, ... starting with d_1 = 0."""
     dims = {n: 1 for n in range(truncation + 1)}
-    diff = {n: RatMatrix(1, 1, [0 if n % 2 else 1]) for n in range(1, truncation + 1)}
+    diff = {n: RatMatrix.from_rows([[0 if n % 2 else 1]]) for n in range(1, truncation + 1)}
     return make_complex(0, truncation, dims, diff)
 
 
@@ -89,9 +88,7 @@ class TestHomology:
         # close the window: the complex is zero at the truncation edge by construction?
         # force it: only use pieces below N so degree N is empty
         if c.dim(N) == 0:
-            assert euler_characteristic(c.dims) == euler_characteristic(
-                {n: h.dim(n) for n in range(0, N)}
-            )
+            assert _euler(c.dims) == _euler({n: h.dim(n) for n in range(0, N)})
 
     def test_window_edge_not_reported(self):
         h = homology(disk_sphere_complex([("sphere", 0)], 2))
@@ -99,10 +96,15 @@ class TestHomology:
             h.dim(2)
 
 
+def _euler(dims: dict[int, int]) -> int:
+    """The alternating sum of the dimensions."""
+    return sum(d if n % 2 == 0 else -d for n, d in dims.items())
+
+
 def _interval_like():
     # semisimplicial representable of the 1-simplex, restricted by hand:
     # dims (2, 1), d_1 = (1, -1)^T pattern transposed
-    return make_complex(0, N, {0: 2, 1: 1}, {1: RatMatrix(2, 1, [1, -1])})
+    return make_complex(0, N, {0: 2, 1: 1}, {1: RatMatrix.from_rows([[1], [-1]])})
 
 
 class TestHomologyMap:
@@ -165,7 +167,7 @@ class TestTruncations:
 
     def test_zero_bottom_gives_brutal(self):
         dims = {-1: 2, 0: 3, 1: 1}
-        c = make_complex(-1, N, dims, {0: RatMatrix.zeros(2, 3), 1: RatMatrix(3, 1, [1, 0, 0])})
+        c = make_complex(-1, N, dims, {0: RatMatrix.zeros(2, 3), 1: RatMatrix.from_rows([[1], [0], [0]])})
         t = good_truncation(c)
         b = brutal_truncation(c)
         assert t.dims == b.dims

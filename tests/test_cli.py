@@ -16,7 +16,6 @@ from semihomology.chainkit import disk_sphere_complex
 from semihomology import cli
 from semihomology.cli import build_parser, main
 from semihomology.diagmod import (
-    KINDS,
     MAP_FORMAT,
     MODULE_FORMAT,
     generators_for,
@@ -717,6 +716,16 @@ class TestCorpusAndConvert:
         status, _, _ = run(capsys, "validate", "--in", out_dir / first["file"])
         assert status == 0
 
+    def test_corpus_index_names_one_file_per_entry(self, capsys, tmp_path):
+        # seed 4 at truncation 4 once drew one direct sum twice, so two
+        # entries named one file
+        out_dir = tmp_path / "corpus"
+        status, _, _ = run(capsys, "corpus", "--trunc", "4", "--seed", "4", "--out-dir", out_dir)
+        assert status == 0
+        files = [e["file"] for e in json.loads((out_dir / "index.json").read_text())["entries"]]
+        assert len(files) == len(set(files))
+        assert sorted(files) == sorted(p.name for p in out_dir.iterdir() if p.name != "index.json")
+
     def test_convert_module_round_trip_canonical(self, capsys, module_file, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
@@ -765,6 +774,43 @@ class TestCorpusAndConvert:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err and "'checks' must be a list of objects" in err
+
+    @pytest.mark.parametrize("report, says", [
+        ({}, "report 'checks' must be a list of objects"),
+        ({"checks": [{"instance": "i", "verdict": "pass"}]}, "check 0: required field name is missing"),
+        ({"checks": [{"name": "n", "verdict": "pass"}]}, "check 0: required field instance is missing"),
+        ({"checks": [{"name": "n", "instance": "i"}]}, "check 0: required field verdict is missing"),
+        ({"checks": [{"name": 3, "instance": "i", "verdict": "pass"}]},
+         "check 0: name must be a JSON string, got 3"),
+        ({"checks": [{"name": None, "instance": "i", "verdict": "pass"}]},
+         "check 0: name must be a JSON string, got null"),
+        ({"checks": [{"name": "n", "instance": [], "verdict": "pass"}]},
+         "check 0: instance must be a JSON string, got []"),
+        ({"checks": [{"name": "n", "instance": "i", "verdict": "maybe"}]},
+         'check 0: verdict must be "pass" or "fail", got "maybe"'),
+        ({"checks": [{"name": "n", "instance": "i", "verdict": "pass"},
+                     {"name": "n", "instance": "i", "verdict": True}]},
+         'check 1: verdict must be "pass" or "fail", got true'),
+        ({"checks": [{"name": "n", "instance": "i", "verdict": "PASS"}]},
+         'check 0: verdict must be "pass" or "fail", got "PASS"'),
+    ], ids=["no-checks", "no-name", "no-instance", "no-verdict", "int-name", "null-name",
+            "list-instance", "unknown-verdict", "bool-verdict", "uppercase-verdict"])
+    def test_convert_report_field_errors_name_the_field(self, capsys, tmp_path, report, says):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"format": "semihomology-report/1", **report}))
+        status, out, err = run(capsys, "convert", "--in", path, "--to", "table")
+        assert status == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert says in err
+
+    def test_convert_report_table_lines(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        checks = [{"name": "a.b", "instance": "x", "verdict": "pass", "window": None},
+                  {"name": "c", "instance": "", "verdict": "fail"}]
+        path.write_text(json.dumps({"format": "semihomology-report/1", "checks": checks}))
+        status, out, _ = run(capsys, "convert", "--in", path, "--to", "table")
+        assert (status, out) == (0, "pass  a.b  x\nFAIL  c  \n")
 
     def test_convert_applies_the_truncation_cap(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("SEMIHOMOLOGY_MAX_TRUNC", raising=False)
@@ -1039,7 +1085,7 @@ def _module_docs(draw, kind: str, truncation: int, entries) -> tuple[dict, dict[
 @st.composite
 def _documents(draw) -> tuple[str, dict]:
     """("module", document) or ("map", document), truncation <= 3."""
-    kind = draw(st.sampled_from(KINDS))
+    kind = draw(st.sampled_from(tuple(KIND_LOWER)))
     truncation = draw(st.integers(KIND_LOWER[kind], 3))
     entries = draw(st.sampled_from(_ENTRY_MIXES))
     source, sdims = draw(_module_docs(kind, truncation, entries))

@@ -6,7 +6,7 @@ import pytest
 
 from semihomology.chainkit import is_quasi_iso
 from semihomology.diagmod import (
-    KINDS,
+    KIND_LOWER,
     DiagramModule,
     ModuleMap,
     Verdict,
@@ -64,6 +64,14 @@ class TestCorpus:
         corpus = generate_corpus(CorpusSpec())
         for kind in ("ssimp", "aug_ssimp", "scube", "chain0", "chain_neg1"):
             assert corpus.by_kind(kind), kind
+
+    @pytest.mark.parametrize("truncation, seeds", [(4, range(30)), (5, range(30)), (6, range(8))])
+    def test_module_and_map_names_are_unique(self, truncation, seeds):
+        # seeds 4 and 13 once drew one direct sum twice under one name
+        for seed in seeds:
+            corpus = generate_corpus(CorpusSpec(seed=seed, truncation=truncation))
+            names = [n for n, _ in corpus.modules] + [n for n, _ in corpus.maps]
+            assert len(names) == len(set(names)), (seed, truncation)
 
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -258,7 +266,7 @@ class TestFiatOutputsValidate:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_corpus_constructions(self, seed):
         corpus = generate_corpus(CorpusSpec(seed=seed, truncation=5))
-        outputs = [zero_module(kind, 5) for kind in KINDS]
+        outputs = [zero_module(kind, 5) for kind in KIND_LOWER]
         outputs += [representable(kind, c, 5) for kind, c in
                     [("ssimp", 0), ("ssimp", 3), ("aug_ssimp", -1), ("aug_ssimp", 2), ("scube", 2)]]
         modules = [m for _, m in corpus.modules]
