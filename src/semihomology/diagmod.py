@@ -32,7 +32,7 @@ d o d = 0.  ``chainkit`` computes their homology.
 
 A module asserts nothing above its truncation; operations either stay inside
 the window or say so, and the loaders reject dimensions and actions outside
-the window.
+the window, and any declared dimension above ``MAX_FILE_DIM``.
 """
 
 from __future__ import annotations
@@ -68,6 +68,12 @@ from .simplexcat import (
 
 MODULE_FORMAT = "semihomology-module/1"
 MAP_FORMAT = "semihomology-map/1"
+
+# The largest dimension a module document may declare.  A file states a
+# dimension in a few bytes, but what is built from it costs time and memory
+# in proportion to it (an elimination, quadratically).  Every document the
+# package writes at the default truncation cap stays below a fifth of it.
+MAX_FILE_DIM = 20_000
 
 
 def kind_lower(kind: str) -> int:
@@ -573,6 +579,17 @@ def _degree_key(key: str, name: str) -> int:
     return n
 
 
+def _declared_dim(value, key: str) -> int:
+    """A dimension of a module document, at most MAX_FILE_DIM: checked
+    before any matrix is built."""
+    d = json_int(value, f"dims '{echo(key)}'")
+    if d > MAX_FILE_DIM:
+        raise ValueError(
+            f"dims '{echo(key)}' exceeds the largest dimension a file may declare, {MAX_FILE_DIM}"
+        )
+    return d
+
+
 def module_to_obj(x: DiagramModule) -> dict:
     return {
         "format": MODULE_FORMAT,
@@ -589,7 +606,7 @@ def module_from_obj(obj: dict) -> DiagramModule:
     kind = _json_field(obj, "kind")
     truncation = json_int(_json_field(obj, "truncation"), "truncation")
     dims = {
-        _degree_key(key, "dims"): json_int(value, f"dims '{key}'")
+        _degree_key(key, "dims"): _declared_dim(value, key)
         for key, value in _json_object(obj.get("dims", {}), "dims").items()
     }
     if not isinstance(kind, str):  # before it keys the cache of generator tokens

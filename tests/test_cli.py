@@ -17,6 +17,7 @@ from semihomology import cli
 from semihomology.cli import build_parser, main
 from semihomology.diagmod import (
     MAP_FORMAT,
+    MAX_FILE_DIM,
     MODULE_FORMAT,
     generators_for,
     identity_map,
@@ -532,6 +533,38 @@ class TestEchoedValueIsBounded:
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err and "doc.json" in err
         assert len(err.encode()) - len(str(path).encode()) <= 200
+
+
+class TestDimensionBudget:
+    """A module document declares each dimension in a few bytes; above
+    MAX_FILE_DIM the loaders refuse it before any matrix is built, with
+    exit 2 and one stderr line that names the degree."""
+
+    @pytest.mark.parametrize("command", ["validate", "homology"])
+    @pytest.mark.parametrize("doc, degree", [
+        # once a MemoryError traceback in validate
+        (_chain_module({"0": 10**12}, {}), "0"),
+        # once a homology run still busy after 20 s
+        (_chain_module({"0": 3_000_000, "1": 3_000_000}, {}), "0"),
+        (_chain_module({"0": 1, "1": MAX_FILE_DIM + 1}, {}), "1"),
+        ({**_POINTS_MAP, "target": _chain_module({"0": 1, "1": 10**9}, {})}, "1"),
+    ], ids=["1e12", "3e6-twice", "budget-plus-one", "map-target"])
+    def test_over_budget_is_input_error(self, capsys, tmp_path, command, doc, degree):
+        if doc["format"] == MAP_FORMAT:
+            command = {"validate": "weq", "homology": "fib"}[command]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        status, out, err = run(capsys, command, "--in", path)
+        assert status == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert f"doc.json: dims '{degree}' exceeds the largest dimension a file may declare, {MAX_FILE_DIM}" in err
+
+    def test_at_budget_loads(self, capsys, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_chain_module({"0": MAX_FILE_DIM, "1": 1}, {})))
+        status, out, _ = run(capsys, "validate", "--in", path)
+        assert status == 0 and "valid" in out
 
 
 # A 104-byte module document over truncation 500: building it, let alone
@@ -1065,7 +1098,8 @@ def _draw_defect(draw, parts: list[tuple[dict, tuple[str, ...]]]) -> None:
 def _module_docs(draw, kind: str, truncation: int, entries) -> tuple[dict, dict[int, int]]:
     """A module document with dims <= 6 and its dims; the actions are
     drawn, so most fail validation, some are malformed, and some are
-    missing, misshaped or not generators of the kind."""
+    missing, misshaped or not generators of the kind.  One time in ten a
+    degree declares a dimension above MAX_FILE_DIM."""
     lower = KIND_LOWER[kind]
     dims = {n: draw(st.integers(0, 6)) for n in range(lower, truncation + 1)}
     actions = {}
@@ -1075,6 +1109,8 @@ def _module_docs(draw, kind: str, truncation: int, entries) -> tuple[dict, dict[
     keys = {str(n): d for n, d in dims.items()}
     if draw(st.integers(0, 9)) == 0:
         keys[draw(st.sampled_from(("+1", "01", "x", str(truncation + 1))))] = 1
+    if draw(st.integers(0, 9)) == 0:
+        keys[str(draw(st.sampled_from(sorted(dims))))] = draw(st.integers(MAX_FILE_DIM + 1, 10**30))
     if draw(st.integers(0, 9)) == 0:
         actions[draw(st.sampled_from(("d 9", "delta 0 0", "cube 1 2 1", "nope")))] = [["1"]]
     doc = {"format": MODULE_FORMAT, "kind": kind, "truncation": truncation,

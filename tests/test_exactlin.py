@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from semihomology.exactlin import (
     RatMatrix,
     _integer_row,
+    _zeros,
     block_diag,
     hstack,
     image_basis,
@@ -370,6 +372,18 @@ class TestSparseScale:
         assert k.cols == m.cols - rank(m)
         assert elapsed < 10.0
 
+    def test_a_matrix_without_entries_is_eliminated_in_linear_time(self):
+        # a memo-free 10,000 x 10,000 zero matrix: scanning every (row,
+        # column) pair for a pivot takes seconds
+        import time
+
+        n = 10_000
+        m = RatMatrix._trusted(n, [{} for _ in range(n)])
+        started = time.perf_counter()
+        assert rank(m) == 0
+        assert rref(m) == (RatMatrix.zeros(n, n), [], 0)
+        assert time.perf_counter() - started < 1.0
+
 
 # -- sparse storage against a dense reference ---------------------------------
 #
@@ -392,9 +406,12 @@ def build(rows, cols):
 def dense(m):
     """Shape and rows of m, read through its public dense accessors, after
     checking that its entries are canonical, that m equals and hashes like
-    its rebuild from those rows, and that each row's leading column is the
-    first nonzero index of the row."""
+    its rebuild from those rows, that each row's leading column is the
+    first nonzero index of the row, and that a matrix without entries is
+    the shared one of its shape."""
     assert_canonical(m)
+    if m.is_zero():
+        assert m is RatMatrix.zeros(m.rows, m.cols)
     rows = [list(m.row(i)) for i in range(m.rows)]
     rebuilt = RatMatrix.from_rows(rows, m.cols)
     assert m == rebuilt and hash(m) == hash(rebuilt)
@@ -463,45 +480,66 @@ def dense_triples(draw):
     return (r, k, c), dense_draw(draw, r, k), dense_draw(draw, k, c), dense_draw(draw, r, k)
 
 
+def assert_every_operation_matches_the_dense_reference(triple, s, picks):
+    """Every public operation on A, B and C of `dense_triples` against the
+    dense reference; picks are the columns of A that column_select takes."""
+    (r, k, c), a, b, cc = triple
+    ma, mb, mc = build(a, k), build(b, c), build(cc, k)
+    assert dense(ma) == (r, k, a)
+    for i in range(r):
+        for j in range(k):
+            assert ma[i, j] == a[i][j]
+    for j in range(k):
+        assert list(ma.column(j)) == [a[i][j] for i in range(r)]
+    assert dense(ma @ mb) == (r, c, ref_matmul(a, b, c))
+    assert dense(ma + mc) == (r, k, [[x + y for x, y in zip(p, q)] for p, q in zip(a, cc)])
+    assert dense(ma - mc) == (r, k, [[x - y for x, y in zip(p, q)] for p, q in zip(a, cc)])
+    assert dense(-ma) == (r, k, [[-x for x in p] for p in a])
+    assert dense(ma.scale(s)) == (r, k, [[s * x for x in p] for p in a])
+    assert dense(ma.transpose()) == (k, r, ref_transpose(a, k))
+    assert dense(hstack(ma, mc)) == (r, 2 * k, [p + q for p, q in zip(a, cc)])
+    assert dense(hstack(RatMatrix.zeros(r, 0), ma, mc)) == (r, 2 * k, [p + q for p, q in zip(a, cc)])
+    assert dense(block_diag(ma, mb)) == (
+        r + k, k + c, [p + [Fraction(0)] * c for p in a] + [[Fraction(0)] * k + q for q in b]
+    )
+    assert dense(ma.column_select(picks)) == (r, len(picks), [[p[j] for j in picks] for p in a])
+    assert dense(ma.transpose().row_select(picks)) == (len(picks), r, [[p[j] for p in a] for j in picks])
+    assert dense(RatMatrix.from_columns(r, [ma.sparse_column(j) for j in range(k)])) == (r, k, a)
+
+    reduced, pivots, rk = rref(ma)
+    assert dense(reduced) == (r, k, reference_rref(ma))
+    assert pivots == ref_pivots(reference_rref(ma)) and rk == len(pivots)
+    assert dense(kernel_basis(ma)) == (k, k - rk, ref_kernel(a, k))
+    assert dense(image_basis(ma)) == (r, rk, [[p[j] for j in pivots] for p in a])
+    want = ref_solve(a, cc, k, k)
+    got = solve(ma, mc)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert dense(got) == (k, k, want)
+    q, kept = quotient_with_section(r, ma)
+    want_q, want_kept = ref_quotient(a, r, k)
+    assert kept == want_kept
+    assert dense(q) == (len(kept), r, want_q)
+
+
 class TestSparseAgainstDense:
     @given(dense_triples(), scalars, st.data())
     @settings(max_examples=200, deadline=None)
     def test_every_operation_matches_the_dense_reference(self, triple, s, data):
-        (r, k, c), a, b, cc = triple
-        ma, mb, mc = build(a, k), build(b, c), build(cc, k)
-        assert dense(ma) == (r, k, a)
-        for i in range(r):
-            for j in range(k):
-                assert ma[i, j] == a[i][j]
-        for j in range(k):
-            assert list(ma.column(j)) == [a[i][j] for i in range(r)]
-        assert dense(ma @ mb) == (r, c, ref_matmul(a, b, c))
-        assert dense(ma + mc) == (r, k, [[x + y for x, y in zip(p, q)] for p, q in zip(a, cc)])
-        assert dense(ma - mc) == (r, k, [[x - y for x, y in zip(p, q)] for p, q in zip(a, cc)])
-        assert dense(-ma) == (r, k, [[-x for x in p] for p in a])
-        assert dense(ma.scale(s)) == (r, k, [[s * x for x in p] for p in a])
-        assert dense(ma.transpose()) == (k, r, ref_transpose(a, k))
-        assert dense(hstack(ma, mc)) == (r, 2 * k, [p + q for p, q in zip(a, cc)])
-        assert dense(block_diag(ma, mb)) == (
-            r + k, k + c, [p + [Fraction(0)] * c for p in a] + [[Fraction(0)] * k + q for q in b]
-        )
+        k = triple[0][1]
         picks = data.draw(st.lists(st.integers(min_value=0, max_value=k - 1), max_size=5)) if k else []
-        assert dense(ma.column_select(picks)) == (r, len(picks), [[p[j] for j in picks] for p in a])
+        assert_every_operation_matches_the_dense_reference(triple, s, picks)
 
-        reduced, pivots, rk = rref(ma)
-        assert dense(reduced) == (r, k, reference_rref(ma))
-        assert pivots == ref_pivots(reference_rref(ma)) and rk == len(pivots)
-        assert dense(kernel_basis(ma)) == (k, k - rk, ref_kernel(a, k))
-        assert dense(image_basis(ma)) == (r, rk, [[p[j] for j in pivots] for p in a])
-        want = ref_solve(a, cc, k, k)
-        got = solve(ma, mc)
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert dense(got) == (k, k, want)
-        q, kept = quotient_with_section(r, ma)
-        want_q, want_kept = ref_quotient(a, r, k)
-        assert kept == want_kept
-        assert dense(q) == (len(kept), r, want_q)
+    @pytest.mark.parametrize("r, k, c", list(product(range(4), repeat=3)))
+    def test_every_operation_matches_the_dense_reference_on_zero_matrices(self, r, k, c):
+        """Every shape up to 3 x 3, the 0 x n, n x 0 and 0 x 0 ones included,
+        with no entries: each result without entries is the shared matrix of
+        its shape (checked by `dense`)."""
+        def zero(p, q):
+            return [[Fraction(0)] * q for _ in range(p)]
+        triple = ((r, k, c), zero(r, k), zero(k, c), zero(r, k))
+        for s, picks in ((0, []), (1, [0, k - 1, 0] if k else []), (Fraction(-2, 3), list(range(k)))):
+            assert_every_operation_matches_the_dense_reference(triple, s, picks)
 
     @given(mixed_matrices(), mixed_matrices())
     @settings(max_examples=150, deadline=None)
@@ -793,3 +831,41 @@ class TestMemo:
         t = m.transpose()
         assert t._transposed is None
         assert t.transpose() == m and t.transpose() is not m
+
+
+class TestSharedEmpties:
+    """One matrix per empty shape, shared by every caller, memo included."""
+
+    def test_zeros_is_one_instance_per_shape(self):
+        assert RatMatrix.zeros(2, 3) is RatMatrix.zeros(2, 3) is M([[0, 0, 0], [0, 0, 0]])
+        assert RatMatrix.zeros(0, 0) is RatMatrix.identity(0)
+        assert RatMatrix.zeros(2, 0).transpose().transpose() is RatMatrix.zeros(2, 0)
+        assert RatMatrix.zeros(2, 3) is not RatMatrix.zeros(3, 2)
+        assert RatMatrix.zeros(2, 3).transpose() is RatMatrix.zeros(3, 2)
+        assert _zeros.cache_info().maxsize is not None  # bounded
+
+    @pytest.mark.parametrize("r, c", list(product(range(4), repeat=2)))
+    def test_answers_do_not_depend_on_the_order_callers_reach_it(self, r, c):
+        zero = RatMatrix.zeros
+        want = {
+            "rank": 0,
+            "kernel_basis": RatMatrix.identity(c),
+            "image_basis": zero(r, 0),
+            "rref": (zero(r, c), [], 0),
+            "solve": zero(c, 1),
+            "quotient_with_section": (RatMatrix.identity(r), list(range(r))),
+        }
+        calls = {
+            "rank": rank,
+            "kernel_basis": kernel_basis,
+            "image_basis": image_basis,
+            "rref": rref,
+            "solve": lambda m: solve(m, zero(m.rows, 1)),
+            "quotient_with_section": lambda m: quotient_with_section(m.rows, m),
+        }
+        for order in permutations(calls):
+            _zeros.cache_clear()  # a fresh shared matrix, with an empty memo
+            for name in order:
+                shared = zero(r, c)
+                assert calls[name](shared) == want[name], (order, name)
+                assert zero(r, c) is shared

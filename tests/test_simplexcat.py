@@ -90,6 +90,44 @@ class TestCompose:
             compose_inj(delta(0, 1), delta(0, 1))
 
 
+class TestComposeMemo:
+    """`compose` is memoized in a bounded cache; every answer it gives equals
+    the unmemoized composition, however often the pair is asked for."""
+
+    @pytest.mark.parametrize("kind", ["ssimp", "aug_ssimp", "scube"])
+    def test_memoized_compose_equals_the_direct_one(self, kind):
+        direct = compose_cube if kind == "scube" else compose_inj
+        degrees = range(KIND_LOWER[kind], 5)
+        pairs = 0
+        for m, n, p in product(degrees, repeat=3):
+            if not m <= n <= p:
+                continue
+            for g, f in product(hom_basis(kind, n, p), hom_basis(kind, m, n)):
+                want = direct(g, f)
+                assert compose(g, f) == want
+                assert compose(g, f) == want  # the second answer may come from the cache
+                pairs += 1
+        assert pairs > 100
+
+    def test_repeated_pair_is_a_cache_hit(self):
+        compose.cache_clear()
+        g, f = delta(0, 2), delta(1, 1)
+        first = compose(g, f)
+        assert compose(g, f) is first
+        assert compose.cache_info().hits == 1
+        assert compose.cache_info().maxsize is not None  # bounded
+
+    @pytest.mark.parametrize("g, f, error", [
+        (delta(0, 1), delta(0, 1), ValueError),
+        (cube_delta(1, 0, 2), cube_delta(1, 1, 3), ValueError),
+        (delta(0, 1), cube_delta(1, 0, 1), TypeError),
+    ], ids=["inj-boundary", "cube-boundary", "mixed-categories"])
+    def test_a_failed_composition_raises_on_every_call(self, g, f, error):
+        for _ in range(3):
+            with pytest.raises(error):
+                compose(g, f)
+
+
 class TestHomBasis:
     def test_counts_against_formula(self):
         for n in range(0, 7):
