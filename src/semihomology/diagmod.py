@@ -71,8 +71,10 @@ MAP_FORMAT = "semihomology-map/1"
 
 # The largest dimension a module document may declare.  A file states a
 # dimension in a few bytes, but what is built from it costs time and memory
-# in proportion to it (an elimination, quadratically).  Every document the
-# package writes at the default truncation cap stays below a fifth of it.
+# in proportion to it: each missing action is a zero matrix with one row per
+# dimension, and `homology` eliminates cycle bases as wide as the degree.
+# Every document the package writes at the default truncation cap stays
+# below a fifth of it.
 MAX_FILE_DIM = 20_000
 
 

@@ -14,10 +14,14 @@ each working row is a copy of a stored row scaled to integer entries, and
 every update is in place.  Under a pivot whose lead is 1 a row loses a
 multiple of the pivot row; under a larger lead it becomes an integer
 combination of the two with its content divided out.  Every entry is divided
-by its pivot's lead once, at the end.  Each working row stays a nonzero
-multiple of the row that rational elimination would hold, so the pivots and
-the reduced row echelon form are the same.  The forward pass alone fixes the
-pivots, so `rank` stops there; everything else also clears above them.
+by its pivot's lead once, at the end.  The rows enter one at a time, and
+each is reduced by the pivot row of its leading column until no pivot row
+leads there; then it becomes one.  The pivot rows span the row space and
+lead in distinct columns, so those columns are the pivots of rational
+elimination, and clearing above them gives the reduced row echelon form,
+which is unique: whatever order the rows enter in, pivots and form are
+those of rational elimination.  The forward pass alone fixes the pivots, so
+`rank` stops there; everything else also clears above them.
 
 A matrix memoizes its elimination and its transpose, each computed at most
 once, in private slots, and so are its `kernel_basis` and `image_basis`.
@@ -41,7 +45,9 @@ private ``RatMatrix._trusted`` from rows it already knows to be canonical.
 No stored row is ever mutated, so matrices share rows freely; elimination
 works on copies.  ``row``, ``column`` and ``__getitem__`` read the matrix
 densely, ``sparse_column`` one column from the memoized transpose, and
-``leading_column`` a row's first nonzero column.
+``leading_column`` a row's first nonzero column.  Each reader checks the
+indices it takes: a row or column outside the matrix, a negative one
+included, is an IndexError.
 
 Zero-dimensional matrices (0 x n and n x 0) are legal and denote maps to or
 from the zero space; graded computations hit empty degrees all the time.
@@ -184,15 +190,15 @@ class RatMatrix:
 
     def __getitem__(self, ij: tuple[int, int]) -> int | Fraction:
         i, j = ij
-        return self._sparse[i].get(self._column_index(j), 0)
+        return self._sparse[self._row_index(i)].get(self._column_index(j), 0)
 
     def leading_column(self, i: int) -> int | None:
         """The first nonzero column of row i, or None for a zero row."""
-        return next(iter(self._sparse[i]), None)
+        return next(iter(self._sparse[self._row_index(i)]), None)
 
     def row(self, i: int) -> tuple[int | Fraction, ...]:
         out = [0] * self.cols
-        for j, v in self._sparse[i].items():
+        for j, v in self._sparse[self._row_index(i)].items():
             out[j] = v
         return tuple(out)
 
@@ -290,7 +296,7 @@ class RatMatrix:
 
     def row_select(self, indices: Iterable[int]) -> "RatMatrix":
         """The rows at the given indices, in that order."""
-        return _built(self.cols, [self._sparse[i] for i in indices])
+        return _built(self.cols, [self._sparse[self._row_index(i)] for i in indices])
 
     def __repr__(self) -> str:
         return f"RatMatrix({self.rows}x{self.cols})"
@@ -301,6 +307,12 @@ class RatMatrix:
         cells = [[str(e) for e in self.row(i)] for i in range(self.rows)]
         width = max(len(c) for r in cells for c in r)
         return "\n".join(" ".join(c.rjust(width) for c in r) for r in cells)
+
+    def _row_index(self, i: int) -> int:
+        """i, checked to be a row index of this matrix."""
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} outside a {self.rows}x{self.cols} matrix")
+        return i
 
     def _column_index(self, j: int) -> int:
         """j, checked to be a column index of this matrix."""
@@ -399,9 +411,11 @@ def block_diag(*mats: RatMatrix) -> RatMatrix:
 
 # -- elimination ------------------------------------------------------------
 #
-# Pivot selection: scan columns left to right, take the first not-yet-used row
-# with a nonzero entry in that column.  The reduced row echelon form is
-# canonical, so this is a performance rule, not a semantic one.
+# Pivot selection: a row is reduced by the pivot row of its leading column,
+# looked up in a dict from leading column to pivot row, so an elimination
+# costs time in proportion to the entries it touches.  The reduced row
+# echelon form is unique, so the order the rows enter in is a performance
+# rule, not a semantic one.
 
 
 def _integer_row(row: dict[int, int | Fraction]) -> dict[int, int]:
@@ -449,66 +463,56 @@ def _cancel(target: dict[int, int], pivot: dict[int, int], col: int, lead: int) 
                 target[c] = v // content
 
 
-def _forward(m: RatMatrix) -> tuple[list[int], list[dict[int, int]]]:
-    """Forward elimination on integer copies of the stored rows; returns
-    (pivot columns, integer pivot rows), each row with a positive lead; at
-    once when no row has an entry."""
-    if not any(m._sparse):
-        return [], []
-    work = [_integer_row(r) for r in m._sparse]
-    free_rows = list(range(m.rows))
-    pivots: list[int] = []
-    pivot_rows: list[dict[int, int]] = []
-    for col in range(m.cols):
-        sel = None
-        for pos, ridx in enumerate(free_rows):
-            if col in work[ridx]:
-                sel = pos
-                break
-        if sel is None:
+def _forward(m: RatMatrix) -> dict[int, dict[int, int]]:
+    """Forward elimination on integer copies of the stored rows, entered one
+    at a time: {leading column: integer pivot row}, each lead positive.  No
+    two pivot rows share a leading column, so the keys are the pivot columns
+    of the reduced form and their count is the rank."""
+    by_lead: dict[int, dict[int, int]] = {}
+    for stored in m._sparse:
+        if not stored:
             continue
-        ridx = free_rows.pop(sel)
-        row = work[ridx]
-        lead = row[col]
-        if lead < 0:
-            for c, v in row.items():
-                row[c] = -v
-            lead = -lead
-        for other in free_rows:
-            if col in work[other]:
-                _cancel(work[other], row, col, lead)
-        pivots.append(col)
-        pivot_rows.append(row)
-        if not free_rows:
-            break
-    return pivots, pivot_rows
+        row = _integer_row(stored)
+        col = next(iter(row))  # a fresh copy keeps its columns ascending
+        while col in by_lead:
+            pivot = by_lead[col]
+            _cancel(row, pivot, col, pivot[col])
+            if not row:
+                break
+            col = min(row)
+        else:
+            if row[col] < 0:
+                for c, v in row.items():
+                    row[c] = -v
+            by_lead[col] = row
+    return by_lead
 
 
 def _eliminate(m: RatMatrix) -> tuple[tuple[int, ...], tuple[dict[int, int | Fraction], ...]]:
     """(pivot columns, pivot rows of the reduced form, each with ascending
-    columns): `_forward`, back-substitution and one division per entry.
-    Computed once per matrix and memoized on it; callers only read it."""
+    columns): `_forward`, then a back pass from the last pivot to the first
+    that clears each row's other pivot columns with the rows already fully
+    reduced, and one division per entry.  Clearing with a fully reduced row
+    brings in no pivot column.  Computed once per matrix and memoized on it;
+    callers only read it."""
     done = m._elim
     if done is not None:
         return done
-    pivots, pivot_rows = _forward(m)
-    # clear above the pivots so the form is fully reduced
-    for k in range(len(pivot_rows) - 1, 0, -1):
-        col = pivots[k]
-        row = pivot_rows[k]
-        lead = row[col]
-        for j in range(k):
-            if col in pivot_rows[j]:
-                _cancel(pivot_rows[j], row, col, lead)
-    # one division per entry: each pivot row by its lead
+    by_lead = _forward(m)
+    pivots = sorted(by_lead)
     reduced = []
-    for col, row in zip(pivots, pivot_rows):
+    for col in reversed(pivots):
+        row = by_lead[col]
+        for c in [c for c in row if c != col and c in by_lead]:
+            pivot = by_lead[c]
+            _cancel(row, pivot, c, pivot[c])
         lead = row[col]
         items = sorted(row.items())
         if lead == 1:
             reduced.append(dict(items))
         else:
             reduced.append({c: v // lead if v % lead == 0 else Fraction(v, lead) for c, v in items})
+    reduced.reverse()
     done = m._elim = (tuple(pivots), tuple(reduced))
     return done
 
@@ -531,7 +535,7 @@ def rank(m: RatMatrix) -> int:
     """The rank: read from the memoized elimination when there is one,
     otherwise from the forward pass alone."""
     done = m._elim
-    return len(done[0]) if done is not None else len(_forward(m)[0])
+    return len(done[0]) if done is not None else len(_forward(m))
 
 
 def kernel_basis(m: RatMatrix) -> RatMatrix:
@@ -540,8 +544,14 @@ def kernel_basis(m: RatMatrix) -> RatMatrix:
     Bases are in rref order: one column per free coordinate, ascending, with
     a unit in the free coordinate itself.  Memoized on ``m``.
     """
-    if m._kernel is not None:
-        return m._kernel
+    if m._kernel is None:
+        m._kernel = _kernel_with_free(m)[0]
+    return m._kernel
+
+
+def _kernel_with_free(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
+    """(`kernel_basis` of m, the free columns of m), read from the one
+    elimination; not memoized."""
     pivots, pivot_rows = _eliminate(m)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
@@ -552,8 +562,7 @@ def kernel_basis(m: RatMatrix) -> RatMatrix:
     # a fully reduced pivot row is its pivot plus free coordinates only
     for p, row in zip(pivots, pivot_rows):
         rows[p] = {position[c]: -v for c, v in row.items() if c != p}
-    m._kernel = _built(len(free), rows)
-    return m._kernel
+    return _built(len(free), rows), free
 
 
 def image_basis(m: RatMatrix) -> RatMatrix:
@@ -587,23 +596,17 @@ def quotient_with_section(ambient_dim: int, sub: RatMatrix) -> tuple[RatMatrix, 
     Returns ``(Q, kept)`` where Q is (n-r) x n, ker Q = im(sub), and the
     coordinate inclusion on ``kept``, the non-pivot coordinates of the
     subspace, is a section of Q (Q restricted to those columns is the
-    identity).
+    identity).  Q is the transpose of the kernel basis of sub^T, whose
+    columns span ker(sub^T), the annihilator of im(sub); ``kept`` are the
+    free columns of sub^T.
     """
     if sub.rows != ambient_dim:
         raise ValueError(
             f"quotient_with_section: subspace lives in dimension {sub.rows}, "
             f"ambient is {ambient_dim}"
         )
-    pivots, pivot_rows = _eliminate(sub.transpose())
-    pivot_set = set(pivots)
-    kept = [c for c in range(ambient_dim) if c not in pivot_set]
-    position = {f: k for k, f in enumerate(kept)}
-    rows: list[dict[int, int | Fraction]] = [{f: 1} for f in kept]
-    for p, row in zip(pivots, pivot_rows):
-        for c, v in row.items():
-            if c != p:
-                rows[position[c]][p] = -v
-    return _built(ambient_dim, [_sorted_row(r) for r in rows]), kept
+    basis, kept = _kernel_with_free(sub.transpose())
+    return basis.transpose(), kept
 
 
 def coordinate_section(ambient_dim: int, kept: Sequence[int]) -> RatMatrix:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semihomology.chainkit import homology, make_complex
 from semihomology.exactlin import (
     RatMatrix,
     _integer_row,
@@ -318,6 +319,37 @@ class TestSolve:
         assert a @ x == b
 
 
+class TestRowOrder:
+    """The reduced row echelon form is unique, so no elimination result
+    depends on the order the rows enter in, on zero rows or on repeats."""
+
+    @given(mixed_matrices(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_permuted_padded_and_repeated_rows_eliminate_alike(self, m, data):
+        repeats = data.draw(st.lists(st.integers(0, m.rows - 1), max_size=3)) if m.rows else []
+        rows = [m.row(i) for i in [*range(m.rows), *repeats]]
+        rows += [(0,) * m.cols] * data.draw(st.integers(0, 2))
+        other = RatMatrix.from_rows(data.draw(st.permutations(rows)), m.cols)
+        assert rank(other) == rank(m)  # the forward pass alone, on a fresh matrix
+        reduced, pivots, r = rref(m)
+        other_reduced, other_pivots, other_r = rref(other)
+        assert (other_pivots, other_r) == (pivots, r)
+        assert other_reduced.row_select(range(r)) == reduced.row_select(range(r))
+        assert other_reduced.row_select(range(r, other.rows)).is_zero()
+        assert kernel_basis(other) == kernel_basis(m)
+
+    @given(mixed_matrices(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_the_quotient_ignores_the_order_of_the_spanning_columns(self, sub, data):
+        n = sub.rows
+        q, kept = quotient_with_section(n, sub)
+        permuted = sub.column_select(data.draw(st.permutations(range(sub.cols))))
+        assert quotient_with_section(n, permuted) == (q, kept)
+        assert q == kernel_basis(sub.transpose()).transpose()
+        pivots = set(rref(sub.transpose())[1])
+        assert kept == [c for c in range(n) if c not in pivots]
+
+
 class TestArithmetic:
     @given(rationals, rationals)
     @settings(max_examples=200, deadline=None)
@@ -382,6 +414,26 @@ class TestSparseScale:
         started = time.perf_counter()
         assert rank(m) == 0
         assert rref(m) == (RatMatrix.zeros(n, n), [], 0)
+        assert time.perf_counter() - started < 1.0
+
+    def test_homology_of_a_large_complex_without_differentials_is_linear(self):
+        # H_0 of two degrees of dimension 10,000 and d = 0: the cycles are an
+        # identity, whose elimination used to scan every (row, column) pair
+        import time
+
+        n = 10_000
+        started = time.perf_counter()
+        assert homology(make_complex(0, 1, {0: n, 1: n}, {})).dims == {0: n}
+        assert time.perf_counter() - started < 1.0
+
+    def test_a_large_permutation_matrix_is_eliminated_in_linear_time(self):
+        import time
+
+        n = 10_000
+        m = RatMatrix.from_columns(n, [{(7 * j + 3) % n: 1} for j in range(n)])
+        started = time.perf_counter()
+        assert rank(m) == n
+        assert kernel_basis(m) == RatMatrix.zeros(n, 0)
         assert time.perf_counter() - started < 1.0
 
 
@@ -622,18 +674,26 @@ class TestSparseBuilder:
         with pytest.raises(IndexError, match=f"row {row} outside"):
             RatMatrix.from_columns(3, [{0: 1}, {row: value}])
 
-    @pytest.mark.parametrize("j", [-1, 2])
-    @pytest.mark.parametrize("read", ["getitem", "column", "sparse_column", "column_select"])
-    def test_a_column_outside_the_matrix_is_an_index_error(self, read, j):
-        m = M([[1, 2], [3, 4]])
-        readers = {
-            "getitem": lambda: m[0, j],
-            "column": lambda: m.column(j),
-            "sparse_column": lambda: m.sparse_column(j),
-            "column_select": lambda: m.column_select([0, j]),
-        }
-        with pytest.raises(IndexError, match=f"column {j} outside a 2x2 matrix"):
-            readers[read]()
+    # reader: (the axis its index runs along, the read)
+    INDEX_READERS = {
+        "getitem-row": ("row", lambda m, i: m[i, 0]),
+        "row": ("row", lambda m, i: m.row(i)),
+        "leading_column": ("row", lambda m, i: m.leading_column(i)),
+        "row_select": ("row", lambda m, i: m.row_select([0, i])),
+        "getitem-column": ("column", lambda m, j: m[0, j]),
+        "column": ("column", lambda m, j: m.column(j)),
+        "sparse_column": ("column", lambda m, j: m.sparse_column(j)),
+        "column_select": ("column", lambda m, j: m.column_select([0, j])),
+    }
+
+    @pytest.mark.parametrize("past_the_end", [False, True])
+    @pytest.mark.parametrize("read", list(INDEX_READERS))
+    def test_an_index_outside_the_matrix_is_an_index_error(self, read, past_the_end):
+        m = M([[1, 2, 0], [0, 3, 4]])
+        axis, reader = self.INDEX_READERS[read]
+        index = (m.rows if axis == "row" else m.cols) if past_the_end else -1
+        with pytest.raises(IndexError, match=f"^{axis} {index} outside a 2x3 matrix$"):
+            reader(m, index)
 
     @given(mixed_matrices(), st.data())
     @settings(max_examples=100, deadline=None)
