@@ -415,7 +415,10 @@ def block_diag(*mats: RatMatrix) -> RatMatrix:
 # looked up in a dict from leading column to pivot row, so an elimination
 # costs time in proportion to the entries it touches.  The reduced row
 # echelon form is unique, so the order the rows enter in is a performance
-# rule, not a semantic one.
+# rule, not a semantic one.  Rows enter last first: a reduction only moves a
+# leading column right, and the combinatorial matrices store their rows by
+# nondecreasing leading column, so each column that leads a stored row gets
+# that sparse row as its pivot, not a reduced row that got there first.
 
 
 def _integer_row(row: dict[int, int | Fraction]) -> dict[int, int]:
@@ -465,11 +468,11 @@ def _cancel(target: dict[int, int], pivot: dict[int, int], col: int, lead: int) 
 
 def _forward(m: RatMatrix) -> dict[int, dict[int, int]]:
     """Forward elimination on integer copies of the stored rows, entered one
-    at a time: {leading column: integer pivot row}, each lead positive.  No
-    two pivot rows share a leading column, so the keys are the pivot columns
-    of the reduced form and their count is the rank."""
+    at a time, last first: {leading column: integer pivot row}, each lead
+    positive.  No two pivot rows share a leading column, so the keys are the
+    pivot columns of the reduced form and their count is the rank."""
     by_lead: dict[int, dict[int, int]] = {}
-    for stored in m._sparse:
+    for stored in reversed(m._sparse):
         if not stored:
             continue
         row = _integer_row(stored)

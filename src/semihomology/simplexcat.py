@@ -397,14 +397,13 @@ def _sign_embedding(f: InjMap) -> LinComb:
     return LinComb._trusted(f.source + 1, f.target + 1, terms)
 
 
-@lru_cache(maxsize=None)
-def _cube_alternating_sum(n: int) -> LinComb:
+def _sign_embedding_of(comb: LinComb) -> LinComb:
+    """v extended linearly to a combination of injections."""
     terms: dict[Morphism, int] = {}
-    for i in range(1, n + 1):
-        sign = (-1) ** (i - 1)
-        terms[cube_delta(i, 1, n)] = sign
-        terms[cube_delta(i, 0, n)] = -sign
-    return LinComb(n - 1, n, terms)
+    for f, c in comb.terms.items():
+        for g, sign in _sign_embedding(f).terms.items():
+            terms[g] = terms.get(g, 0) + c * sign
+    return LinComb(comb.source + 1, comb.target + 1, terms)
 
 
 # which -> (source kind, target kind, degree shift, image): the functor goes
@@ -414,7 +413,7 @@ def _cube_alternating_sum(n: int) -> LinComb:
 FUNCTORS = {
     "u_delta": ("chain0", "ssimp", 0, lambda d: d_lower(0, d.degree, "ssimp")),
     "u_a": ("chain_neg1", "aug_ssimp", 0, lambda d: d_lower(0, d.degree, "aug_ssimp")),
-    "u_square": ("chain0", "scube", 0, lambda d: _cube_alternating_sum(d.degree)),
+    "u_square": ("chain0", "scube", 0, lambda d: _sign_embedding_of(_image("u_a", omega_d(d.degree - 1)))),
     "v": ("aug_ssimp", "scube", 1, _sign_embedding),
     "j0": ("aug_ssimp", "scube", 1, lambda f: LinComb.of(_monochromatic_embedding(f, 0))),
     "j1": ("aug_ssimp", "scube", 1, lambda f: LinComb.of(_monochromatic_embedding(f, 1))),
@@ -425,7 +424,8 @@ def apply_functor(which: str, g) -> LinComb:
     """Apply a functor of ``FUNCTORS`` to a generator or a normal form.
 
     * u_delta / u_a / u_square take the chain generator d(n) to the signed
-      coface sum in the respective index category (u_delta needs n >= 1).
+      coface sum in each index category (u_delta and u_square need n >= 1);
+      u_square's is v applied term by term to u_a(d(n - 1)).
     * v, j0, j1 take injections (or delta generators) to cube morphisms one
       degree up; v is the signed embedding delta^i -> delta^1_{i+1} -
       delta^0_{i+1}, extended multiplicatively.

@@ -31,8 +31,8 @@ of its source.
 Tor with the four named coefficient objects is realized through the explicit
 representable resolutions; after the co-Yoneda collapse these are the
 restricted complex, the brutal nonnegative truncation, and the degree shift.
-``resolution_complex`` and ``tensor_resolution_complex`` keep the uncollapsed
-routes available so the collapse itself is testable.
+``tensor_resolution_complex`` keeps the uncollapsed route, so the collapse
+itself is testable; ``resolution_complex`` reads a representable's complex.
 """
 
 from __future__ import annotations
@@ -62,6 +62,8 @@ from .diagmod import (
     act,
     generators_for,
     kind_lower,
+    representable,
+    zero_module,
 )
 from .exactlin import RatMatrix, quotient_with_section, rank
 from .simplexcat import (
@@ -71,7 +73,6 @@ from .simplexcat import (
     apply_functor,
     compose,
     hom_basis,
-    hom_index,
     identity_cube,
     identity_inj,
     omega_d,
@@ -393,34 +394,28 @@ def tor_map(f: ModuleMap, coeff: str) -> dict[int, RatMatrix]:
     return homology_map(ModuleMap(source, target, comps))
 
 
-# -- representable resolutions, uncollapsed ----------------------------------------
+# -- representable resolutions -------------------------------------------------
 
 
 def resolution_complex(kind: str, c: int, truncation: int) -> DiagramModule:
-    """The augmented complex of representables, evaluated at the object c.
-
-    Degree p carries the hom space p -> c, the differential is precomposition
-    with the signed coface sum, and degree -1 carries the augmentation target
-    (k, except at the initial augmented object, where everything vanishes).
-    Exactness is the contractibility of the standard simplex or cube.
-    """
+    """The augmented complex of representables, evaluated at the object c:
+    degree p carries the hom space p -> c and d_p precomposes with the signed
+    coface sum.  That is the detecting complex of the aug_ssimp representable
+    at c for ssimp and aug_ssimp (zero at c = -1), and of the scube one with
+    degree -1 = k and d_0 = (1 ... 1) added.  Exactness is the
+    contractibility of the standard simplex or cube."""
     lower = kind_lower(kind)
     if not lower <= c <= truncation:
         raise ValueError(f"evaluation object {c} outside truncation")
-    dims = {p: len(hom_basis(kind, p, c)) for p in range(0, truncation + 1)}
-    which = DETECTING_FUNCTOR[kind]
-    dims[-1] = 0 if (kind == "aug_ssimp" and c == -1) else 1
-    diff: dict[int, RatMatrix] = {}
-    for p in range(1, truncation + 1):
-        index_low = hom_index(kind, p - 1, c)
-        sign_sum = apply_functor(which, omega_d(p))
-        # column phi holds the distinct terms of phi o (signed coface sum)
-        diff[p] = RatMatrix.from_columns(dims[p - 1], (
-            {index_low[w]: coeff for w, coeff in LinComb.of(phi).compose(sign_sum).terms.items()}
-            for phi in hom_basis(kind, p, c)
-        ))
-    diff[0] = RatMatrix.from_rows([[1] * dims[0]] * dims[-1], dims[0])
-    return make_complex(-1, truncation, dims, diff)
+    if kind == "scube":
+        cube = detecting_complex(representable(kind, c, truncation))
+        ones = RatMatrix.from_rows([[1] * cube.dim(0)])
+        return make_complex(-1, truncation, {-1: 1, **cube.dims}, {0: ones, **cube.diff})
+    if kind in CHAIN_KINDS:
+        raise ValueError(f"kind {kind!r} has no underlying index category")
+    if c == -1:
+        return zero_module("chain_neg1", truncation)
+    return detecting_complex(representable("aug_ssimp", c, truncation))
 
 
 def tensor_with_representable(x: DiagramModule, p: int) -> Coend:

@@ -24,7 +24,7 @@ from semihomology.exactlin import (
 )
 from semihomology.oracle import CorpusSpec, generate_corpus
 from semihomology.simplexcat import LinComb, apply_functor, delta, identity_inj, omega_d
-from semihomology.transport import detecting_complex
+from semihomology.transport import detecting_complex, resolution_complex
 
 
 def M(rows):
@@ -435,6 +435,17 @@ class TestSparseScale:
         assert rank(m) == n
         assert kernel_basis(m) == RatMatrix.zeros(n, 0)
         assert time.perf_counter() - started < 1.0
+
+    def test_resolution_differentials_are_eliminated_without_fill_in(self):
+        # the stored rows lead by nondecreasing column; entered in stored
+        # order, reduced rows fill the later pivot columns and this took 2 s
+        import time
+
+        cx = resolution_complex("scube", 9, 10)
+        started = time.perf_counter()
+        ranks = [rank(cx.diff[p]) for p in range(11)]
+        assert time.perf_counter() - started < 1.0
+        assert ranks == [1, 511, 1793, 2815, 2561, 1471, 545, 127, 17, 1, 0]
 
 
 # -- sparse storage against a dense reference ---------------------------------

@@ -288,10 +288,14 @@ class TestFunctors:
 
     def test_v_after_u_a_is_cubical_differential_shifted(self):
         # v sends [n] to the (n+1)-cube, so the composite lands one degree up
-        for n in range(1, N_MAX + 1):
+        for n in range(0, N_MAX + 1):
             lhs = _apply_termwise("v", apply_functor("u_a", omega_d(n)))
-            rhs = apply_functor("u_square", omega_d(n + 1))
-            assert lhs == rhs
+            # the cube differential: sum over i of (-1)^(i-1) (delta^1_i - delta^0_i)
+            cube_sum = LinComb(n, n + 1, {
+                cube_delta(i, color, n + 1): (-1) ** (i - 1) * (1 if color else -1)
+                for i in range(1, n + 2) for color in (0, 1)
+            })
+            assert lhs == cube_sum == apply_functor("u_square", omega_d(n + 1))
 
 
 def _apply_termwise(which: str, comb: LinComb) -> LinComb:

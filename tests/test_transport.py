@@ -11,6 +11,7 @@ from semihomology.chainkit import (
     homology,
     homology_map,
     is_quasi_iso,
+    make_complex,
     reindex_shift,
 )
 from semihomology.diagmod import (
@@ -25,7 +26,15 @@ from semihomology.diagmod import (
 )
 from semihomology.exactlin import RatMatrix, rank
 from semihomology.oracle import CorpusSpec, generate_corpus
-from semihomology.simplexcat import FUNCTORS, KIND_LOWER
+from semihomology.simplexcat import (
+    FUNCTORS,
+    KIND_LOWER,
+    LinComb,
+    apply_functor,
+    hom_basis,
+    hom_index,
+    omega_d,
+)
 from semihomology.transport import (
     DETECTING_FUNCTOR,
     WindowError,
@@ -544,6 +553,23 @@ class TestTensorRoute:
         assert lhs.dims == rhs.dims
 
 
+def _hom_set_resolution(kind: str, c: int, truncation: int):
+    """The augmented representable resolution at c, built from the hom sets:
+    column phi of d_p holds the terms of phi o (signed coface sum), and d_0
+    is the row of ones (no row at the initial augmented object)."""
+    dims = {p: len(hom_basis(kind, p, c)) for p in range(0, truncation + 1)}
+    dims[-1] = 0 if (kind == "aug_ssimp" and c == -1) else 1
+    diff = {0: RatMatrix.from_rows([[1] * dims[0]] * dims[-1], dims[0])}
+    for p in range(1, truncation + 1):
+        index_low = hom_index(kind, p - 1, c)
+        sign_sum = apply_functor(DETECTING_FUNCTOR[kind], omega_d(p))
+        diff[p] = RatMatrix.from_columns(dims[p - 1], (
+            {index_low[w]: coeff for w, coeff in LinComb.of(phi).compose(sign_sum).terms.items()}
+            for phi in hom_basis(kind, p, c)
+        ))
+    return make_complex(-1, truncation, dims, diff)
+
+
 class TestResolutions:
     def test_objectwise_exact(self):
         for kind, objs in (
@@ -560,6 +586,73 @@ class TestResolutions:
     def test_initial_augmented_object_zero(self):
         c = resolution_complex("aug_ssimp", -1, N)
         assert all(c.dim(n) == 0 for n in c.degrees())
+
+    @pytest.mark.parametrize("kind", ["ssimp", "aug_ssimp", "scube"])
+    def test_equals_the_hom_set_route(self, kind):
+        for truncation in range(0, 8):
+            for c in range(KIND_LOWER[kind], truncation + 1):
+                got = resolution_complex(kind, c, truncation)
+                want = _hom_set_resolution(kind, c, truncation)
+                assert (got.kind, got.truncation, got.dims) == (want.kind, want.truncation, want.dims)
+                assert dict(got.diff) == dict(want.diff), (kind, c, truncation)
+
+    @pytest.mark.parametrize("kind, c, truncation, error", [
+        ("chain0", 0, 3, "kind 'chain0' has no underlying index category"),
+        ("nosuch", 0, 3, "unknown module kind 'nosuch'"),
+        ("ssimp", 4, 3, "evaluation object 4 outside truncation"),
+        ("ssimp", -1, 3, "evaluation object -1 outside truncation"),
+        ("aug_ssimp", -2, 3, "evaluation object -2 outside truncation"),
+        ("scube", 1, 0, "evaluation object 1 outside truncation"),
+        ("aug_ssimp", -1, -1, None),
+        ("aug_ssimp", -1, 0, None),
+        ("ssimp", 0, 0, None),
+        ("aug_ssimp", 0, 0, None),
+        ("scube", 0, 0, None),
+    ])
+    def test_edge_objects_and_refusals(self, kind, c, truncation, error):
+        if error is not None:
+            with pytest.raises(ValueError, match=f"^{error}$"):
+                resolution_complex(kind, c, truncation)
+            return
+        got = resolution_complex(kind, c, truncation)
+        assert (got.kind, got.truncation) == ("chain_neg1", truncation)
+        if c == -1:
+            assert not any(got.dims.values())
+        else:
+            assert got.dims == {-1: 1, 0: 1}
+            assert got.diff[0] == RatMatrix.identity(1)
+        assert not any(homology(got).dims_list())
+
+
+def _chain_representable(kind: str, c: int, truncation: int):
+    """The representable of a chain kind at c: the sphere at the lower
+    degree, the disk D[c] above it."""
+    lower = KIND_LOWER[kind]
+    piece = ("sphere", c) if c == lower else ("disk", c)
+    return disk_sphere_complex([piece], truncation, lower=lower)
+
+
+class TestYoneda:
+    """Induction sends the representable at c to the representable at F(c),
+    literally: the same basis and the same matrices."""
+
+    @pytest.mark.parametrize("truncation", [4, 5, 6])
+    def test_sign_embedding(self, truncation):
+        for c in range(-1, truncation):
+            got = induce("v", representable("aug_ssimp", c, truncation)).module
+            assert got == representable("scube", c + 1, truncation + 1), c
+        with pytest.raises(WindowError):
+            induce("v", representable("aug_ssimp", truncation, truncation))
+
+    @pytest.mark.parametrize("which", ["u_delta", "u_a"])
+    @pytest.mark.parametrize("truncation", [4, 5, 6])
+    def test_chain_representables(self, which, truncation):
+        src, tgt, _, _ = FUNCTORS[which]
+        for c in range(KIND_LOWER[src], truncation):
+            got = induce(which, _chain_representable(src, c, truncation)).module
+            assert got == representable(tgt, c, truncation), c
+        with pytest.raises(WindowError):
+            induce(which, _chain_representable(src, truncation, truncation))
 
 
 class TestKBullet:
