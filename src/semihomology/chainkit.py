@@ -34,7 +34,8 @@ from .exactlin import (
     rref,
     solve,
 )
-from .diagmod import DiagramModule, GeneratorId, ModuleMap, Verdict, make_module
+from .diagmod import DiagramModule, ModuleMap, Verdict, make_module
+from .simplexcat import omega_d
 
 
 def make_complex(lower: int, truncation: int, dims: dict[int, int],
@@ -44,13 +45,13 @@ def make_complex(lower: int, truncation: int, dims: dict[int, int],
     if lower not in (-1, 0):
         raise ValueError("lower bound must be -1 or 0")
     kind = "chain0" if lower == 0 else "chain_neg1"
-    return make_module(kind, truncation, dims, {GeneratorId("d", n): m for n, m in diff.items()})
+    return make_module(kind, truncation, dims, {omega_d(n): m for n, m in diff.items()})
 
 
 # -- homology -----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class HomologyReport:
     window: tuple[int, int]
     dims: dict[int, int]
@@ -199,24 +200,27 @@ def brutal_truncation_map(f: ModuleMap) -> ModuleMap:
     )
 
 
-def bottom_cokernel(c: DiagramModule) -> tuple[RatMatrix, int]:
-    """Projection onto coker(d_0) at the bottom degree -1, with its dimension."""
+def _bottom_quotient(c: DiagramModule) -> tuple[RatMatrix, list[int]]:
+    """The projection onto coker(d_0) at the bottom degree -1, and the
+    coordinates of C_{-1} it keeps as the quotient basis."""
     if c.lower != -1:
         raise ValueError("bottom cokernel needs a complex with lower bound -1")
+    return quotient_with_section(c.dim(-1), image_basis(c.diff[0]))
+
+
+def bottom_cokernel(c: DiagramModule) -> tuple[RatMatrix, int]:
+    """Projection onto coker(d_0) at the bottom degree -1, with its dimension."""
     c.require_valid()
-    q, _ = quotient_with_section(c.dim(-1), image_basis(c.diff[0]))
+    q, _ = _bottom_quotient(c)
     return q, q.rows
 
 
 def bottom_cokernel_map(f: ModuleMap) -> RatMatrix:
     """The induced map on coker(d_0), in the pinned quotient coordinates."""
     f.require_checked()
-    qs, kept_s = quotient_with_section(
-        f.source.dim(-1), image_basis(f.source.diff[0])
-    )
-    qt, _ = quotient_with_section(f.target.dim(-1), image_basis(f.target.diff[0]))
-    section = coordinate_section(f.source.dim(-1), kept_s)
-    return qt @ f.components[-1] @ section
+    _, kept_s = _bottom_quotient(f.source)
+    qt, _ = _bottom_quotient(f.target)
+    return qt @ f.components[-1] @ coordinate_section(f.source.dim(-1), kept_s)
 
 
 def reindex_shift(c: DiagramModule, by: int) -> DiagramModule:

@@ -349,13 +349,13 @@ def cmd_corpus(args) -> int:
 
 
 def _module_text_dump(module: DiagramModule) -> str:
-    from .diagmod import generators_for
+    from .diagmod import generator_tokens
 
     lines = [f"kind {module.kind}, truncation {module.truncation}"]
     lines.append("dims " + " ".join(f"{n}:{module.dim(n)}" for n in module.degrees()))
-    for g in generators_for(module.kind, module.truncation):
+    for t, g in generator_tokens(module.kind, module.truncation).items():
         m = module.actions[g]
-        lines.append(f"[{g.token()}]  ({m.rows}x{m.cols})")
+        lines.append(f"[{t}]  ({m.rows}x{m.cols})")
         if m.rows and m.cols:
             lines.append(m.pretty())
     return "\n".join(lines) + "\n"

@@ -3,11 +3,14 @@
 A ``DiagramModule`` stores one vector-space dimension per degree inside its
 truncation window plus one matrix per one-step generator, in the contravariant
 convention: a degree-raising generator g acts by a matrix X(g) of shape
-dims[n-1] x dims[n] (face maps lower degree).  ``validate`` checks the
-defining relations of the kind exactly; everything downstream assumes a
-validated module.  It returns a ``Verdict``, the package's one verdict
-record, as do ``check_map``, ``chainkit.is_quasi_iso`` and the oracle's
-weak-equivalence and fibration checks.
+dims[n-1] x dims[n] (face maps lower degree).  The actions are keyed by the
+generators themselves: the coface normal forms of ``simplexcat``, or the chain
+generators d(n).  ``generator_tokens`` is the one table of their names in
+documents.  ``validate`` checks the defining relations of the kind exactly;
+everything downstream assumes a validated module.  It returns a ``Verdict``,
+the package's one verdict record, as do ``check_map``,
+``chainkit.is_quasi_iso`` and the oracle's weak-equivalence and fibration
+checks.
 
 Modules and module maps are immutable: frozen dataclasses whose ``dims``,
 ``actions`` and ``components`` are read-only mappings.  Each object carries
@@ -54,16 +57,20 @@ from .exactlin import (
 from .simplexcat import (
     CHAIN_KINDS,
     KIND_LOWER,
-    GeneratorId,
+    CubeMap,
+    Differential,
+    Generator,
+    InjMap,
     LinComb,
     Morphism,
     coface_factorization,
-    cube_coface_factorization,
-    CubeMap,
-    InjMap,
     compose,
+    cube_coface_factorization,
+    cube_delta,
+    delta,
     hom_basis,
     hom_index,
+    omega_d,
 )
 
 MODULE_FORMAT = "semihomology-module/1"
@@ -85,30 +92,42 @@ def kind_lower(kind: str) -> int:
 
 
 @lru_cache(maxsize=None)
-def generators_for(kind: str, truncation: int) -> tuple[GeneratorId, ...]:
-    """All one-step generators acting inside the truncation, in token order."""
+def generators_for(kind: str, truncation: int) -> tuple[Generator, ...]:
+    """All one-step generators acting inside the truncation, in token order:
+    the cofaces delta(i, n) or cube(i, e, n), or the differentials d(n)."""
     lower = kind_lower(kind)
-    out: list[GeneratorId] = []
+    out: list[Generator] = []
     for n in range(lower + 1, truncation + 1):
         if kind in ("ssimp", "aug_ssimp"):
-            out.extend(GeneratorId("delta", n, index=i) for i in range(n + 1))
+            out.extend(delta(i, n) for i in range(n + 1))
         elif kind == "scube":
-            for i in range(1, n + 1):
-                out.extend(GeneratorId("cube", n, index=i, color=e) for e in (0, 1))
+            out.extend(cube_delta(i, e, n) for i in range(1, n + 1) for e in (0, 1))
         else:
-            out.append(GeneratorId("d", n))
+            out.append(omega_d(n))
     return tuple(out)
 
 
+def token(g: Generator) -> str:
+    """The document token of a generator: "delta i n", "cube i e n" or "d n"."""
+    if isinstance(g, Differential):
+        return f"d {g.target}"
+    if isinstance(g, InjMap):
+        (i,) = g.complement()
+        return f"delta {i} {g.target}"
+    ((i, e),) = g.constants()
+    return f"cube {i} {e} {g.target}"
+
+
 @lru_cache(maxsize=None)
-def _generator_tokens(kind: str, truncation: int) -> Mapping[str, GeneratorId]:
-    """The generators of generators_for, keyed by their canonical token."""
-    return MappingProxyType({g.token(): g for g in generators_for(kind, truncation)})
+def generator_tokens(kind: str, truncation: int) -> Mapping[str, Generator]:
+    """The token table: generators_for keyed by their tokens, in its order.
+    Documents are written and read through it."""
+    return MappingProxyType({token(g): g for g in generators_for(kind, truncation)})
 
 
-def _not_a_generator(token: str, kind: str, truncation: int) -> ValueError:
+def _not_a_generator(name: str, kind: str, truncation: int) -> ValueError:
     return ValueError(
-        f"action '{echo(token)}' is not a generator of kind {kind} inside "
+        f"action '{echo(name)}' is not a generator of kind {kind} inside "
         f"the truncation window [{kind_lower(kind)}, {truncation}]"
     )
 
@@ -158,7 +177,7 @@ class DiagramModule(_Memoized):
     kind: str
     truncation: int
     dims: Mapping[int, int]
-    actions: Mapping[GeneratorId, RatMatrix]
+    actions: Mapping[Generator, RatMatrix]
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     __hash__ = None  # equality is by content, and the mappings are not hashable
@@ -187,13 +206,13 @@ class DiagramModule(_Memoized):
         """The differentials {n: X(d(n))} of a chain-kind module, read-only."""
         if self.kind not in CHAIN_KINDS:
             raise ValueError(f"module of kind {self.kind!r} is not a chain complex")
-        return MappingProxyType({g.degree: m for g, m in self.actions.items()})
+        return MappingProxyType({g.target: m for g, m in self.actions.items()})
 
-    def action(self, g: GeneratorId) -> RatMatrix:
+    def action(self, g: Generator) -> RatMatrix:
         try:
             return self.actions[g]
         except KeyError:
-            raise ValueError(f"generator {g.token()} outside truncation") from None
+            raise ValueError(f"generator {token(g)} outside truncation") from None
 
     def require_valid(self) -> None:
         if not self._memo.get(_VALID):
@@ -203,7 +222,7 @@ class DiagramModule(_Memoized):
 
 
 def make_module(kind: str, truncation: int, dims: Mapping[int, int],
-                actions: Mapping[GeneratorId, RatMatrix]) -> DiagramModule:
+                actions: Mapping[Generator, RatMatrix]) -> DiagramModule:
     """Build a module, filling in missing dims/actions with zeros and
     checking shapes eagerly.  A dims key outside the truncation window or
     an action that is not a generator of the kind inside it is an error,
@@ -224,26 +243,26 @@ def make_module(kind: str, truncation: int, dims: Mapping[int, int],
     known = set(generators)
     for g in actions:
         if g not in known:
-            raise _not_a_generator(g.token(), kind, truncation)
+            raise _not_a_generator(token(g), kind, truncation)
     full_dims = {n: dims.get(n, 0) for n in range(lower, truncation + 1)}
     if any(d < 0 for d in full_dims.values()):
         raise ValueError("negative dimension")
-    full_actions: dict[GeneratorId, RatMatrix] = {}
+    full_actions: dict[Generator, RatMatrix] = {}
     for g in generators:
         m = actions.get(g)
-        rows, cols = full_dims[g.degree - 1], full_dims[g.degree]
+        rows, cols = full_dims[g.source], full_dims[g.target]
         if m is None:
             m = RatMatrix.zeros(rows, cols)
         if (m.rows, m.cols) != (rows, cols):
             raise ValueError(
-                f"action {g.token()} has shape {m.rows}x{m.cols}, expected {rows}x{cols}"
+                f"action {token(g)} has shape {m.rows}x{m.cols}, expected {rows}x{cols}"
             )
         full_actions[g] = m
     return DiagramModule(kind, truncation, full_dims, full_actions)
 
 
 def _trusted_module(kind: str, truncation: int, dims: Mapping[int, int],
-                    actions: Mapping[GeneratorId, RatMatrix]) -> DiagramModule:
+                    actions: Mapping[Generator, RatMatrix]) -> DiagramModule:
     """make_module for a construction whose relations hold by theory, so the
     result is valid without running validate.  The one place a module is
     marked valid by fiat; the test suite validates these outputs for real."""
@@ -268,8 +287,7 @@ def _relations(kind: str, truncation: int) -> tuple[tuple, ...]:
             for j in range(n + 1):
                 for i in range(j):
                     out.append((
-                        GeneratorId("delta", n - 1, index=i), GeneratorId("delta", n, index=j),
-                        GeneratorId("delta", n - 1, index=j - 1), GeneratorId("delta", n, index=i),
+                        delta(i, n - 1), delta(j, n), delta(j - 1, n - 1), delta(i, n),
                         f"coface relation fails at degree {n} for (i, j) = ({i}, {j})",
                     ))
     elif kind == "scube":
@@ -279,15 +297,13 @@ def _relations(kind: str, truncation: int) -> tuple[tuple, ...]:
                     for eps in (0, 1):
                         for eta in (0, 1):
                             out.append((
-                                GeneratorId("cube", n - 1, index=i, color=eps),
-                                GeneratorId("cube", n, index=j, color=eta),
-                                GeneratorId("cube", n - 1, index=j - 1, color=eta),
-                                GeneratorId("cube", n, index=i, color=eps),
+                                cube_delta(i, eps, n - 1), cube_delta(j, eta, n),
+                                cube_delta(j - 1, eta, n - 1), cube_delta(i, eps, n),
                                 f"cube relation fails at degree {n} for (i, j, eps, eta) = ({i}, {j}, {eps}, {eta})",
                             ))
     else:
         for n in range(lower + 2, truncation + 1):
-            out.append((GeneratorId("d", n - 1), GeneratorId("d", n), f"d o d != 0 at degree {n}"))
+            out.append((omega_d(n - 1), omega_d(n), f"d o d != 0 at degree {n}"))
     return tuple(out)
 
 
@@ -301,8 +317,8 @@ def validate(x: DiagramModule) -> Verdict:
     a = x.actions
     for g in generators_for(x.kind, x.truncation):
         m = a.get(g)
-        if m is None or (m.rows, m.cols) != (dims[g.degree - 1], dims[g.degree]):
-            return _refused(f"missing or misshaped action {g.token()}")
+        if m is None or (m.rows, m.cols) != (dims[g.source], dims[g.target]):
+            return _refused(f"missing or misshaped action {token(g)}")
     # a relation at degree n compares dims[n-2] x dims[n] products through
     # dims[n-1]; with any of the three dims 0 both sides are the same zero
     # matrix, so it can neither fail nor change which relation fails first
@@ -312,11 +328,11 @@ def validate(x: DiagramModule) -> Verdict:
     }
     if x.kind in CHAIN_KINDS:
         for g1, g2, message in _relations(x.kind, x.truncation):
-            if g2.degree not in trivial and not (a[g1] @ a[g2]).is_zero():
+            if g2.target not in trivial and not (a[g1] @ a[g2]).is_zero():
                 return _refused(message)
     else:
         for g1, g2, h1, h2, message in _relations(x.kind, x.truncation):
-            if g2.degree not in trivial and a[g1] @ a[g2] != a[h1] @ a[h2]:
+            if g2.target not in trivial and a[g1] @ a[g2] != a[h1] @ a[h2]:
                 return _refused(message)
     x._memo[_VALID] = True
     return Verdict(True)
@@ -329,14 +345,12 @@ def representable(kind: str, c: int, truncation: int) -> DiagramModule:
     if not lower <= c <= truncation:
         raise ValueError(f"object degree {c} outside truncation")
     dims = {n: len(hom_basis(kind, n, c)) for n in range(lower, truncation + 1)}
-    actions: dict[GeneratorId, RatMatrix] = {}
+    actions: dict[Generator, RatMatrix] = {}
     for g in generators_for(kind, truncation):
-        n = g.degree
-        target_index = hom_index(kind, n - 1, c)
-        gm = g.as_morphism()
+        target_index = hom_index(kind, g.source, c)
         # one 1 per column: row target_index[phi o g] of column phi
         actions[g] = RatMatrix.from_columns(
-            dims[n - 1], ({target_index[compose(phi, gm)]: 1} for phi in hom_basis(kind, n, c))
+            dims[g.source], ({target_index[compose(phi, g)]: 1} for phi in hom_basis(kind, g.target, c))
         )
     return _trusted_module(kind, truncation, dims, actions)  # precomposition is functorial
 
@@ -346,7 +360,8 @@ def zero_module(kind: str, truncation: int) -> DiagramModule:
 
 
 def act(x: DiagramModule, phi) -> RatMatrix:
-    """The matrix of X(phi) for phi a LinComb, normal form, or generator.
+    """The matrix of X(phi) for phi a LinComb or a normal form, cofaces
+    among them, or for a chain kind a generator d(n).
 
     Normal forms are routed through the canonical coface factorization, so
     the result is independent of how phi was presented (validate guarantees
@@ -354,11 +369,9 @@ def act(x: DiagramModule, phi) -> RatMatrix:
     """
     x.require_valid()
     if x.kind in CHAIN_KINDS:
-        if isinstance(phi, GeneratorId) and phi.kind == "d":
+        if isinstance(phi, Differential):
             return x.action(phi)
         raise ValueError("chain kinds act through their d(n) generators only")
-    if isinstance(phi, GeneratorId):
-        phi = phi.as_morphism()
     if isinstance(phi, (InjMap, CubeMap)):
         return _act_normal_form(x, phi)
     if isinstance(phi, LinComb):
@@ -438,13 +451,12 @@ def _check_map(f: ModuleMap) -> Verdict:
         if m is None or (m.rows, m.cols) != (y.dim(n), x.dim(n)):
             return _refused(f"missing or misshaped component at degree {n}")
     for g in generators_for(x.kind, x.truncation):
-        n = g.degree
-        if not y.dim(n - 1) or not x.dim(n):
+        if not y.dim(g.source) or not x.dim(g.target):
             continue  # both sides are the same empty matrix
-        lhs = f.components[n - 1] @ x.actions[g]
-        rhs = y.actions[g] @ f.components[n]
+        lhs = f.components[g.source] @ x.actions[g]
+        rhs = y.actions[g] @ f.components[g.target]
         if lhs != rhs:
-            return _refused(f"component does not commute with {g.token()}")
+            return _refused(f"component does not commute with {token(g)}")
     return Verdict(True)
 
 
@@ -598,7 +610,7 @@ def module_to_obj(x: DiagramModule) -> dict:
         "kind": x.kind,
         "truncation": x.truncation,
         "dims": {str(n): x.dim(n) for n in x.degrees()},
-        "actions": {g.token(): _matrix_to_json(x.actions[g]) for g in generators_for(x.kind, x.truncation)},
+        "actions": {t: _matrix_to_json(x.actions[g]) for t, g in generator_tokens(x.kind, x.truncation).items()},
     }
 
 
@@ -613,15 +625,15 @@ def module_from_obj(obj: dict) -> DiagramModule:
     }
     if not isinstance(kind, str):  # before it keys the cache of generator tokens
         raise ValueError(f"kind must be a JSON string, got {echo(json.dumps(kind))}")
-    generators = _generator_tokens(kind, truncation)
-    actions: dict[GeneratorId, RatMatrix] = {}
-    for token, rows in _json_object(obj.get("actions", {}), "actions").items():
-        g = generators.get(token)
+    generators = generator_tokens(kind, truncation)
+    actions: dict[Generator, RatMatrix] = {}
+    for key, rows in _json_object(obj.get("actions", {}), "actions").items():
+        g = generators.get(key)
         if g is None:  # only the canonical token of a generator names it
-            raise _not_a_generator(token, kind, truncation)
-        rows = _json_rows(rows, f"action '{token}'")
+            raise _not_a_generator(key, kind, truncation)
+        rows = _json_rows(rows, f"action '{key}'")
         # the rows give the shape, which make_module checks
-        shape = (len(rows), len(rows[0]) if rows else dims.get(g.degree, 0))
+        shape = (len(rows), len(rows[0]) if rows else dims.get(g.target, 0))
         actions[g] = _matrix_from_json(rows, shape)
     return make_module(kind, truncation, dims, actions)
 

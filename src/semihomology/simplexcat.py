@@ -4,9 +4,9 @@ The module kinds are named once, in ``KIND_LOWER`` with the lowest degree of
 each: the index kinds ``ssimp``, ``aug_ssimp`` and ``scube``, and the chain
 kinds ``chain0`` and ``chain_neg1``.  ``hom_basis`` and the strictly
 decreasing basis take these names.  Three kinds of values appear, each a
-tuple led by a tag, its class name or a generator's kind, so it hashes,
-compares and sorts as a tuple, in C: values of different types never compare
-equal, and a hom set's values sort in basis order.
+tuple led by its class name, so it hashes, compares and sorts as a tuple, in
+C: values of different types never compare equal, and a hom set's values
+sort in basis order.
 
 * ``InjMap`` -- order-preserving injections between the ordinals [m] =
   {0 < ... < m}, with [-1] the empty ordinal; stored by image subset, which
@@ -15,8 +15,13 @@ equal, and a hom set's values sort in basis order.
   and n, stored as a pattern: output coordinate j holds a constant 0 or 1,
   or the marker ``X`` for the next input coordinate in order.  Patterns of
   one shape sort in the canonical basis order, since 0 < 1 < X.
-* ``GeneratorId`` -- the one-step generators: simplicial cofaces delta(i, n),
-  cubical cofaces cube(i, eps, n), and the chain-algebra differentials d(n).
+* ``Differential`` -- the chain-algebra generator d(n), built by ``omega_d``.
+
+The one-step generators of the module kinds are values of these types: a
+simplicial coface delta(i, n) is the injection omitting i, a cubical coface
+cube(i, eps, n) the cube map inserting eps at position i (``delta`` and
+``cube_delta`` build them), and the chain kinds have d(n).  Each has
+``source`` n - 1 and ``target`` n.
 
 On top of the normal forms sit the k-linear combinations (``LinComb``),
 which the package builds, composes and reads but never adds or scales, and
@@ -182,50 +187,33 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     raise TypeError("cannot compose morphisms of different categories")
 
 
-# -- generators --------------------------------------------------------------
+# -- chain generators ----------------------------------------------------------
 
 
-class GeneratorId(tuple):
-    """One-step generator delta(i, n), cube(i, color, n) or d(n), stored as
-    the tuple (kind, degree, index, color); kind is "delta", "cube" or "d"."""
+class Differential(tuple):
+    """The chain-algebra generator d(n), n >= 0, by its degrees: ("Differential", n - 1, n)."""
 
     __slots__ = ()
-    _fields = ("kind", "degree", "index", "color")
-    kind, degree, index, color = (property(itemgetter(i)) for i in (0, 1, 2, 3))
+    _fields = ("source", "target")
+    source, target = (property(itemgetter(i)) for i in (1, 2))
     __repr__ = _repr
 
-    def __new__(cls, kind: str, degree: int, index: int = 0, color: int = 0):
-        if kind not in ("delta", "cube", "d"):
-            raise ValueError(f"unknown generator kind {kind!r}")
-        if kind == "delta" and not 0 <= index <= degree:
-            raise ValueError(f"delta({index}, {degree}) out of range")
-        if kind == "cube" and not (1 <= index <= degree and color in (0, 1)):
-            raise ValueError(f"cube({index}, {color}, {degree}) out of range")
-        if kind == "d" and degree < 0:
+    def __new__(cls, n: int):
+        if n < 0:
             raise ValueError("d(n) needs n >= 0")
-        return tuple.__new__(cls, (kind, degree, index, color))
+        return _trusted(cls, n - 1, n)
 
     def __getnewargs__(self) -> tuple:
-        """The constructor arguments, for copy and pickle."""
-        return tuple(self)
-
-    def as_morphism(self) -> Morphism:
-        if self.kind == "delta":
-            return delta(self.index, self.degree)
-        if self.kind == "cube":
-            return cube_delta(self.index, self.color, self.degree)
-        raise ValueError("chain-algebra generators have no underlying index morphism")
-
-    def token(self) -> str:
-        if self.kind == "delta":
-            return f"delta {self.index} {self.degree}"
-        if self.kind == "cube":
-            return f"cube {self.index} {self.color} {self.degree}"
-        return f"d {self.degree}"
+        """The constructor argument n, for copy and pickle."""
+        return (self.target,)
 
 
-def omega_d(n: int) -> GeneratorId:
-    return GeneratorId("d", n)
+@lru_cache(maxsize=None)
+def omega_d(n: int) -> Differential:
+    return Differential(n)
+
+
+Generator = InjMap | CubeMap | Differential
 
 
 # -- linear combinations ------------------------------------------------------
@@ -351,7 +339,7 @@ def hom_index(kind: str, m: int, n: int) -> dict[Morphism, int]:
 # -- factorizations -----------------------------------------------------------
 
 
-def coface_factorization(f: InjMap) -> list[GeneratorId]:
+def coface_factorization(f: InjMap) -> list[InjMap]:
     """The strictly decreasing coface word composing to f.
 
     Returned outermost first; the indices are the complement of the image in
@@ -359,20 +347,13 @@ def coface_factorization(f: InjMap) -> list[GeneratorId]:
     smallest omitted value.
     """
     comp = f.complement()
-    word = []
-    for k in range(len(comp), 0, -1):
-        word.append(GeneratorId("delta", f.source + k, index=comp[k - 1]))
-    return word
+    return [delta(comp[k - 1], f.source + k) for k in range(len(comp), 0, -1)]
 
 
-def cube_coface_factorization(f: CubeMap) -> list[GeneratorId]:
+def cube_coface_factorization(f: CubeMap) -> list[CubeMap]:
     """Cube analogue: insert the constant positions bottom-up, outermost first."""
     consts = f.constants()
-    word = []
-    for k in range(len(consts), 0, -1):
-        pos, color = consts[k - 1]
-        word.append(GeneratorId("cube", f.source + k, index=pos, color=color))
-    return word
+    return [cube_delta(*consts[k - 1], f.source + k) for k in range(len(consts), 0, -1)]
 
 
 # -- comparison functors ------------------------------------------------------
@@ -411,9 +392,9 @@ def _sign_embedding_of(comb: LinComb) -> LinComb:
 # shift, and sends a generator d(n) of a chain kind, or a normal form of an
 # index kind, to image(it).
 FUNCTORS = {
-    "u_delta": ("chain0", "ssimp", 0, lambda d: d_lower(0, d.degree, "ssimp")),
-    "u_a": ("chain_neg1", "aug_ssimp", 0, lambda d: d_lower(0, d.degree, "aug_ssimp")),
-    "u_square": ("chain0", "scube", 0, lambda d: _sign_embedding_of(_image("u_a", omega_d(d.degree - 1)))),
+    "u_delta": ("chain0", "ssimp", 0, lambda d: d_lower(0, d.target, "ssimp")),
+    "u_a": ("chain_neg1", "aug_ssimp", 0, lambda d: d_lower(0, d.target, "aug_ssimp")),
+    "u_square": ("chain0", "scube", 0, lambda d: _sign_embedding_of(_image("u_a", omega_d(d.source)))),
     "v": ("aug_ssimp", "scube", 1, _sign_embedding),
     "j0": ("aug_ssimp", "scube", 1, lambda f: LinComb.of(_monochromatic_embedding(f, 0))),
     "j1": ("aug_ssimp", "scube", 1, lambda f: LinComb.of(_monochromatic_embedding(f, 1))),
@@ -421,22 +402,17 @@ FUNCTORS = {
 
 
 def apply_functor(which: str, g) -> LinComb:
-    """Apply a functor of ``FUNCTORS`` to a generator or a normal form.
+    """Apply a functor of ``FUNCTORS`` to a chain generator or a normal form.
 
     * u_delta / u_a / u_square take the chain generator d(n) to the signed
       coface sum in each index category (u_delta and u_square need n >= 1);
       u_square's is v applied term by term to u_a(d(n - 1)).
-    * v, j0, j1 take injections (or delta generators) to cube morphisms one
+    * v, j0, j1 take injections, cofaces among them, to cube morphisms one
       degree up; v is the signed embedding delta^i -> delta^1_{i+1} -
       delta^0_{i+1}, extended multiplicatively.
     """
     if which not in FUNCTORS:
         raise ValueError(f"unknown functor {which!r}")
-    if isinstance(g, GeneratorId):
-        src = FUNCTORS[which][0]
-        if g.degree <= KIND_LOWER[src]:
-            raise ValueError(f"{g.token()} is not a generator of kind {src}")
-        g = g if g.kind == "d" else g.as_morphism()
     return _image(which, g)
 
 
@@ -446,8 +422,8 @@ def _image(which: str, g) -> LinComb:
     or a normal form of an index source kind; cached for the whole process,
     so callers share the image."""
     src, _, _, image = FUNCTORS[which]
-    expected = GeneratorId if src in CHAIN_KINDS else InjMap
-    if not isinstance(g, expected):
+    expected = Differential if src in CHAIN_KINDS else InjMap
+    if not isinstance(g, expected) or g.source < KIND_LOWER[src]:
         raise ValueError(f"{which} is not defined on {g!r}")
     return image(g)
 

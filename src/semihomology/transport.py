@@ -56,7 +56,6 @@ from .chainkit import (
 from .diagmod import (
     CHAIN_KINDS,
     DiagramModule,
-    GeneratorId,
     ModuleMap,
     _trusted_module,
     act,
@@ -68,6 +67,7 @@ from .diagmod import (
 from .exactlin import RatMatrix, quotient_with_section, rank
 from .simplexcat import (
     FUNCTORS,
+    Generator,
     LinComb,
     Morphism,
     apply_functor,
@@ -213,7 +213,7 @@ def _coend(
     m: DiagramModule,
     top: int,
     hom: Callable[[int], tuple[Morphism, ...]],
-    image: Callable[[GeneratorId], LinComb],
+    image: Callable[[Generator], LinComb],
 ) -> Coend:
     """The coend of M against hom(-) over source degrees <= top, as a quotient.
 
@@ -239,7 +239,7 @@ def _coend(
     # degrees q - 1 and q, so they never share a label
     relations = []
     for g in generators_for(m.kind, top):
-        q = g.degree
+        q = g.target
         dim_q = dims.get(q, 0)
         if dim_q == 0:
             continue
@@ -290,9 +290,8 @@ def _induction(which: str, m: DiagramModule, src_cap: int) -> InductionResult:
     }
     actions = {}
     for h in generators_for(kind, truncation):
-        hm = h.as_morphism()
-        actions[h] = coends[h.degree - 1].classes(
-            (q, compose(phi, hm), i) for q, phi, i in coends[h.degree].kept_labels()
+        actions[h] = coends[h.source].classes(
+            (q, compose(phi, h), i) for q, phi, i in coends[h.target].kept_labels()
         )
     dims = {a: c.proj.rows for a, c in coends.items()}
     # precomposition is functorial on the quotient
@@ -422,9 +421,7 @@ def tensor_with_representable(x: DiagramModule, p: int) -> Coend:
     """The coend X (x)_A A(p, -) as a literal quotient.  Co-Yoneda says the
     quotient is X(p); tests compare."""
     x.require_valid()
-    return _coend(
-        x, x.truncation, lambda q: hom_basis(x.kind, p, q), lambda g: LinComb.of(g.as_morphism())
-    )
+    return _coend(x, x.truncation, lambda q: hom_basis(x.kind, p, q), LinComb.of)
 
 
 def tensor_resolution_complex(x: DiagramModule, truncation: int | None = None) -> DiagramModule:
@@ -452,7 +449,7 @@ def tensor_resolution_complex(x: DiagramModule, truncation: int | None = None) -
 # -- low-degree exact sequence ------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class LowDegreeSequence:
     """0 -> H_0(tau X) -> Tor_0 -> X_{-1} -> H_{-1} -> 0 with its three maps.
 

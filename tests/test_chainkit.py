@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -18,7 +19,6 @@ from semihomology.chainkit import (
     reindex_shift,
 )
 from semihomology.diagmod import (
-    GeneratorId,
     ModuleMap,
     compose_maps,
     identity_map,
@@ -29,6 +29,7 @@ from semihomology.diagmod import (
     zero_module,
 )
 from semihomology.exactlin import RatMatrix, kernel_basis, rank
+from semihomology.simplexcat import omega_d
 from semihomology.transport import restrict
 
 N = 5
@@ -94,6 +95,12 @@ class TestHomology:
         h = homology(disk_sphere_complex([("sphere", 0)], 2))
         with pytest.raises(ValueError):
             h.dim(2)
+
+    def test_report_fields_cannot_be_assigned(self):
+        h = homology(disk_sphere_complex([("sphere", 0)], 2))
+        for name in ("window", "dims", "boundaries", "representatives"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(h, name, {})
 
 
 def _euler(dims: dict[int, int]) -> int:
@@ -275,7 +282,7 @@ class TestComplexesAreModules:
         c = _random_augmented(random.Random(3))
         assert sorted(c.diff) == list(range(0, N + 1))
         for n, m in c.diff.items():
-            assert m is c.action(GeneratorId("d", n))
+            assert m is c.action(omega_d(n))
         with pytest.raises(TypeError):
             c.diff[0] = RatMatrix.zeros(c.dim(-1), c.dim(0))
         with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ from semihomology.diagmod import (
     MAP_FORMAT,
     MAX_FILE_DIM,
     MODULE_FORMAT,
-    generators_for,
+    generator_tokens,
     identity_map,
     map_from_obj,
     map_to_json,
@@ -1103,9 +1103,9 @@ def _module_docs(draw, kind: str, truncation: int, entries) -> tuple[dict, dict[
     lower = KIND_LOWER[kind]
     dims = {n: draw(st.integers(0, 6)) for n in range(lower, truncation + 1)}
     actions = {}
-    for g in generators_for(kind, truncation):
+    for t, g in generator_tokens(kind, truncation).items():
         if draw(st.integers(0, 5)):
-            actions[g.token()] = _draw_matrix(draw, entries, dims[g.degree - 1], dims[g.degree])
+            actions[t] = _draw_matrix(draw, entries, dims[g.source], dims[g.target])
     keys = {str(n): d for n, d in dims.items()}
     if draw(st.integers(0, 9)) == 0:
         keys[draw(st.sampled_from(("+1", "01", "x", str(truncation + 1))))] = 1

@@ -13,13 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semihomology.diagmod import generators_for
+from semihomology.diagmod import generators_for, token
 from semihomology.simplexcat import (
     FUNCTORS,
     KIND_LOWER,
     CubeMap,
     DWord,
-    GeneratorId,
+    Differential,
     InjMap,
     LinComb,
     X,
@@ -210,11 +210,11 @@ class TestFactorizations:
         assert coface_factorization(identity_inj(3)) == []
 
     def test_single_generator(self):
-        assert coface_factorization(delta(0, 0)) == [GeneratorId("delta", 0, index=0)]
+        assert coface_factorization(delta(0, 0)) == [delta(0, 0)]
 
     def test_point_into_plane(self):
         word = coface_factorization(InjMap(0, 2, (2,)))
-        assert [(g.index, g.degree) for g in word] == [(1, 2), (0, 1)]
+        assert word == [delta(1, 2), delta(0, 1)]
 
     def test_round_trip_all_injections(self):
         for kind, m0 in (("ssimp", 0), ("aug_ssimp", -1)):
@@ -222,10 +222,10 @@ class TestFactorizations:
                 for n in range(m, 7):
                     for f in hom_basis(kind, m, n):
                         word = coface_factorization(f)
-                        assert all(a.index > b.index for a, b in zip(word, word[1:]))
+                        assert all(a.complement() > b.complement() for a, b in zip(word, word[1:]))
                         acc = identity_inj(m)
                         for g in reversed(word):
-                            acc = compose_inj(g.as_morphism(), acc)
+                            acc = compose_inj(g, acc)
                         assert acc == f
 
     def test_cube_round_trip(self):
@@ -234,7 +234,7 @@ class TestFactorizations:
                 for f in hom_basis("scube", m, n):
                     acc = identity_cube(m)
                     for g in reversed(cube_coface_factorization(f)):
-                        acc = compose_cube(g.as_morphism(), acc)
+                        acc = compose_cube(g, acc)
                     assert acc == f
 
 
@@ -468,17 +468,14 @@ def every_generator(top: int = 5):
 
 
 def unchecked(value):
-    """value rebuilt by tuple.__new__ alone: through _trusted for a normal
-    form, straight from its entries for a generator."""
-    if isinstance(value, GeneratorId):
-        return tuple.__new__(GeneratorId, tuple(value))
+    """value rebuilt by tuple.__new__ alone, through _trusted."""
     return _trusted(type(value), *value[1:])
 
 
 class TestTaggedTuples:
-    """Normal forms and generators are tuples: a normal form is (class name,
-    source, target, image | pattern), a generator (kind, degree, index,
-    color), so hashing, equality and ordering run in tuple's own code."""
+    """Normal forms and the chain generators d(n) are tuples: a normal form
+    is (class name, source, target, image | pattern), d(n) ("Differential",
+    n - 1, n), so hashing, equality and ordering run in tuple's own code."""
 
     def values(self):
         for basis in every_hom_set():
@@ -488,32 +485,33 @@ class TestTaggedTuples:
     def test_public_and_unchecked_constructions_agree(self):
         checked = 0
         for v in self.values():
-            public = GeneratorId(*v) if isinstance(v, GeneratorId) else rebuilt(v)
+            public = Differential(v.target) if isinstance(v, Differential) else rebuilt(v)
             for w in (public, unchecked(v)):
                 assert type(w) is type(v) and w == v and hash(w) == hash(v)
             checked += 1
         assert checked == 693
 
-    def test_hom_basis_and_generators_come_in_value_order(self):
+    def test_hom_basis_comes_in_value_order_and_generators_in_token_order(self):
         for basis in every_hom_set():
             assert list(basis) == sorted(basis)
         for kind in KIND_LOWER:
             gens = generators_for(kind, 5)
-            assert list(gens) == sorted(gens)
+            # by degree, then by the index and color the token names
+            assert list(gens) == sorted(gens, key=lambda g: (g.target, *map(int, token(g).split()[1:-1])))
 
     def test_values_of_different_types_never_compare_equal(self):
         seen = set()
         for v in self.values():
-            if not isinstance(v, GeneratorId):
-                # the same fields under another tag, or under none
-                for other in {InjMap, CubeMap, DWord} - {type(v)}:
-                    assert _trusted(other, *v[1:]) != v
-                assert v != v[1:]
+            # the same fields under another tag, or under none
+            for other in {InjMap, CubeMap, Differential, DWord} - {type(v)}:
+                assert _trusted(other, *v[1:]) != v
+            assert v != v[1:]
             assert v not in ("valid", "check_map", ("restrict", "v"))  # memo keys
             seen.add(v)
-        # 364 cube maps, 127 injections, 57 generators: the simplicial kinds
-        # share their injections and cofaces, the chain kinds their d(n)
-        assert len(seen) == 548
+        # 364 cube maps, 127 injections, 6 differentials: the cofaces are
+        # hom-basis elements, the simplicial kinds share their injections and
+        # the chain kinds their d(n)
+        assert len(seen) == 497
         assert InjMap(0, 1, (0,)) != CubeMap(0, 1, (0,))
 
     def test_fields_cannot_be_assigned(self):
@@ -528,8 +526,7 @@ class TestTaggedTuples:
         assert repr(delta(0, 1)) == "InjMap(source=0, target=1, image=(1,))"
         assert repr(identity_inj(-1)) == "InjMap(source=-1, target=-1, image=())"
         assert repr(cube_delta(1, 0, 2)) == "CubeMap(source=1, target=2, pattern=(0, 2))"
-        assert repr(GeneratorId("cube", 2, index=1, color=0)) == (
-            "GeneratorId(kind='cube', degree=2, index=1, color=0)")
+        assert repr(omega_d(2)) == "Differential(source=1, target=2)"
         assert repr(strictly_decreasing_basis("ssimp", 0, 2)[0]) == (
             "DWord(kind='ssimp', source=0, target=2, indices=(1, 0))")
         for v in self.values():
@@ -547,7 +544,7 @@ class TestTaggedTuples:
         assert checked == 693 + 30
         assert copy.copy(DWord("ssimp", 0, 1, (1,))) == DWord("ssimp", 0, 1, (1,))
 
-    @pytest.mark.parametrize("cls", [InjMap, CubeMap, GeneratorId, DWord])
+    @pytest.mark.parametrize("cls", [InjMap, CubeMap, Differential, DWord])
     def test_hashing_equality_and_order_are_tuples_own(self, cls):
         assert cls.__hash__ is tuple.__hash__
         assert cls.__eq__ is tuple.__eq__

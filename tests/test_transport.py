@@ -1,4 +1,6 @@
 
+import dataclasses
+
 import pytest
 
 from semihomology.chainkit import (
@@ -15,7 +17,6 @@ from semihomology.chainkit import (
     reindex_shift,
 )
 from semihomology.diagmod import (
-    GeneratorId,
     check_map,
     direct_sum,
     identity_map,
@@ -31,6 +32,7 @@ from semihomology.simplexcat import (
     KIND_LOWER,
     LinComb,
     apply_functor,
+    cube_delta,
     hom_basis,
     hom_index,
     omega_d,
@@ -76,9 +78,7 @@ class TestRestrict:
     def test_cube_interval(self):
         x = representable("scube", 1, N)
         c = restrict("u_square", x)
-        d1 = x.actions[GeneratorId("cube", 1, index=1, color=1)] - x.actions[
-            GeneratorId("cube", 1, index=1, color=0)
-        ]
+        d1 = x.actions[cube_delta(1, 1, 1)] - x.actions[cube_delta(1, 0, 1)]
         assert c.diff[1] == d1
         h = homology(c)
         assert h.dim(0) == 1 and h.dim(1) == 0
@@ -685,6 +685,12 @@ class TestLowDegree:
         assert (c, d) == (0, 0)
         assert a == b
         assert rank(seq.include_tau) == a  # the inclusion is an isomorphism
+
+    def test_fields_cannot_be_assigned(self):
+        seq = low_degree_sequence(representable("aug_ssimp", 0, N))
+        for name in ("dims", "include_tau", "boundary", "project"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(seq, name, None)
 
     def test_shadow_modules_exact(self):
         shadow = restrict("v", representable("scube", 2, N))
