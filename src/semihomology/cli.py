@@ -46,6 +46,7 @@ from .oracle import (
     run_counterexample,
     truncation_cap,
 )
+from .simplexcat import FUNCTORS
 from .transport import (
     COEFFICIENTS,
     DETECTING_FUNCTOR,
@@ -222,6 +223,12 @@ def cmd_truncate(args) -> int:
 
 def cmd_induce(args) -> int:
     module = _load_module(args.infile)
+    source, _, shift, _ = FUNCTORS[args.functor]
+    if module.kind == source:  # else induce names both kinds
+        try:  # the induced module must be readable by every command
+            check_truncation(module.truncation + shift)
+        except ValueError as exc:
+            raise CliError(f"{args.infile}: induced along {args.functor}: {exc}") from None
     try:
         result = induce(args.functor, module)
     except WindowError:
@@ -356,7 +363,7 @@ def _module_text_dump(module: DiagramModule) -> str:
     for t, g in generator_tokens(module.kind, module.truncation).items():
         m = module.actions[g]
         lines.append(f"[{t}]  ({m.rows}x{m.cols})")
-        if m.rows and m.cols:
+        if not m.is_zero():
             lines.append(m.pretty())
     return "\n".join(lines) + "\n"
 

@@ -35,7 +35,9 @@ d o d = 0.  ``chainkit`` computes their homology.
 
 A module asserts nothing above its truncation; operations either stay inside
 the window or say so, and the loaders reject dimensions and actions outside
-the window, and any declared dimension above ``MAX_FILE_DIM``.
+the window, and any declared dimension above ``MAX_FILE_DIM``.  They read a
+missing action or map component as zero, and written documents omit every
+matrix without a nonzero entry.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ from .exactlin import (
 from .simplexcat import (
     CHAIN_KINDS,
     KIND_LOWER,
-    CubeMap,
     Differential,
     Generator,
     InjMap,
@@ -65,7 +66,6 @@ from .simplexcat import (
     Morphism,
     coface_factorization,
     compose,
-    cube_coface_factorization,
     cube_delta,
     delta,
     hom_basis,
@@ -111,11 +111,8 @@ def token(g: Generator) -> str:
     """The document token of a generator: "delta i n", "cube i e n" or "d n"."""
     if isinstance(g, Differential):
         return f"d {g.target}"
-    if isinstance(g, InjMap):
-        (i,) = g.complement()
-        return f"delta {i} {g.target}"
-    ((i, e),) = g.constants()
-    return f"cube {i} {e} {g.target}"
+    ((i, e),) = g.constants()  # 0-based; cube tokens count from 1
+    return f"delta {i} {g.target}" if isinstance(g, InjMap) else f"cube {i + 1} {e} {g.target}"
 
 
 @lru_cache(maxsize=None)
@@ -372,7 +369,7 @@ def act(x: DiagramModule, phi) -> RatMatrix:
         if isinstance(phi, Differential):
             return x.action(phi)
         raise ValueError("chain kinds act through their d(n) generators only")
-    if isinstance(phi, (InjMap, CubeMap)):
+    if isinstance(phi, Morphism):
         return _act_normal_form(x, phi)
     if isinstance(phi, LinComb):
         # the +1 terms and the -1 terms are summed apart and subtracted once,
@@ -406,7 +403,7 @@ def _act_word(x: DiagramModule, f: Morphism) -> RatMatrix:
     rows, cols = x.dim(f.source), x.dim(f.target)
     if not rows or not cols:
         return RatMatrix.zeros(rows, cols)
-    word = coface_factorization(f) if isinstance(f, InjMap) else cube_coface_factorization(f)
+    word = coface_factorization(f)
     if not word:
         return RatMatrix.identity(cols)
     out = x.action(word[0])
@@ -610,7 +607,8 @@ def module_to_obj(x: DiagramModule) -> dict:
         "kind": x.kind,
         "truncation": x.truncation,
         "dims": {str(n): x.dim(n) for n in x.degrees()},
-        "actions": {t: _matrix_to_json(x.actions[g]) for t, g in generator_tokens(x.kind, x.truncation).items()},
+        "actions": {t: _matrix_to_json(m) for t, g in generator_tokens(x.kind, x.truncation).items()
+                    if not (m := x.actions[g]).is_zero()},
     }
 
 
@@ -653,9 +651,8 @@ def map_to_obj(f: ModuleMap) -> dict:
         "truncation": f.source.truncation,
         "source": module_to_obj(f.source),
         "target": module_to_obj(f.target),
-        "components": {
-            str(n): _matrix_to_json(f.components[n]) for n in f.source.degrees()
-        },
+        "components": {str(n): _matrix_to_json(m) for n in f.source.degrees()
+                       if not (m := f.components[n]).is_zero()},
     }
 
 

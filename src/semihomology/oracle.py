@@ -534,11 +534,11 @@ def _check_triangular(matrix: RatMatrix, diagonal, where: dict) -> None:
 
 def decreasing_basis_matrix(kind: str, m: int, n: int):
     """Rows: monomials ordered by index word; columns: coface normal forms
-    ordered by their descending complement word.  The triangularity of this
+    ordered by their omitted points, descending.  The triangularity of this
     matrix, with diagonal (-1)^(sum of indices), is the freeness statement."""
     words = strictly_decreasing_basis(kind, m, n)
     basis = hom_basis(kind, m, n)
-    order = sorted(basis, key=lambda f: tuple(sorted(f.complement(), reverse=True)))
+    order = sorted(basis, key=lambda f: tuple(j for j, _ in reversed(f.constants())))
     column = {f: k for k, f in enumerate(order)}
     rows = ({column[f]: c for f, c in word.expand().terms.items()} for word in words)
     return words, RatMatrix.from_columns(len(basis), rows).transpose()

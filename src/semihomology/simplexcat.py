@@ -9,13 +9,19 @@ C: values of different types never compare equal, and a hom set's values
 sort in basis order.
 
 * ``InjMap`` -- order-preserving injections between the ordinals [m] =
-  {0 < ... < m}, with [-1] the empty ordinal; stored by image subset, which
-  is a unique normal form.
+  {0 < ... < m}, with [-1] the empty ordinal;
 * ``CubeMap`` -- injective cube morphisms between the cubes of dimension m
-  and n, stored as a pattern: output coordinate j holds a constant 0 or 1,
-  or the marker ``X`` for the next input coordinate in order.  Patterns of
-  one shape sort in the canonical basis order, since 0 < 1 < X.
+  and n;
 * ``Differential`` -- the chain-algebra generator d(n), built by ``omega_d``.
+
+Injections and cube maps, the ``Morphism`` subclasses, are stored alike, as
+a pattern with one entry per point of the target: the marker ``X`` where
+the next source point lands, in order, and otherwise a constant, ``OMIT``
+where an injection skips a point or the color 0 or 1 where a cube map fixes
+a coordinate.  The pattern is a unique normal form, and one substitution
+composes both categories and one word factors them.  It is also the
+picture behind the comparison functors: j0, j1 and the sign embedding v
+turn each point an injection skips into a cube coordinate holding a color.
 
 The one-step generators of the module kinds are values of these types: a
 simplicial coface delta(i, n) is the injection omitting i, a cubical coface
@@ -49,9 +55,13 @@ from .exactlin import exact
 KIND_LOWER = {"ssimp": 0, "aug_ssimp": -1, "scube": 0, "chain0": 0, "chain_neg1": -1}
 CHAIN_KINDS = ("chain0", "chain_neg1")
 
-# The pattern entry of a cube coordinate; it sorts after the constants 0 and 1.
+# The pattern entry of a point that a source point lands on.  It sorts after
+# the colors 0 and 1, so the cube maps of one hom set sort in the canonical
+# basis order, and before OMIT, so the injections of one hom set sort as
+# their images do in ``combinations`` order: at the first point where two
+# patterns differ, the smaller image lands and the larger one skips.
 X = 2
-_CUBE_ENTRIES = frozenset((0, 1, X))
+OMIT = 3
 
 
 def _trusted(cls, *fields):
@@ -69,36 +79,11 @@ def _fields_after_tag(value) -> tuple:
     return value[1:]
 
 
-class InjMap(tuple):
-    """Order-preserving injection [source] -> [target], by its image: ("InjMap", source, target, image)."""
-
-    __slots__ = ()
-    _fields = ("source", "target", "image")
-    source, target, image = (property(itemgetter(i)) for i in (1, 2, 3))
-    __repr__ = _repr
-    __getnewargs__ = _fields_after_tag
-
-    def __new__(cls, source: int, target: int, image: tuple[int, ...]):
-        if source < -1 or target < -1 or source > target:
-            raise ValueError(f"illegal degrees {source} -> {target}")
-        if len(image) != source + 1:
-            raise ValueError("image size must be source degree + 1")
-        if any(b <= a for a, b in zip(image, image[1:])):
-            raise ValueError("image must be strictly increasing")
-        if image and not (0 <= image[0] and image[-1] <= target):
-            raise ValueError("image out of range")
-        return _trusted(cls, source, target, image)
-
-    def complement(self) -> tuple[int, ...]:
-        im = set(self.image)
-        return tuple(j for j in range(self.target + 1) if j not in im)
-
-    def text(self) -> str:
-        return f"inj {self.source}->{self.target} {{{','.join(map(str, self.image))}}}"
-
-
-class CubeMap(tuple):
-    """Injective cube morphism, by its pattern of 0, 1 and X: ("CubeMap", source, target, pattern)."""
+class Morphism(tuple):
+    """A normal form of an index category, by its pattern: (class name,
+    source, target, pattern).  A subclass's pattern has ``target + _offset``
+    entries, ``source + _offset`` of them ``X``, each from ``_entries``, the
+    allowed entries in ascending order."""
 
     __slots__ = ()
     _fields = ("source", "target", "pattern")
@@ -107,17 +92,36 @@ class CubeMap(tuple):
     __getnewargs__ = _fields_after_tag
 
     def __new__(cls, source: int, target: int, pattern: tuple[int, ...]):
-        if source < 0 or target < 0 or source > target:
-            raise ValueError(f"illegal cube degrees {source} -> {target}")
-        if len(pattern) != target:
-            raise ValueError("pattern length must equal target degree")
-        if pattern.count(X) != source or not _CUBE_ENTRIES.issuperset(pattern):
-            raise ValueError(f"pattern must hold {source} X entries and otherwise 0 or 1, got {pattern}")
+        # the counts also bound the degrees: -_offset <= source <= target
+        size, lands = target + cls._offset, source + cls._offset
+        if len(pattern) != size or pattern.count(X) != lands or not frozenset(pattern).issubset(cls._entries):
+            raise ValueError(f"a {cls.__name__} {source} -> {target} has a pattern of {size} entries, "
+                             f"{lands} of them X and the rest from {cls._entries}, got {pattern}")
         return _trusted(cls, source, target, pattern)
 
     def constants(self) -> tuple[tuple[int, int], ...]:
-        """The inserted positions as (1-based position, color) pairs, ascending."""
-        return tuple((j + 1, e) for j, e in enumerate(self.pattern) if e != X)
+        """The points that no source point lands on, as (0-based position, entry) pairs, ascending."""
+        return tuple((j, e) for j, e in enumerate(self.pattern) if e != X)
+
+
+class InjMap(Morphism):
+    """Order-preserving injection [source] -> [target]: X on the image, OMIT elsewhere."""
+
+    __slots__ = ()
+    _offset = 1
+    _entries = (X, OMIT)
+
+    def text(self) -> str:
+        image = (j for j, e in enumerate(self.pattern) if e == X)
+        return f"inj {self.source}->{self.target} {{{','.join(map(str, image))}}}"
+
+
+class CubeMap(Morphism):
+    """Injective cube morphism: X on the coordinates of the source, in order, a color 0 or 1 elsewhere."""
+
+    __slots__ = ()
+    _offset = 0
+    _entries = (0, 1, X)
 
     def text(self) -> str:
         coords = iter(range(1, self.source + 1))
@@ -125,23 +129,25 @@ class CubeMap(tuple):
         return f"cube {self.source}->{self.target} [{','.join(tokens)}]"
 
 
-Morphism = InjMap | CubeMap
-
-
 @lru_cache(maxsize=None)
 def identity_inj(n: int) -> InjMap:
-    return InjMap(n, n, tuple(range(n + 1)))
+    return InjMap(n, n, (X,) * (n + 1))
 
 @lru_cache(maxsize=None)
 def identity_cube(n: int) -> CubeMap:
     return CubeMap(n, n, (X,) * n)
 
 @lru_cache(maxsize=None)
+def _coface(cls, position: int, entry: int, n: int) -> Morphism:
+    """The coface of cls into degree n that holds ``entry`` at the 0-based ``position``."""
+    return _trusted(cls, n - 1, n, (X,) * position + (entry,) + (X,) * (n + cls._offset - position - 1))
+
+@lru_cache(maxsize=None)
 def delta(i: int, n: int) -> InjMap:
     """The coface [n-1] -> [n] omitting i, for 0 <= i <= n."""
     if not 0 <= i <= n:
         raise ValueError(f"delta index {i} out of range for degree {n}")
-    return InjMap(n - 1, n, tuple(j for j in range(n + 1) if j != i))
+    return _coface(InjMap, i, OMIT, n)
 
 @lru_cache(maxsize=None)
 def cube_delta(i: int, color: int, n: int) -> CubeMap:
@@ -150,22 +156,7 @@ def cube_delta(i: int, color: int, n: int) -> CubeMap:
         raise ValueError(f"cube coface index {i} out of range for degree {n}")
     if color not in (0, 1):
         raise ValueError("color must be 0 or 1")
-    return CubeMap(n - 1, n, (X,) * (i - 1) + (color,) + (X,) * (n - i))
-
-
-def compose_inj(g: InjMap, f: InjMap) -> InjMap:
-    """g o f; f acts first."""
-    if f.target != g.source:
-        raise ValueError(f"boundary mismatch: {f.text()} then {g.text()}")
-    return _trusted(InjMap, f.source, g.target, tuple([g.image[j] for j in f.image]))
-
-
-def compose_cube(g: CubeMap, f: CubeMap) -> CubeMap:
-    """g o f by substituting f's pattern, in order, into g's X entries."""
-    if f.target != g.source:
-        raise ValueError(f"boundary mismatch: {f.text()} then {g.text()}")
-    inner = iter(f.pattern)
-    return _trusted(CubeMap, f.source, g.target, tuple([next(inner) if e == X else e for e in g.pattern]))
+    return _coface(CubeMap, i - 1, color, n)
 
 
 # A battery pass at truncation 6 composes about 3,400 distinct pairs, most of
@@ -180,11 +171,12 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     composite is the one a new call would build.  A failed composition
     raises on every call, since the cache keeps no exception.
     """
-    if isinstance(g, InjMap) and isinstance(f, InjMap):
-        return compose_inj(g, f)
-    if isinstance(g, CubeMap) and isinstance(f, CubeMap):
-        return compose_cube(g, f)
-    raise TypeError("cannot compose morphisms of different categories")
+    if type(g) is not type(f):
+        raise TypeError("cannot compose morphisms of different categories")
+    if f.target != g.source:
+        raise ValueError(f"boundary mismatch: {f.text()} then {g.text()}")
+    inner = iter(f.pattern)  # f's pattern, in order, into g's X entries
+    return _trusted(type(g), f.source, g.target, tuple([next(inner) if e == X else e for e in g.pattern]))
 
 
 # -- chain generators ----------------------------------------------------------
@@ -213,7 +205,7 @@ def omega_d(n: int) -> Differential:
     return Differential(n)
 
 
-Generator = InjMap | CubeMap | Differential
+Generator = Morphism | Differential
 
 
 # -- linear combinations ------------------------------------------------------
@@ -315,20 +307,18 @@ def hom_basis(kind: str, m: int, n: int) -> tuple[Morphism, ...]:
     """All normal-form morphisms m -> n of an index kind, duplicate-free, in
     canonical order.
 
-    Kinds "ssimp" and "aug_ssimp": injections, C(n+1, m+1) of them, by
-    image; "scube": cube morphisms, C(n, m) * 2^(n-m) of them, by pattern.
+    Kinds "ssimp" and "aug_ssimp": injections, C(n+1, m+1) of them;
+    "scube": cube morphisms, C(n, m) * 2^(n-m) of them.
     """
     if kind not in KIND_LOWER or kind in CHAIN_KINDS:
         raise ValueError(f"kind {kind!r} has no underlying index category")
     low = KIND_LOWER[kind]
     if m < low or n < low:
         raise ValueError(f"degrees below {low} are not objects of kind {kind}")
-    if m > n:
-        return ()
-    if kind == "scube":
-        # product yields the patterns in sorted order
-        return tuple(_trusted(CubeMap, m, n, p) for p in product((0, 1, X), repeat=n) if p.count(X) == m)
-    return tuple(_trusted(InjMap, m, n, image) for image in combinations(range(n + 1), m + 1))
+    cls = CubeMap if kind == "scube" else InjMap
+    # product yields the patterns in sorted order
+    patterns = product(cls._entries, repeat=n + cls._offset)
+    return tuple(_trusted(cls, m, n, p) for p in patterns if p.count(X) == m + cls._offset)
 
 
 @lru_cache(maxsize=None)
@@ -339,51 +329,34 @@ def hom_index(kind: str, m: int, n: int) -> dict[Morphism, int]:
 # -- factorizations -----------------------------------------------------------
 
 
-def coface_factorization(f: InjMap) -> list[InjMap]:
-    """The strictly decreasing coface word composing to f.
-
-    Returned outermost first; the indices are the complement of the image in
-    descending order, the k-th factor from the right inserting the k-th
-    smallest omitted value.
-    """
-    comp = f.complement()
-    return [delta(comp[k - 1], f.source + k) for k in range(len(comp), 0, -1)]
-
-
-def cube_coface_factorization(f: CubeMap) -> list[CubeMap]:
-    """Cube analogue: insert the constant positions bottom-up, outermost first."""
+def coface_factorization(f: Morphism) -> list[Morphism]:
+    """The strictly decreasing coface word composing to f, in either index
+    category: outermost first, the k-th factor from the right inserting the
+    k-th constant of f, bottom-up."""
     consts = f.constants()
-    return [cube_delta(*consts[k - 1], f.source + k) for k in range(len(consts), 0, -1)]
+    return [_coface(type(f), *consts[k - 1], f.source + k) for k in range(len(consts), 0, -1)]
 
 
 # -- comparison functors ------------------------------------------------------
 
 
 def _monochromatic_embedding(f: InjMap, color: int) -> CubeMap:
-    """j0/j1 on a general injection: insert constants of one color."""
-    im = set(f.image)
-    return _trusted(CubeMap, f.source + 1, f.target + 1, tuple([X if p in im else color for p in range(f.target + 1)]))
+    """j0/j1 on a general injection: every omitted point becomes the color."""
+    return _trusted(CubeMap, f.source + 1, f.target + 1, tuple([color if e == OMIT else e for e in f.pattern]))
 
 
 def _sign_embedding(f: InjMap) -> LinComb:
-    """v on a general injection: each inserted position chooses color 1 with
+    """v on a general injection: every omitted point becomes color 1 with
     sign +1 or color 0 with sign -1, multiplicatively."""
-    comp = f.complement()
-    pattern = list(_monochromatic_embedding(f, 1).pattern)
-    terms: dict[Morphism, int] = {}
-    for colors in product((0, 1), repeat=len(comp)):
-        for c, col in zip(comp, colors):
-            pattern[c] = col
-        terms[_trusted(CubeMap, f.source + 1, f.target + 1, tuple(pattern))] = (-1) ** colors.count(0)
+    choices = [(0, 1) if e == OMIT else (X,) for e in f.pattern]
+    terms = {_trusted(CubeMap, f.source + 1, f.target + 1, p): (-1) ** p.count(0) for p in product(*choices)}
     return LinComb._trusted(f.source + 1, f.target + 1, terms)
 
 
 def _sign_embedding_of(comb: LinComb) -> LinComb:
-    """v extended linearly to a combination of injections."""
-    terms: dict[Morphism, int] = {}
-    for f, c in comb.terms.items():
-        for g, sign in _sign_embedding(f).terms.items():
-            terms[g] = terms.get(g, 0) + c * sign
+    """v extended linearly to a combination of injections, whose images share
+    no term: a term keeps the X entries of its injection."""
+    terms = {g: c * sign for f, c in comb.terms.items() for g, sign in _sign_embedding(f).terms.items()}
     return LinComb(comb.source + 1, comb.target + 1, terms)
 
 

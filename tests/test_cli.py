@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -566,6 +567,35 @@ class TestDimensionBudget:
         status, out, _ = run(capsys, "validate", "--in", path)
         assert status == 0 and "valid" in out
 
+    @pytest.mark.parametrize("command, kind", [
+        (["convert", "--to", "module-json"], "chain0"),
+        (["convert", "--to", "text"], "chain0"),
+        (["restrict"], "ssimp"),
+    ], ids=["convert-module-json", "convert-text", "restrict"])
+    def test_writing_at_budget_is_linear(self, capsys, tmp_path, command, kind):
+        # no action given, so every matrix is zero: written documents omit
+        # them and the text dump prints their shapes alone, so the cost
+        # follows the entries, not the dimensions the file declares
+        doc = {**_chain_module({"0": MAX_FILE_DIM, "1": MAX_FILE_DIM}, {}), "kind": kind}
+        path, out_path = tmp_path / "doc.json", tmp_path / "out.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        status, _, err = run(capsys, *command, "--in", path, "--out", out_path)
+        assert time.perf_counter() - start < 2
+        assert status == 0, err
+        written = out_path.read_text()
+        if "text" in command:
+            assert written.splitlines()[2:] == [
+                f"[{t}]  ({MAX_FILE_DIM}x{MAX_FILE_DIM})" for t in generator_tokens(kind, 1)
+            ]
+            return
+        module = module_from_json(written)
+        assert json.loads(written)["actions"] == {}
+        if kind == "chain0":
+            assert module == module_from_obj(doc)
+        else:  # the chain complex of the restriction: the zero differential
+            assert module.kind == "chain0" and module.dims == {0: MAX_FILE_DIM, 1: MAX_FILE_DIM}
+
 
 # A 104-byte module document over truncation 500: building it, let alone
 # validating it, takes far longer than rejecting it.
@@ -608,6 +638,34 @@ class TestTruncationCapOnFiles:
         path.write_text(json.dumps({**HUGE_MODULE, "truncation": 9}))
         status, _, _ = run(capsys, "validate", "--in", path)
         assert status == 0
+
+
+class TestInduceOutputWithinCap:
+    """induce writes a module readable by every command or refuses: the
+    degree shift of its functor counts against the cap."""
+
+    @pytest.mark.parametrize("functor, truncation, status", [
+        ("v", 8, 2),        # at the cap: the cube module would reach truncation 9
+        ("v", 7, 0),        # just below it
+        ("u_delta", 8, 0),  # no shift, so the cap itself is fine
+    ])
+    def test_shifted_truncation(self, capsys, tmp_path, monkeypatch, functor, truncation, status):
+        monkeypatch.delenv("SEMIHOMOLOGY_MAX_TRUNC", raising=False)
+        if functor == "v":
+            module = representable("aug_ssimp", 1, truncation)
+        else:
+            module = disk_sphere_complex([("disk", 2)], truncation)
+        path, out_path = tmp_path / "m.json", tmp_path / "induced.json"
+        path.write_text(module_to_json(module))
+        got, out, err = run(capsys, "induce", "--functor", functor, "--in", path, "--out", out_path)
+        assert got == status
+        if status:
+            assert out == "" and not out_path.exists()
+            assert err == (f"semihomology: {path}: induced along v: truncation 9 exceeds the cap 8 "
+                           "(set SEMIHOMOLOGY_MAX_TRUNC to raise it)\n")
+            return
+        assert run(capsys, "validate", "--in", out_path)[0] == 0
+        assert f"window (0, {truncation + FUNCTORS[functor][2]})" in out
 
 
 class TestCapVariable:
@@ -1050,6 +1108,33 @@ class TestCliBytesArePinned:
             digest.update(json.dumps([argv, status, out, err]).encode() + b"\n")
         assert codes == [0] * (len(requests) - 2) + [1, 1]
         assert len(requests) == 154
+        assert digest.hexdigest() == self.DIGEST
+
+
+class TestInducePresentationsArePinned:
+    """One sha256 over (argv, exit code, stdout, stderr) of `induce --format
+    json` on every module of the seed-0 truncation-4 corpus and every functor
+    that induces from its kind.  The presentation spells each coend label
+    through `text()`, so a change to the order or the spelling of the normal
+    forms moves it."""
+
+    DIGEST = "82520851428c003b9c5e2cd004bcdf67399cff93988b208aee4484dac13107a7"
+
+    def test_corpus_inductions(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("SEMIHOMOLOGY_MAX_TRUNC", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "corpus", "--trunc", "4", "--out-dir", ".")[0] == 0
+        digest = hashlib.sha256()
+        codes = []
+        for entry in json.loads((tmp_path / "index.json").read_text())["entries"]:
+            for which in ("u_delta", "u_a", "v"):
+                if entry.get("map") or entry["kind"] != FUNCTORS[which][0]:
+                    continue
+                argv = ["induce", "--in", entry["file"], "--functor", which, "--format", "json"]
+                status, out, err = run(capsys, *argv)
+                codes.append(status)
+                digest.update(json.dumps([argv, status, out, err]).encode() + b"\n")
+        assert codes == [0] * 13
         assert digest.hexdigest() == self.DIGEST
 
 
